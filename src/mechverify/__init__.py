@@ -50,8 +50,6 @@ from .mechanisms import (
 )
 from .harmless import (
     HarmlessResult,
-    MechanismClass,
-    MechanismKind,
     SimplexFamily,
     SubspaceHypothesisError,
     critical_hyperplane,

@@ -17,8 +17,10 @@ are ignored.  Rationals are integers or "p/q" strings.
     query R...               repeatable; points to test
     option KEY VALUE...      repeatable; class-specific settings
 
-Exactly one of ``theta``/``reported`` must appear.  Anchors and queries must
-lie inside the declared type-space box.  Class-specific options:
+Exactly one of ``theta``/``reported`` must appear: ``theta`` makes a
+forward-mode scenario, ``reported`` a reverse-mode one; there is no mode
+directive.  Anchors and queries must lie inside the declared type-space box.
+Class-specific options:
 
     vcg            option others V1 V2        (repeatable, one per other agent)
     price_family   option price_low P1 P2 / option price_high P1 P2 ("inf" ok)
@@ -33,6 +35,11 @@ lie inside the declared type-space box.  Class-specific options:
                    option verification_kind none|no_overbid|
                    no_overbid_on_received|harmless_complement
 
+Verbs and their own flags: every verb takes ``--scenario FILE`` and
+``--out FILE``; ``harmless`` and ``witness`` take ``--resolution P/Q``, the
+facility_line probe step where the scenario sets no probe_step; ``plot``
+takes ``--axes I,J`` and ``--bounds XMIN,XMAX,YMIN,YMAX``.
+
 Result documents are line-delimited text with every rational kept exact;
 serialize/parse round-trips are lossless.  SVG output is the only place
 floats appear, formatted at six decimal places so identical inputs give
@@ -46,7 +53,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .geometry import (
     ConvexRegion,
@@ -82,7 +89,6 @@ from .multiagent import (
     PriceFamily,
     UnitDemandProfile,
     find_beneficial_price,
-    price_family_harmless_contains,
     vcg_harmless_contains,
     vcg_single_agent_rule,
 )
@@ -97,17 +103,6 @@ from .scenarios import (
     facility_type,
     kminded_harmless_contains,
     second_price_harmful_contains,
-)
-
-MECHANISM_CLASSES = (
-    "deterministic",
-    "universally_truthful",
-    "truthful_in_expectation",
-    "vcg",
-    "price_family",
-    "second_price",
-    "kminded",
-    "facility_line",
 )
 
 
@@ -154,7 +149,8 @@ class Scenario:
     @property
     def anchor(self) -> Vector:
         anchor = self.theta if self.theta is not None else self.reported
-        assert anchor is not None
+        if anchor is None:
+            raise ScenarioError("exactly one of theta or reported must be given")
         return anchor
 
 
@@ -357,6 +353,7 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
 
 
 FieldValue = Union[Vector, Fraction, str]
+Fields = tuple[tuple[str, str, FieldValue], ...]
 
 
 @dataclass(frozen=True)
@@ -368,7 +365,7 @@ class WitnessRecord:
 
     query_index: int
     kind: str
-    fields: tuple[tuple[str, str, FieldValue], ...]
+    fields: Fields
 
 
 @dataclass(frozen=True)
@@ -419,16 +416,28 @@ def _space_halfspaces(scenario: Scenario) -> tuple[Halfspace, ...]:
     return tuple(halfspaces)
 
 
-def _restrict_region(region: ConvexRegion, scenario: Scenario) -> ConvexRegion:
-    extra = _space_halfspaces(scenario)
-    if not extra:
-        return region
-    return ConvexRegion(region.halfspaces + extra, region.extra_points)
+# A certificate for one query: the witness kind and its fields.
+Certificate = tuple[str, Fields]
+# decide(q) gives q's membership and, for the answer that needs one, a
+# certificate that has been checked.
+Decide = Callable[[Vector], tuple[bool, Union[Certificate, None]]]
+# What a class's setup returns: (operation, decide, region before the
+# type-space box or None, summary).
+Setup = tuple[str, Decide, Union[ConvexRegion, None], tuple[tuple[str, str], ...]]
 
 
-def _separating_fields(
-    rule: SeparatingRule, gained: Fraction, truthful: Fraction
-) -> tuple[tuple[str, str, FieldValue], ...]:
+def _separating(
+    true_type: Vector, report: Vector, allocations: Sequence[Allocation]
+) -> Fields:
+    """The oracle's rule under which reporting ``report`` beats the truth.
+
+    Called only where a closed form said harmful, so the independent search
+    finding no rule means the two disagree.
+    """
+    rule = search_beneficial_misreport(true_type, report, allocations)
+    if rule is None:
+        raise AssertionError("membership said harmful but no rule benefits")
+    gained, truthful = rule_benefit(rule, true_type, report)
     fields: list[tuple[str, str, FieldValue]] = [
         ("allocation_i", "v", rule.a_i.probs),
         ("allocation_j", "v", rule.a_j.probs),
@@ -444,120 +453,81 @@ def _separating_fields(
     return tuple(fields)
 
 
-def _separating_witness(
-    query_index: int, true_type: Vector, report: Vector, allocations: Sequence[Allocation]
-) -> WitnessRecord:
-    rule = search_beneficial_misreport(true_type, report, allocations)
-    assert rule is not None, "membership said harmful but no rule benefits"
-    gained, truthful = rule_benefit(rule, true_type, report)
-    return WitnessRecord(query_index, "separating", _separating_fields(rule, gained, truthful))
+def _certified(
+    contains: Callable[[Vector], bool], theta: Vector, allocations: Sequence[Allocation]
+) -> Decide:
+    """Membership from a closed form; each harmful report certified by the oracle."""
+
+    def decide(q: Vector) -> tuple[bool, Certificate | None]:
+        if contains(q):
+            return True, None
+        return False, ("separating", _separating(theta, q, allocations))
+
+    return decide
 
 
-def _run_point_mass_family(scenario: Scenario) -> ResultDocument:
+def _setup_point_mass(scenario: Scenario, resolution: Fraction | None) -> Setup:
     """deterministic and universally_truthful classes, both modes."""
-    dim = scenario.anchor.dim
-    allocations = scenario.allocations or point_masses(dim)
-    universal = scenario.mechanism_class == "universally_truthful"
-    queries: list[QueryResult] = []
-    witnesses: list[WitnessRecord] = []
-    if scenario.mode == "forward":
-        theta = scenario.theta
-        assert theta is not None
-        compute = universally_truthful_harmless if universal else deterministic_harmless
-        operation = (
-            "universally_truthful_harmless" if universal else "deterministic_harmless"
-        )
-        result = compute(theta, allocations)
-        assert result.region is not None
-        region = _restrict_region(result.region, scenario)
-        for index, q in enumerate(scenario.queries):
-            member = result.contains(q)
-            queries.append(QueryResult(q, member))
-            if not member:
-                witnesses.append(_separating_witness(index, theta, q, allocations))
+    anchor = scenario.anchor
+    allocations = scenario.allocations or point_masses(anchor.dim)
+    summary = (("allocations", str(len(allocations))),)
+    if scenario.mode == "reverse":
+
+        def decide(q: Vector) -> tuple[bool, Certificate | None]:
+            if not harmful_union_contains(anchor, allocations, q):
+                return False, None
+            return True, ("separating", _separating(q, anchor, allocations))
+
+        return "harmful_union_contains", decide, None, summary
+    if scenario.mechanism_class == "universally_truthful":
+        operation = "universally_truthful_harmless"
+        result = universally_truthful_harmless(anchor, allocations)
     else:
-        reported = scenario.reported
-        assert reported is not None
-        operation = "harmful_union_contains"
-        region = None
-        for index, q in enumerate(scenario.queries):
-            member = harmful_union_contains(reported, allocations, q)
-            queries.append(QueryResult(q, member))
-            if member:
-                witnesses.append(_separating_witness(index, q, reported, allocations))
-    return ResultDocument(
-        scenario_name=scenario.name,
-        mechanism_class=scenario.mechanism_class,
-        mode=scenario.mode,
-        operation=operation,
-        anchor=scenario.anchor,
-        region=region,
-        queries=tuple(queries),
-        witnesses=tuple(witnesses),
-        summary=(("allocations", str(len(allocations))),),
-        provenance=_provenance(scenario.mechanism_class, operation),
-    )
+        operation = "deterministic_harmless"
+        result = deterministic_harmless(anchor, allocations)
+    if result.region is None:
+        raise AssertionError(f"{operation} returned no region")
+    return operation, _certified(result.contains, anchor, allocations), result.region, summary
 
 
-def _tie_space(scenario: Scenario):
+def _setup_tie(scenario: Scenario, resolution: Fraction | None) -> Setup:
+    theta = scenario.anchor
     if scenario.allocations:
-        return scenario.allocations, "explicit"
+        # Explicit allocation sets satisfy the rank-one hypothesis, where
+        # the expectation class and the two-allocation search coincide.
+        allocations = scenario.allocations
+        decide = _certified(
+            lambda q: tie_harmless_contains(theta, q, allocations), theta, allocations
+        )
+        return "tie_harmless_contains", decide, None, (("family", "explicit"),)
+    family = SimplexFamily.FULL_SIMPLEX
     if scenario.assignments is not None and scenario.assignments.null_index is not None:
         if scenario.assignments.null_index != 0:
             raise ScenarioError("the null assignment must be listed first")
-        return SimplexFamily.SUBSIMPLEX_WITH_NULL, "subsimplex_with_null"
-    return SimplexFamily.FULL_SIMPLEX, "full_simplex"
+        family = SimplexFamily.SUBSIMPLEX_WITH_NULL
+
+    def decide(q: Vector) -> tuple[bool, Certificate | None]:
+        # The witness construction decides membership itself: None is harmless.
+        witness = construct_tie_witness(theta, q, family)
+        if witness is None:
+            return True, None
+        fields = (
+            ("low", "v", witness.low.probs),
+            ("high", "v", witness.high.probs),
+            ("relative_price", "r", witness.rule.relative_price),
+            ("tie", "t", witness.rule.tie_assignment.value),
+            ("gained", "r", witness.gained_value),
+            ("truthful", "r", witness.truthful_value),
+        )
+        return False, ("randomized_pair", fields)
+
+    return "tie_harmless_contains", decide, None, (("family", family.value),)
 
 
-def _run_tie(scenario: Scenario) -> ResultDocument:
-    if scenario.mode != "forward":
-        raise ScenarioError("truthful_in_expectation scenarios are forward-mode only")
-    theta = scenario.theta
-    assert theta is not None
-    space, family_name = _tie_space(scenario)
-    operation = "tie_harmless_contains"
-    queries: list[QueryResult] = []
-    witnesses: list[WitnessRecord] = []
-    for index, q in enumerate(scenario.queries):
-        member = tie_harmless_contains(theta, q, space)
-        queries.append(QueryResult(q, member))
-        if member:
-            continue
-        if isinstance(space, SimplexFamily):
-            witness = construct_tie_witness(theta, q, space)
-            assert witness is not None, "membership said harmful but no witness built"
-            fields = (
-                ("low", "v", witness.low.probs),
-                ("high", "v", witness.high.probs),
-                ("relative_price", "r", witness.rule.relative_price),
-                ("tie", "t", witness.rule.tie_assignment.value),
-                ("gained", "r", witness.gained_value),
-                ("truthful", "r", witness.truthful_value),
-            )
-            witnesses.append(WitnessRecord(index, "randomized_pair", fields))
-        else:
-            # Explicit allocation sets satisfy the rank-one hypothesis, where
-            # the expectation class and the two-allocation search coincide.
-            witnesses.append(_separating_witness(index, theta, q, space))
-    return ResultDocument(
-        scenario_name=scenario.name,
-        mechanism_class=scenario.mechanism_class,
-        mode="forward",
-        operation=operation,
-        anchor=theta,
-        region=None,
-        queries=tuple(queries),
-        witnesses=tuple(witnesses),
-        summary=(("family", family_name),),
-        provenance=_provenance(scenario.mechanism_class, operation),
-    )
-
-
-def _run_vcg(scenario: Scenario) -> ResultDocument:
-    if scenario.mode != "forward":
-        raise ScenarioError("vcg scenarios are forward-mode only")
-    theta = scenario.theta
-    assert theta is not None
+def _setup_vcg(scenario: Scenario, resolution: Fraction | None) -> Setup:
+    theta = scenario.anchor
+    if theta.dim != 3:
+        raise ScenarioError("vcg scenarios use three coordinates (null, item1, item2)")
     others = []
     for values in option_values(scenario, "others"):
         if len(values) != 2:
@@ -565,31 +535,14 @@ def _run_vcg(scenario: Scenario) -> ResultDocument:
         others.append((_parse_rational(values[0]), _parse_rational(values[1])))
     rule = vcg_single_agent_rule(UnitDemandProfile(tuple(others)))
     prices = [price for _, price in rule.entries]
-    operation = "vcg_harmless_contains"
-    queries: list[QueryResult] = []
-    witnesses: list[WitnessRecord] = []
-    for index, q in enumerate(scenario.queries):
-        member = vcg_harmless_contains(theta, q)
-        queries.append(QueryResult(q, member))
-        if not member:
-            witnesses.append(_separating_witness(index, theta, q, point_masses(3)))
-    region = _restrict_region(deterministic_harmless(theta, point_masses(3)).region, scenario)
-    return ResultDocument(
-        scenario_name=scenario.name,
-        mechanism_class=scenario.mechanism_class,
-        mode="forward",
-        operation=operation,
-        anchor=theta,
-        region=region,
-        queries=tuple(queries),
-        witnesses=tuple(witnesses),
-        summary=(
-            ("others", str(len(others))),
-            ("price_item1", str(prices[1])),
-            ("price_item2", str(prices[2])),
-        ),
-        provenance=_provenance(scenario.mechanism_class, operation),
+    decide = _certified(lambda q: vcg_harmless_contains(theta, q), theta, point_masses(3))
+    region = deterministic_harmless(theta, point_masses(3)).region
+    summary = (
+        ("others", str(len(others))),
+        ("price_item1", str(prices[1])),
+        ("price_item2", str(prices[2])),
     )
+    return "vcg_harmless_contains", decide, region, summary
 
 
 def _parse_price_bound(values: tuple[str, ...] | None, default: Fraction | None):
@@ -606,26 +559,19 @@ def _parse_price_bound(values: tuple[str, ...] | None, default: Fraction | None)
     return (one(values[0]), one(values[1]))
 
 
-def _run_price_family(scenario: Scenario) -> ResultDocument:
-    if scenario.mode != "forward":
-        raise ScenarioError("price_family scenarios are forward-mode only")
-    theta = scenario.theta
-    assert theta is not None
+def _setup_price_family(scenario: Scenario, resolution: Fraction | None) -> Setup:
+    theta = scenario.anchor
     lows = _parse_price_bound(option_single(scenario, "price_low"), Fraction(0))
     highs = _parse_price_bound(option_single(scenario, "price_high"), None)
     if lows[0] is None or lows[1] is None:
         raise ScenarioError("price_low bounds must be finite")
     family = PriceFamily(((lows[0], highs[0]), (lows[1], highs[1])))
-    operation = "price_family_harmless_contains"
-    queries: list[QueryResult] = []
-    witnesses: list[WitnessRecord] = []
-    for index, q in enumerate(scenario.queries):
-        member = price_family_harmless_contains(theta, family, q)
-        queries.append(QueryResult(q, member))
-        if member:
-            continue
+
+    def decide(q: Vector) -> tuple[bool, Certificate | None]:
+        # The vertex scan decides membership itself: None is harmless.
         witness = find_beneficial_price(theta, family, q)
-        assert witness is not None, "membership said harmful but no price found"
+        if witness is None:
+            return True, None
         fields = (
             ("price_item1", "r", witness.prices[0]),
             ("price_item2", "r", witness.prices[1]),
@@ -634,106 +580,63 @@ def _run_price_family(scenario: Scenario) -> ResultDocument:
             ("gained", "r", witness.gained_value),
             ("truthful", "r", witness.truthful_value),
         )
-        witnesses.append(WitnessRecord(index, "prices", fields))
+        return False, ("prices", fields)
 
     def bound_token(bound: Fraction | None) -> str:
         return "inf" if bound is None else str(bound)
 
-    return ResultDocument(
-        scenario_name=scenario.name,
-        mechanism_class=scenario.mechanism_class,
-        mode="forward",
-        operation=operation,
-        anchor=theta,
-        region=None,
-        queries=tuple(queries),
-        witnesses=tuple(witnesses),
-        summary=(
-            ("price_low", f"{lows[0]},{lows[1]}"),
-            ("price_high", f"{bound_token(highs[0])},{bound_token(highs[1])}"),
-        ),
-        provenance=_provenance(scenario.mechanism_class, operation),
+    summary = (
+        ("price_low", f"{lows[0]},{lows[1]}"),
+        ("price_high", f"{bound_token(highs[0])},{bound_token(highs[1])}"),
     )
+    return "price_family_harmless_contains", decide, None, summary
 
 
-def _run_kminded(scenario: Scenario) -> ResultDocument:
-    if scenario.mode != "forward":
-        raise ScenarioError("kminded scenarios are forward-mode only")
-    theta = scenario.theta
-    assert theta is not None
+def _setup_kminded(scenario: Scenario, resolution: Fraction | None) -> Setup:
+    theta = scenario.anchor
     token = _option_token(scenario, "k")
     if token is None:
         raise ScenarioError("kminded scenarios need option k")
     if token not in ("1", "2"):
         raise ScenarioError("option k must be 1 or 2")
     k = int(token)
-    operation = "kminded_harmless_contains"
-    queries: list[QueryResult] = []
-    witnesses: list[WitnessRecord] = []
-    for index, q in enumerate(scenario.queries):
-        member = kminded_harmless_contains(k, theta, q)
-        queries.append(QueryResult(q, member))
-        if not member:
-            witnesses.append(_separating_witness(index, theta, q, point_masses(k + 1)))
-    region = _restrict_region(
-        deterministic_harmless(theta, point_masses(k + 1)).region, scenario
-    )
-    return ResultDocument(
-        scenario_name=scenario.name,
-        mechanism_class=scenario.mechanism_class,
-        mode="forward",
-        operation=operation,
-        anchor=theta,
-        region=region,
-        queries=tuple(queries),
-        witnesses=tuple(witnesses),
-        summary=(("k", token),),
-        provenance=_provenance(scenario.mechanism_class, operation),
-    )
+    if theta.dim != k + 1:
+        raise ScenarioError(
+            f"kminded scenarios with k {k} use {k + 1} coordinates (null first)"
+        )
+    allocations = point_masses(k + 1)
+    decide = _certified(lambda q: kminded_harmless_contains(k, theta, q), theta, allocations)
+    region = deterministic_harmless(theta, allocations).region
+    return "kminded_harmless_contains", decide, region, (("k", token),)
 
 
-def _run_second_price(scenario: Scenario) -> ResultDocument:
-    if scenario.mode != "reverse":
-        raise ScenarioError("second_price scenarios are reverse-mode only")
-    reported = scenario.reported
-    assert reported is not None
+def _setup_second_price(scenario: Scenario, resolution: Fraction | None) -> Setup:
+    reported = scenario.anchor
     if reported.dim != 1:
         raise ScenarioError("second_price scenarios use one-coordinate values")
     threshold = _option_rational(scenario, "threshold")
     if threshold is None:
         raise ScenarioError("second_price scenarios need option threshold")
     allocation_dependent = _option_flag(scenario, "allocation_dependent", False)
-    operation = "second_price_harmful_contains"
-    queries: list[QueryResult] = []
-    witnesses: list[WitnessRecord] = []
-    for index, q in enumerate(scenario.queries):
-        member = second_price_harmful_contains(
+
+    def decide(q: Vector) -> tuple[bool, Certificate | None]:
+        if not second_price_harmful_contains(
             reported[0], threshold, allocation_dependent, q[0]
+        ):
+            return False, None
+        fields = (
+            ("threshold", "r", threshold),
+            ("reported", "r", reported[0]),
+            ("candidate", "r", q[0]),
         )
-        queries.append(QueryResult(q, member))
-        if member:
-            fields = (
-                ("threshold", "r", threshold),
-                ("reported", "r", reported[0]),
-                ("candidate", "r", q[0]),
-            )
-            witnesses.append(WitnessRecord(index, "threshold", fields))
+        return True, ("threshold", fields)
+
     region = _second_price_region(reported[0], threshold, allocation_dependent)
-    return ResultDocument(
-        scenario_name=scenario.name,
-        mechanism_class=scenario.mechanism_class,
-        mode="reverse",
-        operation=operation,
-        anchor=reported,
-        region=_restrict_region(region, scenario),
-        queries=tuple(queries),
-        witnesses=tuple(witnesses),
-        summary=(
-            ("threshold", str(threshold)),
-            ("allocation_dependent", "true" if allocation_dependent else "false"),
-        ),
-        provenance=_provenance(scenario.mechanism_class, operation),
+    summary = (
+        ("threshold", str(threshold)),
+        ("allocation_dependent", "true" if allocation_dependent else "false"),
     )
+    return "second_price_harmful_contains", decide, region, summary
 
 
 def _second_price_region(
@@ -758,11 +661,8 @@ def _second_price_region(
     )
 
 
-def _run_facility(scenario: Scenario, resolution: Fraction | None) -> ResultDocument:
-    if scenario.mode != "forward":
-        raise ScenarioError("facility_line scenarios are forward-mode only")
-    theta = scenario.theta
-    assert theta is not None
+def _setup_facility(scenario: Scenario, resolution: Fraction | None) -> Setup:
+    theta = scenario.anchor
     if theta.dim != 1:
         raise ScenarioError("facility_line scenarios use one-coordinate positions")
     facilities = option_single(scenario, "facilities")
@@ -800,24 +700,18 @@ def _run_facility(scenario: Scenario, resolution: Fraction | None) -> ResultDocu
         extra_probes=extra_probes,
         exempt_when_preferred=exempt,
     )
-    operation = "facility_verification_covers"
-    queries: list[QueryResult] = []
-    witnesses: list[WitnessRecord] = []
     agent_type = facility_type(theta[0], line)
-    for index, q in enumerate(scenario.queries):
-        member = facility_harmless_position(theta[0], line, q[0])
-        queries.append(QueryResult(q, member))
-        if member:
-            continue
+
+    def decide(q: Vector) -> tuple[bool, Certificate | None]:
+        if facility_harmless_position(theta[0], line, q[0]):
+            return True, None
         report_type = facility_type(q[0], line)
-        rule = search_beneficial_misreport(agent_type, report_type, point_masses(2))
-        assert rule is not None, "membership said harmful but no rule benefits"
-        gained, truthful = rule_benefit(rule, agent_type, report_type)
         fields = (
             ("agent_type", "v", agent_type),
             ("report_type", "v", report_type),
-        ) + _separating_fields(rule, gained, truthful)
-        witnesses.append(WitnessRecord(index, "separating", fields))
+        ) + _separating(agent_type, report_type, point_masses(2))
+        return False, ("separating", fields)
+
     preferred = facility_preferred(theta[0], line)
     summary = [
         ("covered", "true" if uncovered is None else "false"),
@@ -826,18 +720,22 @@ def _run_facility(scenario: Scenario, resolution: Fraction | None) -> ResultDocu
     ]
     if uncovered is not None:
         summary.append(("first_uncovered", str(uncovered)))
-    return ResultDocument(
-        scenario_name=scenario.name,
-        mechanism_class=scenario.mechanism_class,
-        mode="forward",
-        operation=operation,
-        anchor=theta,
-        region=None,
-        queries=tuple(queries),
-        witnesses=tuple(witnesses),
-        summary=tuple(summary),
-        provenance=_provenance(scenario.mechanism_class, operation),
-    )
+    return "facility_verification_covers", decide, None, tuple(summary)
+
+
+# Each class: the scenario mode it runs in (None for both) and its setup,
+# which parses the class's options.
+_CLASSES = {
+    "deterministic": (None, _setup_point_mass),
+    "universally_truthful": (None, _setup_point_mass),
+    "truthful_in_expectation": ("forward", _setup_tie),
+    "vcg": ("forward", _setup_vcg),
+    "price_family": ("forward", _setup_price_family),
+    "second_price": ("reverse", _setup_second_price),
+    "kminded": ("forward", _setup_kminded),
+    "facility_line": ("forward", _setup_facility),
+}
+MECHANISM_CLASSES = tuple(_CLASSES)
 
 
 def run_scenario(
@@ -845,26 +743,40 @@ def run_scenario(
 ) -> ResultDocument:
     """Evaluate a scenario (or scenario file) and return its result document.
 
-    ``resolution`` overrides the probe step of coverage checks; exact
-    membership operations ignore it.
+    ``resolution`` is the probe step of facility_line coverage checks when
+    the scenario sets no ``probe_step``; exact membership operations ignore it.
     """
     scenario = source if isinstance(source, Scenario) else load_scenario(source)
     cls = scenario.mechanism_class
-    if cls in ("deterministic", "universally_truthful"):
-        return _run_point_mass_family(scenario)
-    if cls == "truthful_in_expectation":
-        return _run_tie(scenario)
-    if cls == "vcg":
-        return _run_vcg(scenario)
-    if cls == "price_family":
-        return _run_price_family(scenario)
-    if cls == "kminded":
-        return _run_kminded(scenario)
-    if cls == "second_price":
-        return _run_second_price(scenario)
-    if cls == "facility_line":
-        return _run_facility(scenario, resolution)
-    raise ScenarioError(f"unsupported mechanism class {cls!r}")
+    if cls not in _CLASSES:
+        raise ScenarioError(f"unsupported mechanism class {cls!r}")
+    mode, setup = _CLASSES[cls]
+    if mode is not None and scenario.mode != mode:
+        raise ScenarioError(f"{cls} scenarios are {mode}-mode only")
+    operation, decide, region, summary = setup(scenario, resolution)
+    if region is not None:
+        region = ConvexRegion(
+            region.halfspaces + _space_halfspaces(scenario), region.extra_points
+        )
+    queries: list[QueryResult] = []
+    witnesses: list[WitnessRecord] = []
+    for index, q in enumerate(scenario.queries):
+        member, certificate = decide(q)
+        queries.append(QueryResult(q, member))
+        if certificate is not None:
+            witnesses.append(WitnessRecord(index, *certificate))
+    return ResultDocument(
+        scenario_name=scenario.name,
+        mechanism_class=cls,
+        mode=scenario.mode,
+        operation=operation,
+        anchor=scenario.anchor,
+        region=region,
+        queries=tuple(queries),
+        witnesses=tuple(witnesses),
+        summary=summary,
+        provenance=_provenance(cls, operation),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -924,15 +836,12 @@ def _verification_set(token: str, rule: Rule, dim: int) -> VerificationSet:
     raise ScenarioError(f"unknown verification_kind {token!r}")
 
 
-def run_verify(
-    source: Union[Scenario, str, Path], resolution: Fraction | None = None
-) -> ResultDocument:
+def run_verify(source: Union[Scenario, str, Path]) -> ResultDocument:
     """Check a declared rule for truthfulness on the scenario's type grid."""
     scenario = source if isinstance(source, Scenario) else load_scenario(source)
     if scenario.mode != "forward":
         raise ScenarioError("verify needs a forward-mode scenario")
-    theta = scenario.theta
-    assert theta is not None
+    theta = scenario.anchor
     rule = _verify_rule(scenario)
     token = _option_token(scenario, "verification_kind", "none")
     verification = _verification_set(token, rule, theta.dim)
@@ -988,25 +897,32 @@ def _vector_token(v: Vector) -> str:
 
 
 def _field_token(name: str, code: str, value: FieldValue) -> str:
-    if code == "v":
-        assert isinstance(value, Vector)
-        payload = _vector_token(value)
-    elif code == "r":
-        payload = str(value)
-    else:
-        payload = str(value)
-    return f"{name}={code}:{payload}"
+    if code != "v":
+        return f"{name}={code}:{value}"
+    if not isinstance(value, Vector):
+        raise ScenarioError(f"witness field {name!r} is typed v but holds {value!r}")
+    return f"{name}={code}:{_vector_token(value)}"
 
 
-def serialize_result(document: ResultDocument) -> str:
-    """Render a result document; parse_result inverts this exactly."""
-    lines = [
+def _header_lines(document: ResultDocument) -> list[str]:
+    return [
         f"result {document.scenario_name}",
         f"mode {document.mode}",
         f"class {document.mechanism_class}",
         f"operation {document.operation}",
         f"anchor {_vector_token(document.anchor)}",
     ]
+
+
+def _witness_line(witness: WitnessRecord) -> str:
+    tokens = [f"witness query={witness.query_index} kind={witness.kind}"]
+    tokens += [_field_token(*field_entry) for field_entry in witness.fields]
+    return " ".join(tokens)
+
+
+def serialize_result(document: ResultDocument) -> str:
+    """Render a result document; parse_result inverts this exactly."""
+    lines = _header_lines(document)
     if document.region is not None:
         region = document.region
         lines.append(
@@ -1026,10 +942,7 @@ def serialize_result(document: ResultDocument) -> str:
         lines.append(
             f"query {_vector_token(qr.query)} member={'true' if qr.member else 'false'}"
         )
-    for witness in document.witnesses:
-        tokens = [f"witness query={witness.query_index} kind={witness.kind}"]
-        tokens += [_field_token(*field_entry) for field_entry in witness.fields]
-        lines.append(" ".join(tokens))
+    lines += [_witness_line(witness) for witness in document.witnesses]
     for key, value in document.summary:
         lines.append(f"summary {key} {value}")
     for key, value in document.provenance:
@@ -1039,17 +952,8 @@ def serialize_result(document: ResultDocument) -> str:
 
 def serialize_witnesses(document: ResultDocument) -> str:
     """The witness lines alone, under the same header."""
-    lines = [
-        f"result {document.scenario_name}",
-        f"mode {document.mode}",
-        f"class {document.mechanism_class}",
-        f"operation {document.operation}",
-        f"anchor {_vector_token(document.anchor)}",
-    ]
-    for witness in document.witnesses:
-        tokens = [f"witness query={witness.query_index} kind={witness.kind}"]
-        tokens += [_field_token(*field_entry) for field_entry in witness.fields]
-        lines.append(" ".join(tokens))
+    lines = _header_lines(document)
+    lines += [_witness_line(witness) for witness in document.witnesses]
     lines.append(f"summary witnesses {len(document.witnesses)}")
     return "\n".join(lines) + "\n"
 
@@ -1440,6 +1344,10 @@ def _parse_bounds(token: str) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     return values[0], values[1], values[2], values[3]
 
 
+# The verbs whose run can reach a facility_line coverage check.
+_RESOLUTION_VERBS = ("harmless", "witness")
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mechverify",
@@ -1457,9 +1365,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(verb, help=help_text)
         sp.add_argument("--scenario", required=True, help="path to a scenario file")
         sp.add_argument("--out", help="write output here instead of stdout")
-        sp.add_argument("--axes", default="0,1", help="plot axes as i,j (plot only)")
-        sp.add_argument("--bounds", help="plot box as xmin,xmax,ymin,ymax (plot only)")
-        sp.add_argument("--resolution", help="probe step override as p/q")
+        if verb == "plot":
+            sp.add_argument("--axes", default="0,1", help="plot axes as i,j")
+            sp.add_argument("--bounds", help="plot box as xmin,xmax,ymin,ymax")
+        if verb in _RESOLUTION_VERBS:
+            sp.add_argument(
+                "--resolution",
+                help="facility_line probe step as p/q, where the scenario sets no probe_step",
+            )
     return parser
 
 
@@ -1473,7 +1386,7 @@ def _write_output(text: str, out: str | None) -> None:
 def _dispatch(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     resolution = None
-    if args.resolution is not None:
+    if args.verb in _RESOLUTION_VERBS and args.resolution is not None:
         resolution = _parse_rational(args.resolution)
         if resolution <= 0:
             raise ScenarioError("resolution must be positive")
@@ -1484,13 +1397,13 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif args.verb == "harmful":
         if scenario.mode != "reverse":
             raise ScenarioError("harmful needs a reverse-mode scenario (reported line)")
-        text = serialize_result(run_scenario(scenario, resolution))
+        text = serialize_result(run_scenario(scenario))
     elif args.verb == "witness":
         text = serialize_witnesses(run_scenario(scenario, resolution))
     elif args.verb == "verify":
-        text = serialize_result(run_verify(scenario, resolution))
+        text = serialize_result(run_verify(scenario))
     else:
-        document = run_scenario(scenario, resolution)
+        document = run_scenario(scenario)
         axes = _parse_axes(args.axes)
         bounds = _parse_bounds(args.bounds) if args.bounds is not None else None
         text = render_regions(document, axes, bounds)

@@ -58,12 +58,6 @@ class SubspaceHypothesisError(MechanismError):
     """
 
 
-class MechanismKind(Enum):
-    DETERMINISTIC = "deterministic"
-    UNIVERSALLY_TRUTHFUL = "universally_truthful"
-    TRUTHFUL_IN_EXPECTATION = "truthful_in_expectation"
-
-
 class SimplexFamily(Enum):
     """Randomized allocation spaces with a closed-form difference span.
 
@@ -78,12 +72,6 @@ class SimplexFamily(Enum):
 
 
 AllocationSpace = Union[SimplexFamily, tuple[Allocation, ...]]
-
-
-@dataclass(frozen=True)
-class MechanismClass:
-    kind: MechanismKind
-    allocation_space: AllocationSpace
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from mechverify.cli import (
+    MECHANISM_CLASSES,
     Scenario,
     ScenarioError,
     parse_result,
@@ -228,6 +229,9 @@ query 0 3 0
     assert ("price_item2", "1") in document.summary
     assert document.witnesses[0].kind == "separating"
 
+    with pytest.raises(ScenarioError, match="three coordinates"):
+        run_scenario(parse_scenario("scenario s\nclass vcg\ntheta 0 2\n"))
+
 
 def test_run_price_family_reserves():
     text = """\
@@ -264,6 +268,9 @@ query 0 1/10 7/5
     with pytest.raises(MechanismError):
         run_scenario(parse_scenario(bad))
 
+    with pytest.raises(ScenarioError, match="k 1 use 2 coordinates"):
+        run_scenario(parse_scenario(text.replace("option k 2", "option k 1")))
+
 
 def test_run_facility():
     document = run_scenario(parse_scenario(FACILITY_EXAMPLE))
@@ -293,6 +300,38 @@ option benefit 4
     document = run_scenario(parse_scenario(outside))
     assert ("covered", "true") in document.summary
     assert ("verifications", "none") in document.summary
+
+
+# Per class: the mode it runs in (None for both), an anchor, and the
+# options that make the scenario runnable.
+CLASS_MODES = {
+    "deterministic": (None, "0 1/2 3/2", ""),
+    "universally_truthful": (None, "0 1/2 3/2", ""),
+    "truthful_in_expectation": ("forward", "1 2 4", ""),
+    "vcg": ("forward", "0 2 1", "option others 1 0\n"),
+    "price_family": ("forward", "0 1/2 1", ""),
+    "second_price": ("reverse", "1", "option threshold 1/2\n"),
+    "kminded": ("forward", "0 1/2 3/2", "option k 2\n"),
+    "facility_line": ("forward", "1/2", "option facilities 0 2\n"),
+}
+
+
+@pytest.mark.parametrize("mode", ["forward", "reverse"])
+@pytest.mark.parametrize("cls", MECHANISM_CLASSES)
+def test_class_runs_only_in_its_modes(cls, mode):
+    runs_in, anchor, options = CLASS_MODES[cls]
+    anchor_line = f"{'theta' if mode == 'forward' else 'reported'} {anchor}"
+    scenario = parse_scenario(
+        f"scenario s\nclass {cls}\n{anchor_line}\n{options}query {anchor}\n"
+    )
+    if runs_in in (None, mode):
+        document = run_scenario(scenario)
+        assert (document.mechanism_class, document.mode) == (cls, mode)
+        assert len(document.queries) == 1
+    else:
+        with pytest.raises(ScenarioError) as err:
+            run_scenario(scenario)
+        assert str(err.value) == f"{cls} scenarios are {runs_in}-mode only"
 
 
 def test_run_verify_grid():
@@ -409,7 +448,7 @@ def test_cli_executable(tmp_path, cli_env):
 
     out = tmp_path / "result.txt"
     rerun = run_cli(
-        ["harmless", "--scenario", "pair.scn", "--out", "result.txt"],
+        ["harmless", "--scenario", "pair.scn", "--out", "result.txt", "--resolution", "1/2"],
         tmp_path,
         cli_env,
     )
@@ -441,6 +480,29 @@ def test_cli_error_paths(tmp_path, cli_env):
 
     usage = run_cli(["harmless"], tmp_path, cli_env)
     assert usage.returncode == 1
+
+    # Each verb takes only its own flags.
+    for verb, flag, value in (
+        ("harmless", "--axes", "1,2"),
+        ("witness", "--bounds", "0,1,0,1"),
+        ("verify", "--resolution", "1/3"),
+        ("plot", "--resolution", "1/3"),
+    ):
+        wrong_flag = run_cli([verb, "--scenario", "pair.scn", flag, value], tmp_path, cli_env)
+        assert wrong_flag.returncode == 1, (verb, flag)
+        assert "unrecognized arguments" in wrong_flag.stderr
+
+    short_bounds = run_cli(
+        ["plot", "--scenario", "pair.scn", "--bounds", "0,1"], tmp_path, cli_env
+    )
+    assert short_bounds.returncode == 1
+    assert "bounds must be xmin,xmax,ymin,ymax" in short_bounds.stderr
+
+    zero_step = run_cli(
+        ["harmless", "--scenario", "pair.scn", "--resolution", "0"], tmp_path, cli_env
+    )
+    assert zero_step.returncode == 1
+    assert "resolution must be positive" in zero_step.stderr
 
 
 def test_cli_repeat_runs_are_byte_identical(tmp_path, cli_env):
