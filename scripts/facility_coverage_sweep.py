@@ -2,6 +2,8 @@
 
 Sweeps agent positions along the line and reports, for each subset of the
 two positional verifications, whether every helpful misreport is blocked.
+Each cell is an exact decision, not a sample: "covered", or the smallest
+decisive probe that is helpful and unblocked (see facility_first_uncovered).
 The expected picture: agents outside both facilities need no verification at
 all, agents strictly between them need both.
 """

@@ -27,18 +27,18 @@ Class-specific options:
     second_price   option threshold T / option allocation_dependent true|false
     kminded        option k 1|2
     facility_line  option facilities G1 G2 / option benefit B /
-                   option verification KIND... / option probe_step S /
-                   option span_multiplier N / option extra_probe P /
-                   option exempt_when_preferred true|false
+                   option verification KIND...
     verify verb    option rule_prices P... | option rule_pair I J +
                    option rule_price C [+ option rule_tie to_i|to_j];
                    option verification_kind none|no_overbid|
                    no_overbid_on_received|harmless_complement
 
+Every class accepts the verify-verb options; any other option key a class
+does not read is an error.
+
 Verbs and their own flags: every verb takes ``--scenario FILE`` and
-``--out FILE``; ``harmless`` and ``witness`` take ``--resolution P/Q``, the
-facility_line probe step where the scenario sets no probe_step; ``plot``
-takes ``--axes I,J`` and ``--bounds XMIN,XMAX,YMIN,YMAX``.
+``--out FILE``; ``plot`` takes ``--axes I,J`` and
+``--bounds XMIN,XMAX,YMIN,YMAX``.
 
 Result documents are line-delimited text with every rational kept exact;
 serialize/parse round-trips are lossless.  SVG output is the only place
@@ -65,6 +65,7 @@ from .geometry import (
     frac,
 )
 from .harmless import (
+    HarmlessResult,
     SimplexFamily,
     deterministic_harmless,
     tie_harmless_contains,
@@ -205,6 +206,7 @@ def parse_scenario(text: str) -> Scenario:
     queries: list[Vector] = []
     allocations: list[Allocation] = []
     options: list[tuple[str, tuple[str, ...]]] = []
+    option_lines: dict[str, int] = {}
 
     for line_no, raw in enumerate(text.splitlines(), 1):
         stripped = raw.split("#", 1)[0].strip()
@@ -265,6 +267,7 @@ def parse_scenario(text: str) -> Scenario:
             if not args:
                 raise ScenarioError("option needs a key", line_no)
             options.append((args[0], tuple(args[1:])))
+            option_lines.setdefault(args[0], line_no)
         else:
             raise ScenarioError(f"unknown directive {key!r}", line_no)
 
@@ -274,6 +277,12 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("missing class line")
     if (theta is None) == (reported is None):
         raise ScenarioError("exactly one of theta or reported must be given")
+    known_options = _CLASSES[mechanism_class][2] + _VERIFY_OPTIONS
+    for key, line_no in option_lines.items():
+        if key not in known_options:
+            raise ScenarioError(
+                f"unknown option {key!r} for class {mechanism_class}", line_no
+            )
 
     assignments = None
     if labels is not None:
@@ -466,7 +475,7 @@ def _certified(
     return decide
 
 
-def _setup_point_mass(scenario: Scenario, resolution: Fraction | None) -> Setup:
+def _setup_point_mass(scenario: Scenario) -> Setup:
     """deterministic and universally_truthful classes, both modes."""
     anchor = scenario.anchor
     allocations = scenario.allocations or point_masses(anchor.dim)
@@ -490,7 +499,7 @@ def _setup_point_mass(scenario: Scenario, resolution: Fraction | None) -> Setup:
     return operation, _certified(result.contains, anchor, allocations), result.region, summary
 
 
-def _setup_tie(scenario: Scenario, resolution: Fraction | None) -> Setup:
+def _setup_tie(scenario: Scenario) -> Setup:
     theta = scenario.anchor
     if scenario.allocations:
         # Explicit allocation sets satisfy the rank-one hypothesis, where
@@ -524,7 +533,7 @@ def _setup_tie(scenario: Scenario, resolution: Fraction | None) -> Setup:
     return "tie_harmless_contains", decide, None, (("family", family.value),)
 
 
-def _setup_vcg(scenario: Scenario, resolution: Fraction | None) -> Setup:
+def _setup_vcg(scenario: Scenario) -> Setup:
     theta = scenario.anchor
     if theta.dim != 3:
         raise ScenarioError("vcg scenarios use three coordinates (null, item1, item2)")
@@ -559,7 +568,7 @@ def _parse_price_bound(values: tuple[str, ...] | None, default: Fraction | None)
     return (one(values[0]), one(values[1]))
 
 
-def _setup_price_family(scenario: Scenario, resolution: Fraction | None) -> Setup:
+def _setup_price_family(scenario: Scenario) -> Setup:
     theta = scenario.anchor
     lows = _parse_price_bound(option_single(scenario, "price_low"), Fraction(0))
     highs = _parse_price_bound(option_single(scenario, "price_high"), None)
@@ -592,7 +601,7 @@ def _setup_price_family(scenario: Scenario, resolution: Fraction | None) -> Setu
     return "price_family_harmless_contains", decide, None, summary
 
 
-def _setup_kminded(scenario: Scenario, resolution: Fraction | None) -> Setup:
+def _setup_kminded(scenario: Scenario) -> Setup:
     theta = scenario.anchor
     token = _option_token(scenario, "k")
     if token is None:
@@ -610,7 +619,7 @@ def _setup_kminded(scenario: Scenario, resolution: Fraction | None) -> Setup:
     return "kminded_harmless_contains", decide, region, (("k", token),)
 
 
-def _setup_second_price(scenario: Scenario, resolution: Fraction | None) -> Setup:
+def _setup_second_price(scenario: Scenario) -> Setup:
     reported = scenario.anchor
     if reported.dim != 1:
         raise ScenarioError("second_price scenarios use one-coordinate values")
@@ -661,7 +670,7 @@ def _second_price_region(
     )
 
 
-def _setup_facility(scenario: Scenario, resolution: Fraction | None) -> Setup:
+def _setup_facility(scenario: Scenario) -> Setup:
     theta = scenario.anchor
     if theta.dim != 1:
         raise ScenarioError("facility_line scenarios use one-coordinate positions")
@@ -680,26 +689,7 @@ def _setup_facility(scenario: Scenario, resolution: Fraction | None) -> Setup:
                 kinds.append(VerificationKind(token))
             except ValueError:
                 raise ScenarioError(f"unknown verification kind {token!r}") from None
-    probe_step = _option_rational(scenario, "probe_step")
-    if probe_step is None:
-        probe_step = resolution
-    multiplier_token = _option_token(scenario, "span_multiplier", "3")
-    if not multiplier_token.isdigit() or int(multiplier_token) < 1:
-        raise ScenarioError("option span_multiplier must be a positive integer")
-    extra_probes = [theta[0]] + [q[0] for q in scenario.queries]
-    for values in option_values(scenario, "extra_probe"):
-        for token in values:
-            extra_probes.append(_parse_rational(token))
-    exempt = _option_flag(scenario, "exempt_when_preferred", False)
-    uncovered = facility_first_uncovered(
-        theta[0],
-        line,
-        kinds,
-        probe_step=probe_step,
-        span_multiplier=int(multiplier_token),
-        extra_probes=extra_probes,
-        exempt_when_preferred=exempt,
-    )
+    uncovered = facility_first_uncovered(theta[0], line, kinds)
     agent_type = facility_type(theta[0], line)
 
     def decide(q: Vector) -> tuple[bool, Certificate | None]:
@@ -723,37 +713,33 @@ def _setup_facility(scenario: Scenario, resolution: Fraction | None) -> Setup:
     return "facility_verification_covers", decide, None, tuple(summary)
 
 
-# Each class: the scenario mode it runs in (None for both) and its setup,
-# which parses the class's options.
+# Each class: the scenario mode it runs in (None for both), its setup, and
+# the option keys that setup reads.
 _CLASSES = {
-    "deterministic": (None, _setup_point_mass),
-    "universally_truthful": (None, _setup_point_mass),
-    "truthful_in_expectation": ("forward", _setup_tie),
-    "vcg": ("forward", _setup_vcg),
-    "price_family": ("forward", _setup_price_family),
-    "second_price": ("reverse", _setup_second_price),
-    "kminded": ("forward", _setup_kminded),
-    "facility_line": ("forward", _setup_facility),
+    "deterministic": (None, _setup_point_mass, ()),
+    "universally_truthful": (None, _setup_point_mass, ()),
+    "truthful_in_expectation": ("forward", _setup_tie, ()),
+    "vcg": ("forward", _setup_vcg, ("others",)),
+    "price_family": ("forward", _setup_price_family, ("price_low", "price_high")),
+    "second_price": ("reverse", _setup_second_price, ("threshold", "allocation_dependent")),
+    "kminded": ("forward", _setup_kminded, ("k",)),
+    "facility_line": ("forward", _setup_facility, ("facilities", "benefit", "verification")),
 }
 MECHANISM_CLASSES = tuple(_CLASSES)
+# The verify verb's options, which every class accepts.
+_VERIFY_OPTIONS = ("rule_prices", "rule_pair", "rule_price", "rule_tie", "verification_kind")
 
 
-def run_scenario(
-    source: Union[Scenario, str, Path], resolution: Fraction | None = None
-) -> ResultDocument:
-    """Evaluate a scenario (or scenario file) and return its result document.
-
-    ``resolution`` is the probe step of facility_line coverage checks when
-    the scenario sets no ``probe_step``; exact membership operations ignore it.
-    """
+def run_scenario(source: Union[Scenario, str, Path]) -> ResultDocument:
+    """Evaluate a scenario (or scenario file) and return its result document."""
     scenario = source if isinstance(source, Scenario) else load_scenario(source)
     cls = scenario.mechanism_class
     if cls not in _CLASSES:
         raise ScenarioError(f"unsupported mechanism class {cls!r}")
-    mode, setup = _CLASSES[cls]
+    mode, setup, _ = _CLASSES[cls]
     if mode is not None and scenario.mode != mode:
         raise ScenarioError(f"{cls} scenarios are {mode}-mode only")
-    operation, decide, region, summary = setup(scenario, resolution)
+    operation, decide, region, summary = setup(scenario)
     if region is not None:
         region = ConvexRegion(
             region.halfspaces + _space_halfspaces(scenario), region.extra_points
@@ -827,12 +813,16 @@ def _verification_set(token: str, rule: Rule, dim: int) -> VerificationSet:
 
         return VerificationSet(overstates_received, "no_overbid_on_received")
     if token == "harmless_complement":
-        return VerificationSet(
-            lambda true, reported: not deterministic_harmless(
-                true, point_masses(dim)
-            ).contains(reported),
-            "harmless_complement",
-        )
+        allocations = point_masses(dim)
+        harmless_sets: dict[Vector, HarmlessResult] = {}
+
+        def outside_harmless(true: Vector, reported: Vector) -> bool:
+            # One harmless set per true type, however many reports it meets.
+            if true not in harmless_sets:
+                harmless_sets[true] = deterministic_harmless(true, allocations)
+            return not harmless_sets[true].contains(reported)
+
+        return VerificationSet(outside_harmless, "harmless_complement")
     raise ScenarioError(f"unknown verification_kind {token!r}")
 
 
@@ -1344,10 +1334,6 @@ def _parse_bounds(token: str) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     return values[0], values[1], values[2], values[3]
 
 
-# The verbs whose run can reach a facility_line coverage check.
-_RESOLUTION_VERBS = ("harmless", "witness")
-
-
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mechverify",
@@ -1368,11 +1354,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         if verb == "plot":
             sp.add_argument("--axes", default="0,1", help="plot axes as i,j")
             sp.add_argument("--bounds", help="plot box as xmin,xmax,ymin,ymax")
-        if verb in _RESOLUTION_VERBS:
-            sp.add_argument(
-                "--resolution",
-                help="facility_line probe step as p/q, where the scenario sets no probe_step",
-            )
     return parser
 
 
@@ -1385,21 +1366,16 @@ def _write_output(text: str, out: str | None) -> None:
 
 def _dispatch(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    resolution = None
-    if args.verb in _RESOLUTION_VERBS and args.resolution is not None:
-        resolution = _parse_rational(args.resolution)
-        if resolution <= 0:
-            raise ScenarioError("resolution must be positive")
     if args.verb == "harmless":
         if scenario.mode != "forward":
             raise ScenarioError("harmless needs a forward-mode scenario (theta line)")
-        text = serialize_result(run_scenario(scenario, resolution))
+        text = serialize_result(run_scenario(scenario))
     elif args.verb == "harmful":
         if scenario.mode != "reverse":
             raise ScenarioError("harmful needs a reverse-mode scenario (reported line)")
         text = serialize_result(run_scenario(scenario))
     elif args.verb == "witness":
-        text = serialize_witnesses(run_scenario(scenario, resolution))
+        text = serialize_witnesses(run_scenario(scenario))
     elif args.verb == "verify":
         text = serialize_result(run_verify(scenario))
     else:

@@ -137,9 +137,8 @@ def _critical_intersection(theta: Vector, allocations: Sequence[Allocation]) -> 
     """Intersection of pairwise harmless regions over all unordered pairs."""
     halfspaces: list[Halfspace] = []
     for a_i, a_j in combinations(allocations, 2):
-        result = pairwise_harmless(theta, a_i, a_j)
-        assert result.region is not None
-        halfspaces.extend(result.region.halfspaces)
+        # pairwise_harmless always describes its set by a region.
+        halfspaces.extend(pairwise_harmless(theta, a_i, a_j).region.halfspaces)
     return ConvexRegion(tuple(halfspaces), frozenset({theta}))
 
 

@@ -176,7 +176,8 @@ def construct_tie_witness(
         px = x - ones.scale(mean_x)
 
     # Not harmless, so ptheta != 0 (a zero projection makes everything harmless).
-    assert not ptheta.is_zero()
+    if ptheta.is_zero():
+        raise AssertionError("membership said harmful but theta projects to zero")
     norm_sq = ptheta.dot(ptheta)
     along = px.dot(ptheta) / norm_sq
     residual = px - ptheta.scale(along)

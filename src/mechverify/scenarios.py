@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .geometry import Vector, frac
 from .harmless import deterministic_harmless, pairwise_harmless
@@ -154,29 +154,26 @@ def facility_first_uncovered(
     agent_position,
     line: FacilityLine,
     verifications: Iterable[VerificationKind],
-    probe_step: Fraction | None = None,
-    span_multiplier: int = 3,
-    extra_probes: Sequence[Fraction] = (),
-    exempt_when_preferred: bool = False,
 ) -> Fraction | None:
-    """Smallest probed position that could help the agent yet evades every
-    verification, or None when the verifications cover all probes.
+    """Smallest decisive position that could help the agent yet evades every
+    verification, or None when the verifications cover every position.
 
-    Positions are probed on a grid (default: multiples of span/100 within
-    ``span_multiplier`` spans of the agent) plus the exact breakpoints: both
-    facilities, the agent, and the midpoint.  A misreport can only help by
-    stealing the agent's preferred facility, so each verification is applied
-    there.  Harmlessness uses the fixed-tie-breaking convention: positions
-    whose induced type sits on the same boundary as the agent's receive the
-    same allocation and cannot benefit, which closes the half-space and, for
-    agents outside both facilities, makes every report harmless.
+    A misreport can only help by stealing the agent's preferred facility g*,
+    so each verification is applied there.  Harmlessness uses the
+    fixed-tie-breaking convention: positions whose induced type sits on the
+    same boundary as the agent's receive the same allocation and cannot
+    benefit, which closes the half-space and, for agents outside both
+    facilities, makes every report harmless.
 
-    ``exempt_when_preferred`` weakens each verification to fire only when
-    the agent would not already receive her preferred facility.  A
-    beneficial misreport always hands the agent her preferred facility from
-    a rule that would not have granted it truthfully, so the weakening never
-    changes coverage; the flag is accepted for fidelity to the weaker
-    technology.
+    The decision is exact.  Whether a report r is harmful changes only at
+    g1, g2 and the agent z; ``no_underbid_distance`` changes only at z and
+    2*g* - z; ``direction_imposing`` changes only at g*.  So every predicate
+    is constant on each open gap between consecutive breakpoints
+    B = {g1, g2, z, 2*g* - z} and on the two rays beyond them.  Probing every
+    point of B, the midpoint of every gap and min B - 1, max B + 1 therefore
+    visits every piece of the line: the verifications cover all misreports
+    iff no probe other than z is harmful and unblocked, and otherwise the
+    smallest such probe is returned.
     """
     z = frac(agent_position)
     kinds = tuple(verifications)
@@ -186,37 +183,19 @@ def facility_first_uncovered(
             VerificationKind.DIRECTION_IMPOSING,
         ):
             raise MechanismError(f"{kind.value} is not a positional verification")
-    step = frac(probe_step) if probe_step is not None else line.span / 100
-    if step <= 0:
-        raise MechanismError("probe step must be positive")
     preferred = facility_preferred(z, line)
     if preferred is None:
         # Indifferent agents cannot be helped: everything is harmless.
         return None
-
-    def blocked(position: Fraction) -> bool:
-        # In every harmful scenario the agent is not already receiving her
-        # preferred facility, so the exempt_when_preferred weakening is
-        # inactive here by construction.
-        return any(
-            distance_verification_blocks(kind, z, position, preferred)
-            for kind in kinds
-        )
-
-    left, right = line.locations
-    window = line.span * span_multiplier
-    start = z - window
-    stop = z + window
-    first = -(-start // step)  # ceil division on Fractions
-    last = stop // step
-    probes = {step * k for k in range(int(first), int(last) + 1)}
-    probes.update((left, right, z, (left + right) / 2))
-    probes.update(frac(p) for p in extra_probes)
-
+    breakpoints = sorted({*line.locations, z, 2 * preferred - z})
+    probes = breakpoints + [(a + b) / 2 for a, b in zip(breakpoints, breakpoints[1:])]
+    probes += [breakpoints[0] - 1, breakpoints[-1] + 1]
     for position in sorted(probes):
-        if position == z:
+        if position == z or facility_harmless_position(z, line, position):
             continue
-        if not facility_harmless_position(z, line, position) and not blocked(position):
+        if not any(
+            distance_verification_blocks(kind, z, position, preferred) for kind in kinds
+        ):
             return position
     return None
 
@@ -225,23 +204,6 @@ def facility_verification_covers(
     agent_position,
     line: FacilityLine,
     verifications: Iterable[VerificationKind],
-    probe_step: Fraction | None = None,
-    span_multiplier: int = 3,
-    extra_probes: Sequence[Fraction] = (),
-    exempt_when_preferred: bool = False,
 ) -> bool:
-    """Do the verifications block every misreported position that could help?
-
-    Thin wrapper over facility_first_uncovered; see there for probe grid and
-    tie-breaking conventions.
-    """
-    uncovered = facility_first_uncovered(
-        agent_position,
-        line,
-        verifications,
-        probe_step=probe_step,
-        span_multiplier=span_multiplier,
-        extra_probes=extra_probes,
-        exempt_when_preferred=exempt_when_preferred,
-    )
-    return uncovered is None
+    """Do the verifications block every misreported position that could help?"""
+    return facility_first_uncovered(agent_position, line, verifications) is None

@@ -116,6 +116,35 @@ def test_parse_rejects_unknown_class():
         parse_scenario("scenario s\nclass quantum\ntheta 1 2\n")
 
 
+@pytest.mark.parametrize(
+    "cls, text, key",
+    [
+        ("facility_line", FACILITY_EXAMPLE + "option probe_step 1/100\n", "probe_step"),
+        ("facility_line", FACILITY_EXAMPLE + "option span_multiplier 3\n", "span_multiplier"),
+        ("facility_line", FACILITY_EXAMPLE + "option extra_probe -100\n", "extra_probe"),
+        (
+            "facility_line",
+            FACILITY_EXAMPLE + "option exempt_when_preferred true\n",
+            "exempt_when_preferred",
+        ),
+        (
+            "second_price",
+            SECOND_PRICE_EXAMPLE.replace("option threshold", "option treshold"),
+            "treshold",
+        ),
+        (
+            "truthful_in_expectation",
+            TIE_EXAMPLE + "option tie_space subsimplex_with_null\n",
+            "tie_space",
+        ),
+    ],
+)
+def test_parse_rejects_options_the_class_does_not_read(cls, text, key):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert str(err.value).endswith(f"unknown option {key!r} for class {cls}")
+
+
 def test_parse_validates_dimensions():
     with pytest.raises(ScenarioError):
         parse_scenario(
@@ -288,7 +317,8 @@ def test_run_facility():
     )
     document = run_scenario(parse_scenario(single))
     assert ("covered", "false") in document.summary
-    assert ("first_uncovered", "-11/2") in document.summary
+    # Uncovered: (-inf, -1/2]; the smallest decisive probe is min B - 1.
+    assert ("first_uncovered", "-3/2") in document.summary
 
     outside = """\
 scenario outside_right
@@ -314,6 +344,11 @@ CLASS_MODES = {
     "kminded": ("forward", "0 1/2 3/2", "option k 2\n"),
     "facility_line": ("forward", "1/2", "option facilities 0 2\n"),
 }
+# The verify verb's options, which every class accepts and run_scenario ignores.
+VERIFY_OPTIONS = (
+    "option rule_pair 0 1\noption rule_price 1\noption rule_tie to_j\n"
+    "option rule_prices 0 1\noption verification_kind no_overbid\n"
+)
 
 
 @pytest.mark.parametrize("mode", ["forward", "reverse"])
@@ -322,7 +357,7 @@ def test_class_runs_only_in_its_modes(cls, mode):
     runs_in, anchor, options = CLASS_MODES[cls]
     anchor_line = f"{'theta' if mode == 'forward' else 'reported'} {anchor}"
     scenario = parse_scenario(
-        f"scenario s\nclass {cls}\n{anchor_line}\n{options}query {anchor}\n"
+        f"scenario s\nclass {cls}\n{anchor_line}\n{options}{VERIFY_OPTIONS}query {anchor}\n"
     )
     if runs_in in (None, mode):
         document = run_scenario(scenario)
@@ -448,7 +483,7 @@ def test_cli_executable(tmp_path, cli_env):
 
     out = tmp_path / "result.txt"
     rerun = run_cli(
-        ["harmless", "--scenario", "pair.scn", "--out", "result.txt", "--resolution", "1/2"],
+        ["harmless", "--scenario", "pair.scn", "--out", "result.txt"],
         tmp_path,
         cli_env,
     )
@@ -485,6 +520,8 @@ def test_cli_error_paths(tmp_path, cli_env):
     for verb, flag, value in (
         ("harmless", "--axes", "1,2"),
         ("witness", "--bounds", "0,1,0,1"),
+        ("harmless", "--resolution", "1/3"),
+        ("witness", "--resolution", "1/3"),
         ("verify", "--resolution", "1/3"),
         ("plot", "--resolution", "1/3"),
     ):
@@ -498,11 +535,11 @@ def test_cli_error_paths(tmp_path, cli_env):
     assert short_bounds.returncode == 1
     assert "bounds must be xmin,xmax,ymin,ymax" in short_bounds.stderr
 
-    zero_step = run_cli(
-        ["harmless", "--scenario", "pair.scn", "--resolution", "0"], tmp_path, cli_env
-    )
-    assert zero_step.returncode == 1
-    assert "resolution must be positive" in zero_step.stderr
+    retired = tmp_path / "retired.scn"
+    retired.write_text(FACILITY_EXAMPLE + "option probe_step 1/100\n")
+    unknown_option = run_cli(["harmless", "--scenario", "retired.scn"], tmp_path, cli_env)
+    assert unknown_option.returncode == 1
+    assert "unknown option 'probe_step' for class facility_line" in unknown_option.stderr
 
 
 def test_cli_repeat_runs_are_byte_identical(tmp_path, cli_env):

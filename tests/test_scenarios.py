@@ -199,41 +199,67 @@ def test_facility_first_uncovered_probe():
     uncovered = facility_first_uncovered(
         Fraction(1, 2), line, (VerificationKind.NO_UNDERBID_DISTANCE,)
     )
-    # Leftmost probe of the default window: three spans left of the agent.
-    assert uncovered == Fraction(-11, 2)
+    # The uncovered set is (-inf, -1/2]; the breakpoints are -1/2, 0, 1/2
+    # and 2, so the smallest decisive probe is the one left of them all.
+    assert uncovered == Fraction(-3, 2)
     assert not facility_harmless_position(Fraction(1, 2), line, uncovered)
     assert not distance_verification_blocks(
         VerificationKind.NO_UNDERBID_DISTANCE, Fraction(1, 2), uncovered, 0
     )
 
 
-def test_facility_extra_probes_participate():
+def test_facility_rejects_non_positional_verification():
     line = FacilityLine((0, 2), 4)
-    uncovered = facility_first_uncovered(
-        Fraction(1, 2),
-        line,
-        (VerificationKind.NO_UNDERBID_DISTANCE,),
-        extra_probes=(Fraction(-100),),
-    )
-    assert uncovered == -100
-
-
-def test_facility_probe_step_validation():
-    line = FacilityLine((0, 2), 4)
-    with pytest.raises(MechanismError):
-        facility_first_uncovered(1, line, (), probe_step=Fraction(0))
     with pytest.raises(MechanismError):
         facility_first_uncovered(1, line, (VerificationKind.NO_OVERBID,))
 
 
-def test_facility_exempt_flag_does_not_change_coverage():
-    line = FacilityLine((0, 2), 4)
-    both = (
-        VerificationKind.NO_UNDERBID_DISTANCE,
-        VerificationKind.DIRECTION_IMPOSING,
-    )
-    for z in (Fraction(1, 2), Fraction(3), Fraction(-1), Fraction(1)):
-        for kinds in ((), both, both[:1]):
-            assert facility_verification_covers(
-                z, line, kinds, exempt_when_preferred=True
-            ) == facility_verification_covers(z, line, kinds)
+POSITIONAL_SUBSETS = (
+    (),
+    (VerificationKind.NO_UNDERBID_DISTANCE,),
+    (VerificationKind.DIRECTION_IMPOSING,),
+    (VerificationKind.NO_UNDERBID_DISTANCE, VerificationKind.DIRECTION_IMPOSING),
+)
+
+
+def grid_uncovered(z, line, kinds):
+    """Harmful, unblocked positions on a fine grid around every breakpoint:
+    each of g1, g2, z and 2*g* - z, plus or minus two spans, at span/64."""
+    preferred = facility_preferred(z, line)
+    if preferred is None:
+        return []
+    step = line.span / 64
+    breakpoints = {*line.locations, z, 2 * preferred - z}
+    probes = {b + step * k for b in breakpoints for k in range(-128, 129)} | breakpoints
+    return [
+        p
+        for p in sorted(probes)
+        if p != z
+        and not facility_harmless_position(z, line, p)
+        and not any(distance_verification_blocks(k, z, p, preferred) for k in kinds)
+    ]
+
+
+@given(
+    st.fractions(min_value=-4, max_value=4, max_denominator=8),
+    st.fractions(min_value=1, max_value=4, max_denominator=8),
+    # The agent's place in units of the span from the left facility, so that
+    # agents between the facilities, where coverage is hardest, are common.
+    st.fractions(min_value=-1, max_value=2, max_denominator=16),
+    st.sampled_from(POSITIONAL_SUBSETS),
+)
+def test_facility_exact_decision_agrees_with_a_fine_grid(left, span, place, kinds):
+    line = FacilityLine((left, left + span), 4)
+    z = left + place * span
+    exact = facility_first_uncovered(z, line, kinds)
+    # Exact None => no grid point is uncovered (equivalently, a grid hit
+    # => the exact decision finds an uncovered position).
+    if grid_uncovered(z, line, kinds):
+        assert exact is not None
+    if exact is not None:
+        preferred = facility_preferred(z, line)
+        assert exact != z
+        assert not facility_harmless_position(z, line, exact)
+        assert not any(
+            distance_verification_blocks(k, z, exact, preferred) for k in kinds
+        )
