@@ -54,6 +54,7 @@ from .harmless import (
     SubspaceHypothesisError,
     critical_hyperplane,
     deterministic_harmless,
+    difference_projection,
     difference_span,
     indifference_hyperplane,
     pairwise_harmless,

@@ -1,7 +1,7 @@
 """Scenario files in, exact result documents and SVG region plots out.
 
 Scenario format: one directive per line; ``#`` starts a comment; blank lines
-are ignored.  Rationals are integers or "p/q" strings.
+are ignored.  Rationals are integers or "p/q" strings, optionally signed.
 
     scenario NAME            required; single token
     class KIND               deterministic | universally_truthful |
@@ -49,6 +49,7 @@ byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,10 +116,17 @@ class ScenarioError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def _parse_rational(token: str, line: int | None = None) -> Fraction:
+    """An integer or p/q with an optional sign; nothing else (no decimals,
+    exponents or digit separators)."""
+    if not _RATIONAL.fullmatch(token):
+        raise ScenarioError(f"bad rational {token!r}", line)
     try:
         return Fraction(token)
-    except (ValueError, ZeroDivisionError):
+    except ZeroDivisionError:
         raise ScenarioError(f"bad rational {token!r}", line) from None
 
 
@@ -977,6 +985,31 @@ def _parse_witness_line(args: list[str], line_no: int) -> WitnessRecord:
     return WitnessRecord(query_index, kind, tuple(fields))
 
 
+_SINGLE_TOKEN_DIRECTIVES = ("result", "mode", "class", "operation", "anchor", "region_extra")
+_HALFSPACE_FIELDS = ("normal", "offset", "sense")
+
+
+def _parse_halfspace(args: list[str], line_no: int) -> Halfspace:
+    entries: dict[str, str] = {}
+    for token in args:
+        field_name, eq, value = token.partition("=")
+        if not eq or field_name not in _HALFSPACE_FIELDS or field_name in entries:
+            raise ScenarioError(f"bad region_halfspace field {token!r}", line_no)
+        entries[field_name] = value
+    missing = [f"{n}=" for n in _HALFSPACE_FIELDS if n not in entries]
+    if missing:
+        raise ScenarioError(f"region_halfspace missing {' '.join(missing)}", line_no)
+    normal = _parse_vector_token(entries["normal"], line_no)
+    if normal.is_zero():
+        raise ScenarioError("region_halfspace normal must be nonzero", line_no)
+    offset = _parse_rational(entries["offset"], line_no)
+    try:
+        sense = Sense(entries["sense"])
+    except ValueError:
+        raise ScenarioError(f"bad sense {entries['sense']!r}", line_no) from None
+    return Halfspace(Hyperplane(normal, offset), sense)
+
+
 def parse_result(text: str) -> ResultDocument:
     """Read a serialized result document back, every rational exact."""
     name = None
@@ -997,6 +1030,10 @@ def parse_result(text: str) -> ResultDocument:
             continue
         parts = stripped.split()
         key, args = parts[0], parts[1:]
+        if key in _SINGLE_TOKEN_DIRECTIVES and len(args) != 1:
+            raise ScenarioError(f"{key} takes exactly one token", line_no)
+        if key in ("summary", "provenance") and not args:
+            raise ScenarioError(f"{key} needs a key", line_no)
         if key == "result":
             name = args[0]
         elif key == "mode":
@@ -1010,11 +1047,7 @@ def parse_result(text: str) -> ResultDocument:
         elif key == "region":
             region_declared = True
         elif key == "region_halfspace":
-            entries = dict(token.split("=", 1) for token in args)
-            normal = _parse_vector_token(entries["normal"], line_no)
-            offset = _parse_rational(entries["offset"], line_no)
-            sense = Sense(entries["sense"])
-            halfspaces.append(Halfspace(Hyperplane(normal, offset), sense))
+            halfspaces.append(_parse_halfspace(args, line_no))
         elif key == "region_extra":
             extras.append(_parse_vector_token(args[0], line_no))
         elif key == "query":
@@ -1038,9 +1071,12 @@ def parse_result(text: str) -> ResultDocument:
         raise ScenarioError("result document missing header lines")
     if anchor is None:
         raise ScenarioError("result document missing anchor")
-    region = (
-        ConvexRegion(tuple(halfspaces), frozenset(extras)) if region_declared else None
-    )
+    try:
+        region = (
+            ConvexRegion(tuple(halfspaces), frozenset(extras)) if region_declared else None
+        )
+    except DimensionMismatch as exc:
+        raise ScenarioError(str(exc)) from None
     return ResultDocument(
         scenario_name=name,
         mechanism_class=mechanism_class,

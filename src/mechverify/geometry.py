@@ -44,20 +44,24 @@ class Vector:
     def dim(self) -> int:
         return len(self.coords)
 
+    # The arithmetic below skips terms with a zero operand.  Coordinates are
+    # always Fractions, so the results are the same exact values the dense
+    # sums give, without a Fraction operation per zero coordinate.
+
     def dot(self, other: "Vector") -> Fraction:
         _check_dim(self, other)
-        return sum((a * b for a, b in zip(self.coords, other.coords)), Fraction(0))
+        return sum((a * b for a, b in zip(self.coords, other.coords) if a and b), Fraction(0))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
     def __add__(self, other: "Vector") -> "Vector":
         _check_dim(self, other)
-        return Vector(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return Vector(tuple(a + b if b else a for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "Vector") -> "Vector":
         _check_dim(self, other)
-        return Vector(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return Vector(tuple(a - b if b else a for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "Vector":
         return Vector(tuple(-a for a in self.coords))

@@ -10,10 +10,17 @@ Three rule classes are characterised in closed form:
 * a single two-allocation rule, and the family of all such rules over a pair;
 * all deterministic (equivalently, universally truthful) rules over a finite
   set of point-mass allocations -- an intersection of one strict half-space
-  per non-indifferent pair, each carrying the true type as a boundary member;
+  x_o - x_p > theta_o - theta_p per pair with theta_p > theta_o, each
+  carrying the true type as a boundary member.  The region lists all of
+  them (up to m(m-1)/2), but membership needs only d = x - theta sorted
+  by theta's value levels: O(m log m) comparisons in place of one dot
+  product per pair;
 * all truthful-in-expectation rules over a simplex of randomized allocations,
-  where the harmless set collapses to a line segment description through the
-  difference-span projection.
+  where x is harmless iff its projection onto the difference span is a
+  scaling of theta's by a factor at most one.  The projection is closed
+  form, O(m): subtract the mean over the full simplex, keep the vector over
+  the subsimplex with a null assignment.  Only explicit allocation sets
+  solve a projection by elimination.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .geometry import (
     region_contains,
     unit_vector,
     whole_space,
+    zero_vector,
 )
 from .mechanisms import (
     Allocation,
@@ -133,21 +141,15 @@ def pairwise_harmless(theta: Vector, a_i: Allocation, a_j: Allocation) -> Harmle
     return HarmlessResult(lambda x: region_contains(region, x), region)
 
 
-def _critical_intersection(theta: Vector, allocations: Sequence[Allocation]) -> ConvexRegion:
-    """Intersection of pairwise harmless regions over all unordered pairs."""
-    halfspaces: list[Halfspace] = []
-    for a_i, a_j in combinations(allocations, 2):
-        # pairwise_harmless always describes its set by a region.
-        halfspaces.extend(pairwise_harmless(theta, a_i, a_j).region.halfspaces)
-    return ConvexRegion(tuple(halfspaces), frozenset({theta}))
-
-
 def deterministic_harmless(theta: Vector, allocations: Sequence[Allocation]) -> HarmlessResult:
     """Harmless set against every deterministic rule over point-mass allocations.
 
     Equals the intersection of the pairwise harmless sets: one strict
-    half-space per pair theta is not indifferent between, with theta itself
-    as the single extra point.
+    half-space per pair theta is not indifferent between, in pair order,
+    with theta itself as the single extra point.  Membership is the level
+    test on d = x - theta: x is harmless iff x == theta or, over theta's
+    value levels in increasing order, each level's smallest d exceeds the
+    largest d on the level above.
     """
     allocations = tuple(allocations)
     if len(allocations) < 2:
@@ -162,8 +164,41 @@ def deterministic_harmless(theta: Vector, allocations: Sequence[Allocation]) -> 
             raise DimensionMismatch(f"allocation dim {a.dim} vs type dim {theta.dim}")
     if len(set(allocations)) != len(allocations):
         raise MechanismError("allocations must be distinct")
-    region = _critical_intersection(theta, allocations)
-    return HarmlessResult(lambda x: region_contains(region, x), region)
+    indices = tuple(a.probs.coords.index(1) for a in allocations)
+    region = ConvexRegion(tuple(_pairwise_halfspaces(theta, indices)), frozenset({theta}))
+
+    def contains(x: Vector) -> bool:
+        if x.dim != theta.dim:
+            raise DimensionMismatch(f"type dims {theta.dim} vs {x.dim}")
+        if x == theta:
+            return True
+        levels: dict[Fraction, list[Fraction]] = {}
+        for i in indices:
+            levels.setdefault(theta[i], []).append(x[i] - theta[i])
+        lower_min = None
+        for value in sorted(levels):
+            shifts = levels[value]
+            if lower_min is not None and max(shifts) >= lower_min:
+                return False
+            lower_min = min(shifts)
+        return True
+
+    return HarmlessResult(contains, region)
+
+
+def _pairwise_halfspaces(theta: Vector, indices: Sequence[int]):
+    """x_o - x_p > theta_o - theta_p for each pair of point-mass coordinates
+    (in combination order) with theta_p > theta_o."""
+    zeros = [Fraction(0)] * theta.dim
+    for i, j in combinations(indices, 2):
+        if theta[i] == theta[j]:
+            continue
+        preferred, other = (i, j) if theta[i] > theta[j] else (j, i)
+        normal = list(zeros)
+        normal[other] = Fraction(1)
+        normal[preferred] = Fraction(-1)
+        offset = theta[other] - theta[preferred]
+        yield Halfspace(Hyperplane(Vector(tuple(normal)), offset), Sense.STRICT_GREATER)
 
 
 def universally_truthful_harmless(
@@ -226,6 +261,29 @@ def _proportionality(px: Vector, ptheta: Vector) -> Fraction | None:
     return None
 
 
+def difference_projection(theta: Vector, space: AllocationSpace) -> Callable[[Vector], Vector]:
+    """Orthogonal projection onto ``difference_span(theta, space)``.
+
+    Closed form for the simplex families: the full simplex's span is the
+    sum-zero hyperplane, so a vector loses its mean; the null-padded
+    subsimplex's span is all of R^m, so a vector is kept.  Both spans are
+    zero for a type indifferent between everything (constant theta, or
+    theta = 0).  Explicit allocation sets project onto their span.
+    """
+    m = theta.dim
+    if space is SimplexFamily.FULL_SIMPLEX:
+        if len(set(theta.coords)) < 2:
+            return lambda v: zero_vector(m)
+        ones = ones_vector(m)
+        return lambda v: v - ones.scale(sum(v.coords, Fraction(0)) / m)
+    if space is SimplexFamily.SUBSIMPLEX_WITH_NULL:
+        if theta.is_zero():
+            return lambda v: zero_vector(m)
+        return lambda v: v
+    span = difference_span(theta, space)
+    return lambda v: project_onto_span(span, v)
+
+
 def tie_harmless_contains(theta: Vector, x: Vector, space: AllocationSpace) -> bool:
     """Membership in the harmless set against truthful-in-expectation rules.
 
@@ -236,9 +294,9 @@ def tie_harmless_contains(theta: Vector, x: Vector, space: AllocationSpace) -> b
     """
     if theta.dim != x.dim:
         raise DimensionMismatch(f"type dims {theta.dim} vs {x.dim}")
-    span = difference_span(theta, space)
-    ptheta = project_onto_span(span, theta)
-    px = project_onto_span(span, x)
+    project = difference_projection(theta, space)
+    ptheta = project(theta)
+    px = project(x)
     if ptheta.is_zero():
         return px.is_zero()
     lam = _proportionality(px, ptheta)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .geometry import Vector
-from .harmless import SimplexFamily, tie_harmless_contains
+from .harmless import SimplexFamily, difference_projection, tie_harmless_contains
 from .mechanisms import (
     Allocation,
     MechanismError,
@@ -158,22 +158,16 @@ def construct_tie_witness(
     if tie_harmless_contains(theta, x, space):
         return None
 
-    m = theta.dim
     if space is SimplexFamily.SUBSIMPLEX_WITH_NULL:
         if theta[0] != 0 or x[0] != 0:
             raise MechanismError(
                 "subsimplex types put value 0 on the null coordinate (index 0)"
             )
-        if m < 2:
+        if theta.dim < 2:
             raise MechanismError("need at least one non-null assignment")
-        # The difference span is everything, so projections are identities.
-        ptheta, px = theta, x
-    else:
-        mean_theta = sum(theta.coords, Fraction(0)) / m
-        mean_x = sum(x.coords, Fraction(0)) / m
-        ones = Vector((Fraction(1),) * m)
-        ptheta = theta - ones.scale(mean_theta)
-        px = x - ones.scale(mean_x)
+    project = difference_projection(theta, space)
+    ptheta = project(theta)
+    px = project(x)
 
     # Not harmless, so ptheta != 0 (a zero projection makes everything harmless).
     if ptheta.is_zero():

@@ -420,6 +420,53 @@ def test_serialize_round_trips_exactly():
         assert serialize_result(parse_result(text)) == text
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("result\n", "line 1: result takes exactly one token"),
+        (
+            "result r\nregion\nregion_halfspace normal=1,0 sense=strict\n",
+            "line 3: region_halfspace missing offset=",
+        ),
+        (
+            "result r\nregion_halfspace normal=1,0 offset=0 sense=weird\n",
+            "line 2: bad sense 'weird'",
+        ),
+        ("result r\nsummary\n", "line 2: summary needs a key"),
+        (
+            "result r\nregion_halfspace normal=0,0 offset=0 sense=strict\n",
+            "line 2: region_halfspace normal must be nonzero",
+        ),
+        (
+            "result r\nmode forward\nclass deterministic\noperation o\nanchor 1,2\n"
+            "region\nregion_halfspace normal=1,0 offset=0 sense=strict\nregion_extra 1,2,3\n",
+            "mixed dimensions in region",
+        ),
+    ],
+)
+def test_parse_result_reports_malformed_lines(text, message):
+    with pytest.raises(ScenarioError) as info:
+        parse_result(text)
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("token", ["1e400", "1_000", "1.5"])
+def test_rationals_are_integers_or_p_over_q(token, tmp_path, cli_env):
+    text = f"scenario s\nclass deterministic\ntheta {token} 1\nquery 0 1\n"
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(text)
+    assert str(info.value) == f"line 3: bad rational {token!r}"
+    (tmp_path / "s.scn").write_text(text)
+    result = run_cli(["harmless", "--scenario", "s.scn"], tmp_path, cli_env)
+    assert result.returncode == 1
+    assert "bad rational" in result.stderr
+
+
+def test_signed_rationals_still_parse():
+    scenario = parse_scenario("scenario s\nclass deterministic\ntheta -3/4 +2 07\n")
+    assert scenario.theta == vec("-3/4", 2, 7)
+
+
 def test_serialized_rationals_stay_exact():
     document = run_scenario(parse_scenario(DETERMINISTIC_EXAMPLE))
     text = serialize_result(document)
