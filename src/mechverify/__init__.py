@@ -19,7 +19,6 @@ from .geometry import (
     empty_region,
     frac,
     halfspace_contains,
-    intersect_regions,
     ones_vector,
     project_onto_span,
     rank,
@@ -33,13 +32,11 @@ from .geometry import (
 from .mechanisms import (
     Allocation,
     AssignmentSet,
-    EMPTY_VERIFICATION,
     MechanismError,
     Rule,
     SeparatingRule,
     TaxationRule,
     TieSide,
-    VerificationSet,
     allocate_separating,
     apply_rule,
     best_entry,
@@ -70,7 +67,6 @@ from .oracle import (
     search_beneficial_misreport,
 )
 from .reverse import (
-    HarmfulResult,
     harmful_intersection_contains,
     harmful_single_contains,
     harmful_union_contains,

@@ -27,7 +27,7 @@ Class-specific options:
     second_price   option threshold T / option allocation_dependent true|false
     kminded        option k 1|2
     facility_line  option facilities G1 G2 / option benefit B /
-                   option verification KIND...
+                   option verification no_underbid_distance|direction_imposing...
     verify verb    option rule_prices P... | option rule_pair I J +
                    option rule_price C [+ option rule_tie to_i|to_j];
                    option verification_kind none|no_overbid|
@@ -63,6 +63,8 @@ from .geometry import (
     Hyperplane,
     Sense,
     Vector,
+    box_region,
+    empty_region,
     frac,
 )
 from .harmless import (
@@ -75,13 +77,11 @@ from .harmless import (
 from .mechanisms import (
     Allocation,
     AssignmentSet,
-    EMPTY_VERIFICATION,
     MechanismError,
     Rule,
     SeparatingRule,
     TaxationRule,
     TieSide,
-    VerificationSet,
     apply_rule,
     is_truthful_with_verification,
     point_mass,
@@ -418,21 +418,6 @@ def _provenance(mechanism_class: str, operation: str) -> tuple[tuple[str, str], 
     )
 
 
-def _space_halfspaces(scenario: Scenario) -> tuple[Halfspace, ...]:
-    """The type-space box as closed halfspaces, empty when unrestricted."""
-    halfspaces: list[Halfspace] = []
-    dim = scenario.anchor.dim
-    if scenario.space_low is not None:
-        for k, lo in enumerate(scenario.space_low):
-            normal = Vector(tuple(Fraction(int(i == k)) for i in range(dim)))
-            halfspaces.append(Halfspace(Hyperplane(normal, lo), Sense.GREATER_EQUAL))
-    if scenario.space_high is not None:
-        for k, hi in enumerate(scenario.space_high):
-            normal = Vector(tuple(Fraction(-int(i == k)) for i in range(dim)))
-            halfspaces.append(Halfspace(Hyperplane(normal, -hi), Sense.GREATER_EQUAL))
-    return tuple(halfspaces)
-
-
 # A certificate for one query: the witness kind and its fields.
 Certificate = tuple[str, Fields]
 # decide(q) gives q's membership and, for the answer that needs one, a
@@ -502,8 +487,6 @@ def _setup_point_mass(scenario: Scenario) -> Setup:
     else:
         operation = "deterministic_harmless"
         result = deterministic_harmless(anchor, allocations)
-    if result.region is None:
-        raise AssertionError(f"{operation} returned no region")
     return operation, _certified(result.contains, anchor, allocations), result.region, summary
 
 
@@ -659,21 +642,14 @@ def _setup_second_price(scenario: Scenario) -> Setup:
 def _second_price_region(
     reported: Fraction, threshold: Fraction, allocation_dependent: bool
 ) -> ConvexRegion:
-    one = Vector((Fraction(1),))
-    minus = Vector((Fraction(-1),))
     if allocation_dependent and threshold > reported:
         # The item never changes hands, so no candidate needs checking.
-        return ConvexRegion(
-            (
-                Halfspace(Hyperplane(one, Fraction(0))),
-                Halfspace(Hyperplane(minus, Fraction(0))),
-            )
-        )
+        return empty_region(1)
     upper = threshold if allocation_dependent else reported
     return ConvexRegion(
         (
-            Halfspace(Hyperplane(one, Fraction(0))),
-            Halfspace(Hyperplane(minus, -upper)),
+            Halfspace(Hyperplane(Vector((Fraction(1),)), Fraction(0))),
+            Halfspace(Hyperplane(Vector((Fraction(-1),)), -upper)),
         )
     )
 
@@ -749,9 +725,8 @@ def run_scenario(source: Union[Scenario, str, Path]) -> ResultDocument:
         raise ScenarioError(f"{cls} scenarios are {mode}-mode only")
     operation, decide, region, summary = setup(scenario)
     if region is not None:
-        region = ConvexRegion(
-            region.halfspaces + _space_halfspaces(scenario), region.extra_points
-        )
+        box = box_region(scenario.space_low, scenario.space_high)
+        region = ConvexRegion(region.halfspaces + box.halfspaces, region.extra_points)
     queries: list[QueryResult] = []
     witnesses: list[WitnessRecord] = []
     for index, q in enumerate(scenario.queries):
@@ -805,21 +780,19 @@ def _verify_rule(scenario: Scenario) -> Rule:
     return SeparatingRule(point_mass(i, dim), point_mass(j, dim), price, tie)
 
 
-def _verification_set(token: str, rule: Rule, dim: int) -> VerificationSet:
+def _verification(token: str, rule: Rule, dim: int) -> Callable[[Vector, Vector], bool]:
+    """The verification_kind's predicate: is (true type, report) caught?"""
     if token == "none":
-        return EMPTY_VERIFICATION
+        return lambda true, reported: False
     if token == "no_overbid":
-        return VerificationSet(
-            lambda true, reported: any(r > t for t, r in zip(true, reported)),
-            "no_overbid",
-        )
+        return lambda true, reported: any(r > t for t, r in zip(true, reported))
     if token == "no_overbid_on_received":
 
         def overstates_received(true: Vector, reported: Vector) -> bool:
             received = apply_rule(rule, reported)
             return received.value_to(reported) > received.value_to(true)
 
-        return VerificationSet(overstates_received, "no_overbid_on_received")
+        return overstates_received
     if token == "harmless_complement":
         allocations = point_masses(dim)
         harmless_sets: dict[Vector, HarmlessResult] = {}
@@ -830,7 +803,7 @@ def _verification_set(token: str, rule: Rule, dim: int) -> VerificationSet:
                 harmless_sets[true] = deterministic_harmless(true, allocations)
             return not harmless_sets[true].contains(reported)
 
-        return VerificationSet(outside_harmless, "harmless_complement")
+        return outside_harmless
     raise ScenarioError(f"unknown verification_kind {token!r}")
 
 
@@ -842,7 +815,7 @@ def run_verify(source: Union[Scenario, str, Path]) -> ResultDocument:
     theta = scenario.anchor
     rule = _verify_rule(scenario)
     token = _option_token(scenario, "verification_kind", "none")
-    verification = _verification_set(token, rule, theta.dim)
+    verification = _verification(token, rule, theta.dim)
     grid: list[Vector] = []
     for point in (theta, *scenario.queries):
         if point not in grid:
@@ -852,7 +825,7 @@ def run_verify(source: Union[Scenario, str, Path]) -> ResultDocument:
     witnesses: tuple[WitnessRecord, ...] = ()
     summary = [
         ("truthful", "true" if truthful else "false"),
-        ("verification", verification.description),
+        ("verification", token),
         ("grid_size", str(len(grid))),
     ]
     if violation is not None:
@@ -1402,13 +1375,10 @@ def _write_output(text: str, out: str | None) -> None:
 
 def _dispatch(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    if args.verb == "harmless":
-        if scenario.mode != "forward":
-            raise ScenarioError("harmless needs a forward-mode scenario (theta line)")
-        text = serialize_result(run_scenario(scenario))
-    elif args.verb == "harmful":
-        if scenario.mode != "reverse":
-            raise ScenarioError("harmful needs a reverse-mode scenario (reported line)")
+    if args.verb in ("harmless", "harmful"):
+        mode, anchor = ("forward", "theta") if args.verb == "harmless" else ("reverse", "reported")
+        if scenario.mode != mode:
+            raise ScenarioError(f"{args.verb} needs a {mode}-mode scenario ({anchor} line)")
         text = serialize_result(run_scenario(scenario))
     elif args.verb == "witness":
         text = serialize_witnesses(run_scenario(scenario))

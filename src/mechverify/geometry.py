@@ -11,10 +11,10 @@ decided exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -198,30 +198,19 @@ def region_contains(region: ConvexRegion, x: Vector) -> bool:
     return all(halfspace_contains(h, x) for h in region.halfspaces)
 
 
-def intersect_regions(regions: Sequence[ConvexRegion]) -> ConvexRegion:
-    """Exact intersection; an empty sequence yields the whole space.
+def box_region(low: Vector | None, high: Vector | None) -> ConvexRegion:
+    """Closed axis-aligned box as a ConvexRegion; a missing side is unbounded.
 
-    Extra points survive only if they are members of every input region.
+    Every lower bound comes first, then every upper bound.
     """
-    halfspaces: list[Halfspace] = []
-    candidates: set[Vector] = set()
-    for r in regions:
-        halfspaces.extend(r.halfspaces)
-        candidates.update(r.extra_points)
-    kept = frozenset(
-        p for p in candidates if all(region_contains(r, p) for r in regions)
-    )
-    return ConvexRegion(tuple(halfspaces), kept)
-
-
-def box_region(low: Vector, high: Vector) -> ConvexRegion:
-    """Closed axis-aligned box as a ConvexRegion."""
-    _check_dim(low, high)
+    if low is not None and high is not None:
+        _check_dim(low, high)
     halves = []
-    for i in range(low.dim):
-        e = unit_vector(i, low.dim)
-        halves.append(Halfspace(Hyperplane(e, low[i]), Sense.GREATER_EQUAL))
-        halves.append(Halfspace(Hyperplane(-e, -high[i]), Sense.GREATER_EQUAL))
+    for bound, sign in ((low, 1), (high, -1)):
+        if bound is not None:
+            for i, b in enumerate(bound):
+                normal = unit_vector(i, bound.dim).scale(sign)
+                halves.append(Halfspace(Hyperplane(normal, sign * b), Sense.GREATER_EQUAL))
     return ConvexRegion(tuple(halves), frozenset())
 
 

@@ -51,7 +51,6 @@ from .mechanisms import (
     Allocation,
     MechanismError,
     Rule,
-    SeparatingRule,
     apply_rule,
 )
 
@@ -84,14 +83,11 @@ AllocationSpace = Union[SimplexFamily, tuple[Allocation, ...]]
 
 @dataclass(frozen=True)
 class HarmlessResult:
-    """Outcome of a harmless-set computation.
-
-    ``region`` is present when the set is one convex region plus extra
-    points; ``membership`` always decides exactly.
-    """
+    """Outcome of a harmless-set computation: one convex region plus extra
+    points, and a ``membership`` test that decides it exactly."""
 
     membership: Callable[[Vector], bool]
-    region: ConvexRegion | None = None
+    region: ConvexRegion
 
     def contains(self, x: Vector) -> bool:
         return self.membership(x)

@@ -7,7 +7,7 @@ Two rule shapes cover everything implementable with payments here:
   be pinned individually via ``overrides``; everything else on the boundary
   follows ``tie_assignment``.
 * :class:`TaxationRule` -- a menu of (allocation, price) entries; each type
-  picks an entry maximising value minus price, ties broken by a total order.
+  picks an entry maximising value minus price, ties to the earliest entry.
 
 Utilities are raw allocation values: with verification substituting for
 payments, the benefit comparison between a misreport and the truth never
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .geometry import DimensionMismatch, Vector, frac, unit_vector
 
@@ -141,12 +141,10 @@ def allocate_separating(rule: SeparatingRule, x: Vector) -> Allocation:
 class TaxationRule:
     """Menu of (allocation, price) entries; types self-select the best entry.
 
-    ``tie_order`` is a permutation of entry indices: when several entries tie
-    on utility, the one appearing earliest in ``tie_order`` wins.
+    When several entries tie on utility, the earliest one wins.
     """
 
     entries: tuple[tuple[Allocation, Fraction], ...]
-    tie_order: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         entries = tuple((a, frac(p)) for a, p in self.entries)
@@ -160,13 +158,6 @@ class TaxationRule:
         for i, a in enumerate(allocs):
             if a in allocs[:i]:
                 raise MechanismError("taxation entries must have distinct allocations")
-        if self.tie_order is not None:
-            order = tuple(self.tie_order)
-            object.__setattr__(self, "tie_order", order)
-            if sorted(order) != list(range(len(entries))):
-                raise MechanismError(
-                    f"tie_order {order} is not a permutation of entry indices"
-                )
 
     @property
     def dim(self) -> int:
@@ -174,14 +165,10 @@ class TaxationRule:
 
 
 def best_entry(rule: TaxationRule, x: Vector) -> tuple[Allocation, Fraction]:
-    """The entry x self-selects: max allocation value minus price, ties by order."""
+    """The entry x self-selects: max allocation value minus price, ties to
+    the earliest entry."""
     utilities = [a.value_to(x) - p for a, p in rule.entries]
-    best = max(utilities)
-    order = rule.tie_order if rule.tie_order is not None else range(len(rule.entries))
-    for idx in order:
-        if utilities[idx] == best:
-            return rule.entries[idx]
-    raise AssertionError("unreachable: some entry attains the maximum")
+    return rule.entries[utilities.index(max(utilities))]
 
 
 def utility(rule: TaxationRule, true_type: Vector, reported: Vector) -> Fraction:
@@ -201,37 +188,25 @@ def apply_rule(rule: Rule, x: Vector) -> Allocation:
     return rule(x)
 
 
-@dataclass(frozen=True)
-class VerificationSet:
-    """Pairs (true type, report) the designer can detect and reject."""
-
-    predicate: Callable[[Vector, Vector], bool]
-    description: str = ""
-
-    def covers(self, true_type: Vector, reported: Vector) -> bool:
-        return bool(self.predicate(true_type, reported))
-
-
-EMPTY_VERIFICATION = VerificationSet(lambda theta, reported: False, "none")
-
-
 def is_truthful_with_verification(
     rule: Rule,
-    verification: VerificationSet,
+    verification: Callable[[Vector, Vector], bool],
     grid: Sequence[Vector],
 ) -> tuple[bool, tuple[Vector, Vector] | None]:
     """Check truthfulness on a finite grid of types, minus verified misreports.
 
-    Returns (True, None), or (False, (true_type, beneficial_report)) for the
-    first violating pair in grid order: a pair where the report's allocation
-    is strictly better for the true type and verification does not catch it.
+    ``verification(true_type, report)`` says whether the designer detects and
+    rejects that misreport.  Returns (True, None), or (False, (true_type,
+    beneficial_report)) for the first violating pair in grid order: a pair
+    where the report's allocation is strictly better for the true type and
+    verification does not catch it.  The rule is applied once per grid point.
     """
-    for theta in grid:
-        truthful_value = apply_rule(rule, theta).value_to(theta)
-        for reported in grid:
+    allocations = [apply_rule(rule, point) for point in grid]
+    for theta, own in zip(grid, allocations):
+        truthful_value = own.value_to(theta)
+        for reported, received in zip(grid, allocations):
             if reported == theta:
                 continue
-            if apply_rule(rule, reported).value_to(theta) > truthful_value:
-                if not verification.covers(theta, reported):
-                    return False, (theta, reported)
+            if received.value_to(theta) > truthful_value and not verification(theta, reported):
+                return False, (theta, reported)
     return True, None

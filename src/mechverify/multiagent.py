@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .geometry import DimensionMismatch, Vector, frac
 from .harmless import deterministic_harmless
@@ -68,21 +68,17 @@ def best_matching_welfare(
     return best
 
 
-def vcg_single_agent_rule(
-    profile: UnitDemandProfile,
-    welfare: Callable[[Sequence[int]], Fraction] | None = None,
-) -> TaxationRule:
+def vcg_single_agent_rule(profile: UnitDemandProfile) -> TaxationRule:
     """The efficient mechanism's menu for one agent: externality prices.
 
     Each item's price is the others' best welfare using both items minus
-    their best welfare with that item withheld.  ``welfare`` may be supplied
-    to reuse the reduction in settings with a different welfare function; it
-    receives the list of items available to the others.
+    their best welfare with that item withheld.
     """
-    if welfare is None:
-        welfare = lambda items: best_matching_welfare(profile.others, items)
-    full = welfare(ITEMS)
-    prices = [full - welfare(tuple(i for i in ITEMS if i != item)) for item in ITEMS]
+    full = best_matching_welfare(profile.others, ITEMS)
+    prices = [
+        full - best_matching_welfare(profile.others, tuple(i for i in ITEMS if i != item))
+        for item in ITEMS
+    ]
     entries = (
         (point_mass(0, 3), Fraction(0)),
         (point_mass(1, 3), prices[0]),

@@ -12,9 +12,8 @@ because rules placing both types on the same side never produce a benefit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .geometry import (
     ConvexRegion,
@@ -23,7 +22,6 @@ from .geometry import (
     Sense,
     Vector,
     empty_region,
-    region_contains,
 )
 from .harmless import deterministic_harmless
 from .mechanisms import (
@@ -34,18 +32,6 @@ from .mechanisms import (
     TieSide,
     apply_rule,
 )
-
-
-@dataclass(frozen=True)
-class HarmfulResult:
-    """Membership decides exactly; convex pieces are present when the set is
-    a finite union of convex regions (single two-allocation rules)."""
-
-    membership: Callable[[Vector], bool]
-    pieces: tuple[ConvexRegion, ...] | None = None
-
-    def contains(self, candidate: Vector) -> bool:
-        return self.membership(candidate)
 
 
 def harmful_single_contains(reported: Vector, rule: Rule, candidate: Vector) -> bool:

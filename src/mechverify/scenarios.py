@@ -14,15 +14,13 @@ from fractions import Fraction
 from typing import Iterable
 
 from .geometry import Vector, frac
-from .harmless import deterministic_harmless, pairwise_harmless
-from .mechanisms import MechanismError, point_mass, point_masses
+from .harmless import deterministic_harmless
+from .mechanisms import MechanismError, point_masses
 
 
 class VerificationKind(Enum):
-    """Partial verification technologies used by the applications."""
+    """Positional verification technologies for facilities on a line."""
 
-    NO_OVERBID = "no_overbid"
-    NO_OVERBID_ON_RECEIVED = "no_overbid_on_received"
     NO_UNDERBID_DISTANCE = "no_underbid_distance"
     DIRECTION_IMPOSING = "direction_imposing"
 
@@ -61,9 +59,9 @@ def kminded_harmless_contains(k: int, theta: Vector, x: Vector) -> bool:
     """Harmlessness for a bidder interested in k bundles (plus the null).
 
     Types live on (null, bundle_1, ..., bundle_k) with the null coordinate
-    pinned to zero.  k = 1 reduces to the two-allocation set -- underbids
-    are harmless, overbids are not; k = 2 is the deterministic set over the
-    three point masses.
+    pinned to zero, and the set is the deterministic one over the k + 1
+    point masses.  For k = 1 that is the two-allocation set: underbids are
+    harmless, overbids are not.
     """
     if k not in (1, 2):
         raise MechanismError(f"k must be 1 or 2, got {k}")
@@ -71,9 +69,7 @@ def kminded_harmless_contains(k: int, theta: Vector, x: Vector) -> bool:
         raise MechanismError(f"types need {k + 1} coordinates (null first)")
     if theta[0] != 0 or x[0] != 0:
         raise MechanismError("the null coordinate (index 0) must be worth 0")
-    if k == 1:
-        return pairwise_harmless(theta, point_mass(0, 2), point_mass(1, 2)).contains(x)
-    return deterministic_harmless(theta, point_masses(3)).contains(x)
+    return deterministic_harmless(theta, point_masses(k + 1)).contains(x)
 
 
 @dataclass(frozen=True)
@@ -115,9 +111,7 @@ def distance_verification_blocks(
     g = frac(facility)
     if kind is VerificationKind.NO_UNDERBID_DISTANCE:
         return abs(reported - g) < abs(z - g)
-    if kind is VerificationKind.DIRECTION_IMPOSING:
-        return (reported - g) * (z - g) < 0
-    raise MechanismError(f"{kind.value} does not apply to positions on a line")
+    return (reported - g) * (z - g) < 0
 
 
 def facility_preferred(agent_position, line: FacilityLine) -> Fraction | None:
@@ -177,12 +171,6 @@ def facility_first_uncovered(
     """
     z = frac(agent_position)
     kinds = tuple(verifications)
-    for kind in kinds:
-        if kind not in (
-            VerificationKind.NO_UNDERBID_DISTANCE,
-            VerificationKind.DIRECTION_IMPOSING,
-        ):
-            raise MechanismError(f"{kind.value} is not a positional verification")
     preferred = facility_preferred(z, line)
     if preferred is None:
         # Indifferent agents cannot be helped: everything is harmless.

@@ -11,6 +11,7 @@ from mechverify.cli import (
     MECHANISM_CLASSES,
     Scenario,
     ScenarioError,
+    main,
     parse_result,
     parse_scenario,
     render_regions,
@@ -369,6 +370,36 @@ def test_class_runs_only_in_its_modes(cls, mode):
         assert str(err.value) == f"{cls} scenarios are {runs_in}-mode only"
 
 
+def test_run_scenario_appends_the_type_space_box():
+    # Pinned output: the pairwise halfspaces, then every lower bound of the
+    # box, then every upper bound.
+    text = """\
+scenario boxed_det
+class deterministic
+theta 1 3 2
+space_low 0 -1 1/2
+space_high 4 5 7/2
+query 0 2 1
+"""
+    lines = serialize_result(run_scenario(parse_scenario(text))).splitlines()
+    assert [line for line in lines if line.startswith("region")] == [
+        "region halfspaces=9 extras=1",
+        "region_halfspace normal=1,-1,0 offset=-2 sense=strict",
+        "region_halfspace normal=1,0,-1 offset=-1 sense=strict",
+        "region_halfspace normal=0,-1,1 offset=-1 sense=strict",
+        "region_halfspace normal=1,0,0 offset=0 sense=closed",
+        "region_halfspace normal=0,1,0 offset=-1 sense=closed",
+        "region_halfspace normal=0,0,1 offset=1/2 sense=closed",
+        "region_halfspace normal=-1,0,0 offset=-4 sense=closed",
+        "region_halfspace normal=0,-1,0 offset=-5 sense=closed",
+        "region_halfspace normal=0,0,-1 offset=-7/2 sense=closed",
+        "region_extra 1,3,2",
+    ]
+    high_only = text.replace("space_low 0 -1 1/2\n", "")
+    region = run_scenario(parse_scenario(high_only)).region
+    assert [hs.hyperplane.offset for hs in region.halfspaces[3:]] == [-4, -5, Fraction(-7, 2)]
+
+
 def test_run_verify_grid():
     text = """\
 scenario menu_check
@@ -587,6 +618,35 @@ def test_cli_error_paths(tmp_path, cli_env):
     unknown_option = run_cli(["harmless", "--scenario", "retired.scn"], tmp_path, cli_env)
     assert unknown_option.returncode == 1
     assert "unknown option 'probe_step' for class facility_line" in unknown_option.stderr
+
+
+@pytest.mark.parametrize(
+    "verb, text, message",
+    [
+        (
+            "harmless",
+            SECOND_PRICE_EXAMPLE,
+            "error: harmless needs a forward-mode scenario (theta line)\n",
+        ),
+        (
+            "harmful",
+            DETERMINISTIC_EXAMPLE,
+            "error: harmful needs a reverse-mode scenario (reported line)\n",
+        ),
+        (
+            "harmless",
+            FACILITY_EXAMPLE + "option verification no_overbid\n",
+            "error: unknown verification kind 'no_overbid'\n",
+        ),
+    ],
+    ids=["harmless-on-reverse", "harmful-on-forward", "facility-no-overbid"],
+)
+def test_cli_rejects_with_exact_messages(verb, text, message, tmp_path, capsys):
+    scenario = tmp_path / "s.scn"
+    scenario.write_text(text)
+    assert main([verb, "--scenario", str(scenario)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
 
 
 def test_cli_repeat_runs_are_byte_identical(tmp_path, cli_env):

@@ -18,7 +18,6 @@ from mechverify.geometry import (
     empty_region,
     frac,
     halfspace_contains,
-    intersect_regions,
     ones_vector,
     project_onto_span,
     rank,
@@ -123,34 +122,6 @@ def test_whole_space_and_empty_region():
         assert not region_contains(empty, point)
 
 
-def test_intersect_regions_keeps_common_extras_only():
-    a = ConvexRegion(
-        (Halfspace(Hyperplane(vec(1, 0), Fraction(0))),),
-        frozenset({vec(0, 0), vec(-5, 0)}),
-    )
-    b = ConvexRegion(
-        (Halfspace(Hyperplane(vec(0, 1), Fraction(0))),),
-        frozenset({vec(0, 0)}),
-    )
-    both = intersect_regions([a, b])
-    # (0,0) is an extra member of both inputs, (-5,0) only of the first.
-    assert region_contains(both, vec(0, 0))
-    assert not region_contains(both, vec(-5, 0))
-    assert region_contains(both, vec(1, 1))
-    assert not region_contains(both, vec(1, -1))
-
-
-@given(vectors(2), vectors(2), vectors(2))
-def test_intersection_membership_is_conjunction(n1, n2, x):
-    halfplanes = []
-    for n in (n1, n2):
-        if not n.is_zero():
-            halfplanes.append(ConvexRegion((Halfspace(Hyperplane(n, Fraction(0))),)))
-    combined = intersect_regions(halfplanes) if halfplanes else whole_space()
-    expected = all(region_contains(r, x) for r in halfplanes)
-    assert region_contains(combined, x) == expected
-
-
 def test_box_region_membership():
     box = box_region(vec(0, 0), vec(1, 2))
     assert region_contains(box, vec(0, 0))
@@ -158,6 +129,24 @@ def test_box_region_membership():
     assert region_contains(box, vec("1/2", 1))
     assert not region_contains(box, vec("3/2", 1))
     assert not region_contains(box, vec("1/2", -1))
+
+
+def _closed(normal, offset):
+    return Halfspace(Hyperplane(normal, frac(offset)), Sense.GREATER_EQUAL)
+
+
+def test_box_region_lists_lows_then_highs():
+    low, high = vec(0, "-1/2"), vec(3, 2)
+    lows = (_closed(vec(1, 0), 0), _closed(vec(0, 1), "-1/2"))
+    highs = (_closed(vec(-1, 0), -3), _closed(vec(0, -1), -2))
+    assert box_region(low, None).halfspaces == lows
+    assert box_region(None, high).halfspaces == highs
+    assert box_region(low, high).halfspaces == lows + highs
+    assert box_region(None, None) == whole_space()
+    assert region_contains(box_region(None, high), vec(-100, -100))
+    assert not region_contains(box_region(low, None), vec(-1, 0))
+    with pytest.raises(DimensionMismatch):
+        box_region(vec(0, 0), vec(1, 1, 1))
 
 
 def test_rank_of_dependent_and_independent_sets():

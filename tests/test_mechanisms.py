@@ -10,12 +10,10 @@ from mechverify.geometry import DimensionMismatch, vec
 from mechverify.mechanisms import (
     Allocation,
     AssignmentSet,
-    EMPTY_VERIFICATION,
     MechanismError,
     SeparatingRule,
     TaxationRule,
     TieSide,
-    VerificationSet,
     allocate_separating,
     apply_rule,
     best_entry,
@@ -96,10 +94,13 @@ def test_taxation_rule_best_entry_and_tie_order():
     allocation, price = best_entry(menu, vec(0, "1/4", 1))
     assert allocation == point_mass(0, 3)
     assert price == 0
-    flipped = TaxationRule(entries, tie_order=(2, 1, 0))
+    # Reordering the entries moves the tie to the new first entry.
+    flipped = TaxationRule(tuple(reversed(entries)))
     allocation, price = best_entry(flipped, vec(0, "1/4", 1))
     assert allocation == point_mass(2, 3)
     assert price == 1
+    middle_first = TaxationRule((entries[1], entries[0], entries[2]))
+    assert best_entry(middle_first, vec(0, "1/4", 1)) == entries[1]
     allocation, _ = best_entry(menu, vec(0, 2, 0))
     assert allocation == point_mass(1, 3)
 
@@ -109,9 +110,6 @@ def test_taxation_rule_validation():
         TaxationRule(())
     with pytest.raises(MechanismError):
         TaxationRule(((point_mass(0, 2), Fraction(0)), (point_mass(0, 2), Fraction(1))))
-    entries = tuple(zip(point_masses(2), (Fraction(0), Fraction(0))))
-    with pytest.raises(MechanismError):
-        TaxationRule(entries, tie_order=(0, 0))
 
 
 def test_utility_uses_report_for_selection_and_truth_for_value():
@@ -129,32 +127,45 @@ def test_apply_rule_accepts_callables():
     assert apply_rule(rule, vec(1, 2)) == a2
 
 
-def test_verification_set_covers():
-    no_overbid = VerificationSet(
-        lambda true, reported: any(r > t for t, r in zip(true, reported)),
-        "no_overbid",
-    )
-    assert no_overbid.covers(vec(1, 1), vec(1, 2))
-    assert not no_overbid.covers(vec(1, 1), vec(0, 1))
-    assert not EMPTY_VERIFICATION.covers(vec(1, 1), vec(9, 9))
-
-
 def test_truthfulness_check_finds_first_violation():
     # Menu where overbidding grabs a better assignment by value.
     menu = TaxationRule(tuple(zip(point_masses(3), (Fraction(0), Fraction(1, 4), Fraction(1)))))
     low = vec(0, "1/4", 1)  # indifferent: picks the free null entry
     high = vec(0, "1/2", "3/2")  # picks the last entry
-    truthful, violation = is_truthful_with_verification(menu, EMPTY_VERIFICATION, [low, high])
+    nothing = lambda true, reported: False  # noqa: E731
+    truthful, violation = is_truthful_with_verification(menu, nothing, [low, high])
     assert not truthful
     assert violation == (low, high)
     # The same grid passes once overbids are verified away.
-    no_overbid = VerificationSet(
-        lambda true, reported: any(r > t for t, r in zip(true, reported)),
-        "no_overbid",
-    )
+    no_overbid = lambda true, reported: any(r > t for t, r in zip(true, reported))  # noqa: E731
     truthful, violation = is_truthful_with_verification(menu, no_overbid, [low, high])
     assert truthful
     assert violation is None
+
+
+@given(st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=1, max_size=5))
+def test_truthfulness_check_applies_the_rule_once_per_grid_point(coords):
+    menu = TaxationRule(tuple(zip(point_masses(3), (Fraction(0), Fraction(1, 4), Fraction(1)))))
+    grid = list(dict.fromkeys(vec(*c) for c in coords))
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return apply_rule(menu, x)
+
+    verification = lambda true, reported: reported[2] > true[2]  # noqa: E731
+    result = is_truthful_with_verification(counted, verification, grid)
+    assert calls == grid
+    # The first violation in grid order, by the definition pair by pair.
+    violations = [
+        (theta, reported)
+        for theta in grid
+        for reported in grid
+        if reported != theta
+        and apply_rule(menu, reported).value_to(theta) > apply_rule(menu, theta).value_to(theta)
+        and not verification(theta, reported)
+    ]
+    assert result == ((False, violations[0]) if violations else (True, None))
 
 
 @given(st.lists(rationals, min_size=2, max_size=2), st.lists(rationals, min_size=2, max_size=2))

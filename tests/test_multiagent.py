@@ -64,13 +64,6 @@ def test_vcg_menu_prices():
     assert tuple(price for _, price in rule.entries) == (0, 0, 0)
 
 
-def test_vcg_menu_accepts_custom_welfare():
-    rule = vcg_single_agent_rule(
-        UnitDemandProfile(()), welfare=lambda items: Fraction(len(items))
-    )
-    assert tuple(price for _, price in rule.entries) == (0, 1, 1)
-
-
 @given(st.lists(st.tuples(values, values), max_size=3))
 def test_vcg_prices_bounded_by_full_welfare(others):
     profile = UnitDemandProfile(tuple(others))

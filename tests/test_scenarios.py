@@ -64,8 +64,10 @@ def test_second_price_union_over_threshold_grid(reported, candidate):
     assert union == second_price_harmful_contains(reported, reported, False, candidate)
 
 
-@given(bids, bids)
+@given(positions, positions)
 def test_kminded_single_bundle_is_exact_underbid_set(truth, report):
+    # The deterministic set over two point masses, which kminded_harmless_contains
+    # uses for every k, has the two-allocation set's members.
     theta = vec(0, truth)
     x = vec(0, report)
     member = kminded_harmless_contains(1, theta, x)
@@ -74,6 +76,8 @@ def test_kminded_single_bundle_is_exact_underbid_set(truth, report):
     ).contains(x)
     if truth > 0:
         assert member == (report <= truth)
+    elif truth < 0:
+        assert member == (report >= truth)
     else:
         assert member  # an indifferent bidder cannot be helped
 
@@ -152,8 +156,6 @@ def test_distance_verification_blocks():
     assert not distance_verification_blocks(
         VerificationKind.DIRECTION_IMPOSING, 1, 5, 0
     )
-    with pytest.raises(MechanismError):
-        distance_verification_blocks(VerificationKind.NO_OVERBID, 1, 2, 0)
 
 
 def test_facility_harmless_formula():
@@ -206,12 +208,6 @@ def test_facility_first_uncovered_probe():
     assert not distance_verification_blocks(
         VerificationKind.NO_UNDERBID_DISTANCE, Fraction(1, 2), uncovered, 0
     )
-
-
-def test_facility_rejects_non_positional_verification():
-    line = FacilityLine((0, 2), 4)
-    with pytest.raises(MechanismError):
-        facility_first_uncovered(1, line, (VerificationKind.NO_OVERBID,))
 
 
 POSITIONAL_SUBSETS = (

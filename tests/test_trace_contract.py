@@ -1,0 +1,45 @@
+"""The benchmark's tracer must find every name it wraps, and put each back.
+
+``perfbench/tracing.py`` replaces package functions under the module
+attributes their callers look them up by.  A refactor that moves or renames
+one of them breaks the benchmark's per-layer metrics; this test names it.
+The tracer's source is read, not imported, so nothing under ``perfbench/``
+is written.
+"""
+
+import types
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    module = types.ModuleType("perfbench_tracing")
+    module.__file__ = str(TRACING)
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+    return module
+
+
+def test_every_traced_name_resolves_and_is_restored():
+    tracing = load_tracing()
+    sources = [
+        source
+        for table in (tracing.SPANS, tracing.COUNTED_CALLS)
+        for lookups in table.values()
+        for source in lookups
+    ]
+    originals = {}
+    for module_name, attribute in sources:
+        owner, name = tracing._resolve(module_name, attribute)
+        assert hasattr(owner, name), f"{module_name}.{attribute} does not resolve"
+        originals[(module_name, attribute)] = (owner, name, getattr(owner, name))
+
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for (module_name, attribute), (owner, name, original) in originals.items():
+            assert getattr(owner, name) is not original, f"{module_name}.{attribute} not wrapped"
+    finally:
+        tracer.remove()
+    for (module_name, attribute), (owner, name, original) in originals.items():
+        assert getattr(owner, name) is original, f"{module_name}.{attribute} not restored"
