@@ -38,7 +38,12 @@ does not read is an error.
 
 Verbs and their own flags: every verb takes ``--scenario FILE`` and
 ``--out FILE``; ``plot`` takes ``--axes I,J`` and
-``--bounds XMIN,XMAX,YMIN,YMAX``.
+``--bounds XMIN,XMAX,YMIN,YMAX``.  A flag reads ``--flag VALUE`` or
+``--flag=VALUE`` (the ``=`` form for a value that begins with ``-``); the
+last one given wins, and flags are spelled out in full.  ``-h`` or
+``--help`` anywhere prints the usage to stdout and exits 0; a usage error
+goes to stderr and exits 1.  The command line is parsed by a small table
+of verbs and flags, so a run imports no module it does not use.
 
 Result documents are line-delimited text with every rational kept exact;
 serialize/parse round-trips are lossless.  SVG output is the only place
@@ -48,13 +53,12 @@ byte-identical bytes.
 
 from __future__ import annotations
 
-import argparse
+import os
 import re
 import sys
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
-from typing import Callable, Sequence, Union
 
 from .geometry import (
     ConvexRegion,
@@ -361,15 +365,16 @@ def _check_in_space(scenario: Scenario, point: Vector, label: str) -> None:
                 raise ScenarioError(f"{label} lies above the type-space box")
 
 
-def load_scenario(path: Union[str, Path]) -> Scenario:
-    return parse_scenario(Path(path).read_text())
+def load_scenario(path: str | os.PathLike[str]) -> Scenario:
+    with open(path) as handle:
+        return parse_scenario(handle.read())
 
 
 # --------------------------------------------------------------------------
 # Result documents
 
 
-FieldValue = Union[Vector, Fraction, str]
+FieldValue = Vector | Fraction | str
 Fields = tuple[tuple[str, str, FieldValue], ...]
 
 
@@ -422,10 +427,10 @@ def _provenance(mechanism_class: str, operation: str) -> tuple[tuple[str, str], 
 Certificate = tuple[str, Fields]
 # decide(q) gives q's membership and, for the answer that needs one, a
 # certificate that has been checked.
-Decide = Callable[[Vector], tuple[bool, Union[Certificate, None]]]
+Decide = Callable[[Vector], tuple[bool, Certificate | None]]
 # What a class's setup returns: (operation, decide, region before the
 # type-space box or None, summary).
-Setup = tuple[str, Decide, Union[ConvexRegion, None], tuple[tuple[str, str], ...]]
+Setup = tuple[str, Decide, ConvexRegion | None, tuple[tuple[str, str], ...]]
 
 
 def _separating(
@@ -714,7 +719,7 @@ MECHANISM_CLASSES = tuple(_CLASSES)
 _VERIFY_OPTIONS = ("rule_prices", "rule_pair", "rule_price", "rule_tie", "verification_kind")
 
 
-def run_scenario(source: Union[Scenario, str, Path]) -> ResultDocument:
+def run_scenario(source: Scenario | str | os.PathLike[str]) -> ResultDocument:
     """Evaluate a scenario (or scenario file) and return its result document."""
     scenario = source if isinstance(source, Scenario) else load_scenario(source)
     cls = scenario.mechanism_class
@@ -807,7 +812,7 @@ def _verification(token: str, rule: Rule, dim: int) -> Callable[[Vector, Vector]
     raise ScenarioError(f"unknown verification_kind {token!r}")
 
 
-def run_verify(source: Union[Scenario, str, Path]) -> ResultDocument:
+def run_verify(source: Scenario | str | os.PathLike[str]) -> ResultDocument:
     """Check a declared rule for truthfulness on the scenario's type grid."""
     scenario = source if isinstance(source, Scenario) else load_scenario(source)
     if scenario.mode != "forward":
@@ -1328,9 +1333,12 @@ def render_regions(
 # Command line
 
 
+_INDEX = re.compile(r"[0-9]+")
+
+
 def _parse_axes(token: str) -> tuple[int, int]:
-    parts = token.split(",")
-    if len(parts) != 2 or not all(p.strip().isdigit() for p in parts):
+    parts = [p.strip() for p in token.split(",")]
+    if len(parts) != 2 or not all(_INDEX.fullmatch(p) for p in parts):
         raise ScenarioError(f"axes must be two indices like 1,2, not {token!r}")
     return int(parts[0]), int(parts[1])
 
@@ -1343,65 +1351,104 @@ def _parse_bounds(token: str) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     return values[0], values[1], values[2], values[3]
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mechverify",
-        description="Exact harmless/harmful set computations for verification design.",
+_VERB_HELP = {
+    "harmless": "evaluate a forward-mode scenario (which misreports are harmless)",
+    "harmful": "evaluate a reverse-mode scenario (which true types a report could help)",
+    "witness": "emit only the certificates for a scenario's negative answers",
+    "verify": "check a declared rule for truthfulness on the scenario's type grid",
+    "plot": "render the scenario's region as a 2-D SVG slice",
+}
+# Each verb's flags, in usage order; --scenario is required, the rest optional.
+_VERB_FLAGS = {
+    verb: ("--scenario", "--out") + (("--axes", "--bounds") if verb == "plot" else ())
+    for verb in _VERB_HELP
+}
+_METAVARS = {
+    "--scenario": "FILE", "--out": "FILE", "--axes": "I,J", "--bounds": "XMIN,XMAX,YMIN,YMAX"
+}
+
+
+def _usage() -> str:
+    lines = []
+    for verb, flags in _VERB_FLAGS.items():
+        words = [f"{flag} {_METAVARS[flag]}" for flag in flags]
+        optional = " ".join(f"[{word}]" for word in words[1:])
+        lines.append(f"mechverify {verb:<8} {words[0]} {optional}")
+    verbs = "".join(f"  {verb:<9} {text}\n" for verb, text in _VERB_HELP.items())
+    return (
+        "usage: " + "\n       ".join(lines) + "\n\n"
+        "Exact harmless/harmful set computations for verification design.\n\n"
+        f"verbs:\n{verbs}\n"
+        "--out writes to FILE instead of stdout; plot's --axes defaults to 0,1.\n"
+        "Flags take --flag VALUE or --flag=VALUE, the last one given wins; a value\n"
+        "that begins with '-' needs the = form.  -h or --help prints this text.\n"
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
-    helps = {
-        "harmless": "evaluate a forward-mode scenario (which misreports are harmless)",
-        "harmful": "evaluate a reverse-mode scenario (which true types a report could help)",
-        "witness": "emit only the certificates for a scenario's negative answers",
-        "verify": "check a declared rule for truthfulness on the scenario's type grid",
-        "plot": "render the scenario's region as a 2-D SVG slice",
-    }
-    for verb, help_text in helps.items():
-        sp = sub.add_parser(verb, help=help_text)
-        sp.add_argument("--scenario", required=True, help="path to a scenario file")
-        sp.add_argument("--out", help="write output here instead of stdout")
-        if verb == "plot":
-            sp.add_argument("--axes", default="0,1", help="plot axes as i,j")
-            sp.add_argument("--bounds", help="plot box as xmin,xmax,ymin,ymax")
-    return parser
+
+
+def _parse_command(argv: Sequence[str]) -> tuple[str, dict[str, str]]:
+    """The verb and its flag values.  A flag without a value fails first,
+    then a missing ``--scenario``, then any argument the verb does not take."""
+    choices = ", ".join(_VERB_FLAGS)
+    if not argv:
+        raise ScenarioError(f"the following arguments are required: verb (choose from {choices})")
+    verb, *rest = argv
+    if verb not in _VERB_FLAGS:
+        raise ScenarioError(f"invalid verb {verb!r} (choose from {choices})")
+    values: dict[str, str] = {}
+    unrecognized: list[str] = []
+    tokens = iter(rest)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in _VERB_FLAGS[verb]:
+            unrecognized.append(token)
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                raise ScenarioError(f"argument {flag}: expected one argument")
+        values[flag] = value
+    if "--scenario" not in values:
+        raise ScenarioError("the following arguments are required: --scenario")
+    if unrecognized:
+        raise ScenarioError(f"unrecognized arguments: {' '.join(unrecognized)}")
+    return verb, values
 
 
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        with open(out, "w") as handle:
+            handle.write(text)
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
-    if args.verb in ("harmless", "harmful"):
-        mode, anchor = ("forward", "theta") if args.verb == "harmless" else ("reverse", "reported")
+def _dispatch(verb: str, flags: dict[str, str]) -> int:
+    scenario = load_scenario(flags["--scenario"])
+    if verb in ("harmless", "harmful"):
+        mode, anchor = ("forward", "theta") if verb == "harmless" else ("reverse", "reported")
         if scenario.mode != mode:
-            raise ScenarioError(f"{args.verb} needs a {mode}-mode scenario ({anchor} line)")
+            raise ScenarioError(f"{verb} needs a {mode}-mode scenario ({anchor} line)")
         text = serialize_result(run_scenario(scenario))
-    elif args.verb == "witness":
+    elif verb == "witness":
         text = serialize_witnesses(run_scenario(scenario))
-    elif args.verb == "verify":
+    elif verb == "verify":
         text = serialize_result(run_verify(scenario))
     else:
         document = run_scenario(scenario)
-        axes = _parse_axes(args.axes)
-        bounds = _parse_bounds(args.bounds) if args.bounds is not None else None
+        axes = _parse_axes(flags.get("--axes", "0,1"))
+        bounds = _parse_bounds(flags["--bounds"]) if "--bounds" in flags else None
         text = render_regions(document, axes, bounds)
-    _write_output(text, args.out)
+    _write_output(text, flags.get("--out"))
     return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_arg_parser()
+    args = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in args or "--help" in args:
+        sys.stdout.write(_usage())
+        return 0
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage problems; report those as validation errors.
-        return 0 if not exc.code else 1
-    try:
-        return _dispatch(args)
+        return _dispatch(*_parse_command(args))
     except (ScenarioError, MechanismError, DimensionMismatch, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,12 +11,12 @@ decided exactly.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Union
 
-RationalLike = Union[Fraction, int, str]
+RationalLike = Fraction | int | str
 
 
 class DimensionMismatch(ValueError):

@@ -25,11 +25,11 @@ Three rule classes are characterised in closed form:
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Sequence, Union
 
 from .geometry import (
     ConvexRegion,
@@ -78,7 +78,7 @@ class SimplexFamily(Enum):
     SUBSIMPLEX_WITH_NULL = "subsimplex_with_null"
 
 
-AllocationSpace = Union[SimplexFamily, tuple[Allocation, ...]]
+AllocationSpace = SimplexFamily | tuple[Allocation, ...]
 
 
 @dataclass(frozen=True)

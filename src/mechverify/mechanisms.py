@@ -16,10 +16,10 @@ involves money.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence, Union
 
 from .geometry import DimensionMismatch, Vector, frac, unit_vector
 
@@ -177,7 +177,7 @@ def utility(rule: TaxationRule, true_type: Vector, reported: Vector) -> Fraction
     return allocation.value_to(true_type) - price
 
 
-Rule = Union[SeparatingRule, TaxationRule, Callable[[Vector], Allocation]]
+Rule = SeparatingRule | TaxationRule | Callable[[Vector], Allocation]
 
 
 def apply_rule(rule: Rule, x: Vector) -> Allocation:

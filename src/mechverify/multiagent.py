@@ -19,9 +19,9 @@ ever rewards it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .geometry import DimensionMismatch, Vector, frac
 from .harmless import deterministic_harmless

@@ -15,9 +15,9 @@ witnesses.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .geometry import Vector
 from .harmless import SimplexFamily, difference_projection, tie_harmless_contains

@@ -12,8 +12,8 @@ because rules placing both types on the same side never produce a benefit.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .geometry import (
     ConvexRegion,

@@ -8,10 +8,10 @@ requirements these settings are known to need.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
 
 from .geometry import Vector, frac
 from .harmless import deterministic_harmless

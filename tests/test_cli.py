@@ -551,8 +551,13 @@ def test_cli_executable(tmp_path, cli_env):
     scenario = tmp_path / "pair.scn"
     scenario.write_text(DETERMINISTIC_EXAMPLE)
 
-    result = run_cli(["--help"], tmp_path, cli_env)
-    assert result.returncode == 0
+    for args in (
+        ["--help"], ["-h"], ["harmless", "-h"], ["plot", "--scenario", "pair.scn", "--help"]
+    ):
+        result = run_cli(args, tmp_path, cli_env)
+        assert result.returncode == 0, args
+        assert result.stdout.startswith("usage: mechverify harmless --scenario FILE"), args
+        assert "  plot      render the scenario's region" in result.stdout, args
 
     result = run_cli(["harmless", "--scenario", "pair.scn"], tmp_path, cli_env)
     assert result.returncode == 0
@@ -568,6 +573,10 @@ def test_cli_executable(tmp_path, cli_env):
     assert rerun.returncode == 0
     assert out.read_text() == result.stdout
 
+    joined = run_cli(["harmless", "--out=x.txt", "--scenario=pair.scn"], tmp_path, cli_env)
+    assert joined.returncode == 0
+    assert (tmp_path / "x.txt").read_text() == result.stdout
+
     witness = run_cli(["witness", "--scenario", "pair.scn"], tmp_path, cli_env)
     assert witness.returncode == 0
     assert "summary witnesses 1" in witness.stdout
@@ -579,6 +588,33 @@ def test_cli_executable(tmp_path, cli_env):
     )
     assert plot.returncode == 0
     assert (tmp_path / "pair.svg").read_text().startswith("<svg")
+
+
+# Modules a CLI run has no use for.  A cold start-up pays to load each one it
+# imports, and to compile it too when no bytecode cache holds it.
+UNUSED_MODULES = ("argparse", "pathlib", "typing", "shutil", "locale", "gettext", "bz2", "lzma")
+IMPORT_PROBE = """\
+import sys
+from mechverify import cli
+assert cli.main(["harmless", "--scenario", sys.argv[1], "--out", "result.txt"]) == 0
+assert cli.main(["plot", "--scenario", sys.argv[1], "--out", "region.svg"]) == 0
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+def test_cli_run_imports_no_unused_module(tmp_path, cli_env):
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "bundle_pair.scn"
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_PROBE, str(scenario)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=cli_env,
+    )
+    assert child.returncode == 0, child.stderr
+    loaded = set(child.stdout.split())
+    assert "mechverify.cli" in loaded
+    assert sorted(loaded.intersection(UNUSED_MODULES)) == []
 
 
 def test_cli_error_paths(tmp_path, cli_env):
@@ -593,6 +629,18 @@ def test_cli_error_paths(tmp_path, cli_env):
 
     usage = run_cli(["harmless"], tmp_path, cli_env)
     assert usage.returncode == 1
+    assert "the following arguments are required: --scenario" in usage.stderr
+
+    for args, message in (
+        ([], "the following arguments are required: verb"),
+        (["bogus", "--scenario", "pair.scn"], "invalid verb 'bogus'"),
+        (["harmless", "--scenario", "pair.scn", "--out"], "argument --out: expected one argument"),
+        (["harmless", "--scenario", "--out", "x"], "argument --scenario: expected one argument"),
+    ):
+        bad = run_cli(args, tmp_path, cli_env)
+        assert bad.returncode == 1, args
+        assert message in bad.stderr, args
+        assert bad.stdout == "", args
 
     # Each verb takes only its own flags.
     for verb, flag, value in (
@@ -612,6 +660,12 @@ def test_cli_error_paths(tmp_path, cli_env):
     )
     assert short_bounds.returncode == 1
     assert "bounds must be xmin,xmax,ymin,ymax" in short_bounds.stderr
+
+    # Axes are ASCII indices: other Unicode digits are not indices.
+    for axes in ("0,\u0661", "\u00b2,1"):
+        non_ascii = run_cli(["plot", "--scenario", "pair.scn", "--axes", axes], tmp_path, cli_env)
+        assert non_ascii.returncode == 1, axes
+        assert f"axes must be two indices like 1,2, not {axes!r}" in non_ascii.stderr, axes
 
     retired = tmp_path / "retired.scn"
     retired.write_text(FACILITY_EXAMPLE + "option probe_step 1/100\n")

@@ -6,6 +6,7 @@ the command line exits 0 or 1.  An uncaught exception would be exit 2.
 
 import contextlib
 import io
+import os
 import tempfile
 from pathlib import Path
 
@@ -194,6 +195,47 @@ def test_cli_exits_0_or_1_on_any_scenario(run, plot_flags):
         with contextlib.redirect_stderr(stderr):
             code = main(argv)
     assert code in (0, 1), stderr.getvalue()
+
+
+BUNDLED = Path(__file__).resolve().parent.parent / "scenarios" / "bundle_pair.scn"
+FLAGS = ("--scenario", "--out", "--axes", "--bounds")
+FLAG_VALUES = st.sampled_from(["in.scn", "out.txt", "absent.scn", "0,1", "1,2", "-1,1,-1,1", ""])
+# Stray tokens never hold "/", so no value names a path outside the work directory.
+ARGV_TOKENS = st.one_of(
+    st.sampled_from(VERBS),
+    st.sampled_from(FLAGS),
+    FLAG_VALUES,
+    st.sampled_from(["-h", "--help", "-", "--", "=", "--scen", "--axes=", "-x", "help"]),
+    st.builds("{}={}".format, st.sampled_from(FLAGS), FLAG_VALUES),
+    st.text(st.characters(blacklist_characters="/"), max_size=6),
+)
+
+
+@st.composite
+def argvs(draw):
+    """Token lists, most of them a verb and a scenario flag followed by more."""
+    head = []
+    if draw(st.integers(0, 3)):
+        head = [draw(st.sampled_from(VERBS)), "--scenario", "in.scn"]
+    return head + draw(st.lists(ARGV_TOKENS, max_size=6))
+
+
+@settings(max_examples=300)
+@given(argvs())
+def test_cli_exits_0_or_1_on_any_argv(argv):
+    home = os.getcwd()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as work:
+        Path(work, "in.scn").write_text(BUNDLED.read_text())
+        os.chdir(work)
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        finally:
+            os.chdir(home)
+    assert code in (0, 1), stderr.getvalue()
+    if "-h" in argv or "--help" in argv:
+        assert code == 0 and stdout.getvalue().startswith("usage: mechverify"), argv
 
 
 VALID_DOCUMENT = serialize_result(
