@@ -75,6 +75,7 @@ from .harmless import (
     HarmlessResult,
     SimplexFamily,
     deterministic_harmless,
+    point_mass_separating_pair,
     tie_harmless_contains,
     universally_truthful_harmless,
 )
@@ -433,18 +434,48 @@ Decide = Callable[[Vector], tuple[bool, Certificate | None]]
 Setup = tuple[str, Decide, ConvexRegion | None, tuple[tuple[str, str], ...]]
 
 
-def _separating(
-    true_type: Vector, report: Vector, allocations: Sequence[Allocation]
-) -> Fields:
-    """The oracle's rule under which reporting ``report`` beats the truth.
+# A certificate search: (true type, report, allocations) -> a rule under
+# which the report strictly beats the truth, or None.
+Search = Callable[[Vector, Vector, Sequence[Allocation]], SeparatingRule | None]
 
-    Called only where a closed form said harmful, so the independent search
-    finding no rule means the two disagree.
+
+def point_mass_rule(
+    theta: Vector, x: Vector, allocations: Sequence[Allocation]
+) -> SeparatingRule | None:
+    """The closed-form certificate over point masses, or None when x is harmless.
+
+    Splits the pair ``point_mass_separating_pair`` picks at theta's own
+    indifference level theta_p - theta_o, boundary to the preferred side,
+    with theta pinned to the worse allocation and a boundary x to the
+    better: the same rule ``search_beneficial_misreport`` returns, without
+    its O(m^3) scan of allocation vectors.
     """
-    rule = search_beneficial_misreport(true_type, report, allocations)
+    pair = point_mass_separating_pair(theta, x, allocations)
+    if pair is None:
+        return None
+    preferred, other, on_boundary = pair
+    overrides = {theta: other}
+    if on_boundary:
+        overrides[x] = preferred
+    price = preferred.value_to(theta) - other.value_to(theta)
+    return SeparatingRule(preferred, other, price, TieSide.TO_I, overrides)
+
+
+def _separating(
+    true_type: Vector, report: Vector, allocations: Sequence[Allocation], search: Search
+) -> Fields:
+    """The rule ``search`` finds under which reporting ``report`` beats the
+    truth, checked by direct evaluation before it is shipped.
+
+    Called only where a closed form said harmful, so a search finding no
+    rule means the two disagree.
+    """
+    rule = search(true_type, report, allocations)
     if rule is None:
         raise AssertionError("membership said harmful but no rule benefits")
     gained, truthful = rule_benefit(rule, true_type, report)
+    if not gained > truthful:
+        raise AssertionError(f"certificate failed validation: {gained} <= {truthful}")
     fields: list[tuple[str, str, FieldValue]] = [
         ("allocation_i", "v", rule.a_i.probs),
         ("allocation_j", "v", rule.a_j.probs),
@@ -461,14 +492,17 @@ def _separating(
 
 
 def _certified(
-    contains: Callable[[Vector], bool], theta: Vector, allocations: Sequence[Allocation]
+    contains: Callable[[Vector], bool],
+    theta: Vector,
+    allocations: Sequence[Allocation],
+    search: Search,
 ) -> Decide:
-    """Membership from a closed form; each harmful report certified by the oracle."""
+    """Membership from a closed form; each harmful report certified by ``search``."""
 
     def decide(q: Vector) -> tuple[bool, Certificate | None]:
         if contains(q):
             return True, None
-        return False, ("separating", _separating(theta, q, allocations))
+        return False, ("separating", _separating(theta, q, allocations, search))
 
     return decide
 
@@ -483,7 +517,7 @@ def _setup_point_mass(scenario: Scenario) -> Setup:
         def decide(q: Vector) -> tuple[bool, Certificate | None]:
             if not harmful_union_contains(anchor, allocations, q):
                 return False, None
-            return True, ("separating", _separating(q, anchor, allocations))
+            return True, ("separating", _separating(q, anchor, allocations, point_mass_rule))
 
         return "harmful_union_contains", decide, None, summary
     if scenario.mechanism_class == "universally_truthful":
@@ -492,7 +526,8 @@ def _setup_point_mass(scenario: Scenario) -> Setup:
     else:
         operation = "deterministic_harmless"
         result = deterministic_harmless(anchor, allocations)
-    return operation, _certified(result.contains, anchor, allocations), result.region, summary
+    decide = _certified(result.contains, anchor, allocations, point_mass_rule)
+    return operation, decide, result.region, summary
 
 
 def _setup_tie(scenario: Scenario) -> Setup:
@@ -502,7 +537,10 @@ def _setup_tie(scenario: Scenario) -> Setup:
         # the expectation class and the two-allocation search coincide.
         allocations = scenario.allocations
         decide = _certified(
-            lambda q: tie_harmless_contains(theta, q, allocations), theta, allocations
+            lambda q: tie_harmless_contains(theta, q, allocations),
+            theta,
+            allocations,
+            search_beneficial_misreport,
         )
         return "tie_harmless_contains", decide, None, (("family", "explicit"),)
     family = SimplexFamily.FULL_SIMPLEX
@@ -540,8 +578,11 @@ def _setup_vcg(scenario: Scenario) -> Setup:
         others.append((_parse_rational(values[0]), _parse_rational(values[1])))
     rule = vcg_single_agent_rule(UnitDemandProfile(tuple(others)))
     prices = [price for _, price in rule.entries]
-    decide = _certified(lambda q: vcg_harmless_contains(theta, q), theta, point_masses(3))
-    region = deterministic_harmless(theta, point_masses(3)).region
+    allocations = point_masses(3)
+    decide = _certified(
+        lambda q: vcg_harmless_contains(theta, q), theta, allocations, point_mass_rule
+    )
+    region = deterministic_harmless(theta, allocations).region
     summary = (
         ("others", str(len(others))),
         ("price_item1", str(prices[1])),
@@ -610,7 +651,9 @@ def _setup_kminded(scenario: Scenario) -> Setup:
             f"kminded scenarios with k {k} use {k + 1} coordinates (null first)"
         )
     allocations = point_masses(k + 1)
-    decide = _certified(lambda q: kminded_harmless_contains(k, theta, q), theta, allocations)
+    decide = _certified(
+        lambda q: kminded_harmless_contains(k, theta, q), theta, allocations, point_mass_rule
+    )
     region = deterministic_harmless(theta, allocations).region
     return "kminded_harmless_contains", decide, region, (("k", token),)
 
@@ -680,6 +723,7 @@ def _setup_facility(scenario: Scenario) -> Setup:
                 raise ScenarioError(f"unknown verification kind {token!r}") from None
     uncovered = facility_first_uncovered(theta[0], line, kinds)
     agent_type = facility_type(theta[0], line)
+    allocations = point_masses(2)
 
     def decide(q: Vector) -> tuple[bool, Certificate | None]:
         if facility_harmless_position(theta[0], line, q[0]):
@@ -688,7 +732,7 @@ def _setup_facility(scenario: Scenario) -> Setup:
         fields = (
             ("agent_type", "v", agent_type),
             ("report_type", "v", report_type),
-        ) + _separating(agent_type, report_type, point_masses(2))
+        ) + _separating(agent_type, report_type, allocations, point_mass_rule)
         return False, ("separating", fields)
 
     preferred = facility_preferred(theta[0], line)

@@ -14,7 +14,10 @@ Three rule classes are characterised in closed form:
   carrying the true type as a boundary member.  The region lists all of
   them (up to m(m-1)/2), but membership needs only d = x - theta sorted
   by theta's value levels: O(m log m) comparisons in place of one dot
-  product per pair;
+  product per pair.  A harmful report's certificate is the first pair
+  with theta_p > theta_o and d_p >= d_o (``point_mass_separating_pair``):
+  O(m^2) scalar comparisons where the oracle's scan builds and scores
+  O(m^2) m-coordinate differences;
 * all truthful-in-expectation rules over a simplex of randomized allocations,
   where x is harmless iff its projection onto the difference span is a
   scaling of theta's by a factor at most one.  The projection is closed
@@ -180,6 +183,39 @@ def deterministic_harmless(theta: Vector, allocations: Sequence[Allocation]) -> 
         return True
 
     return HarmlessResult(contains, region)
+
+
+def point_mass_separating_pair(
+    theta: Vector, x: Vector, allocations: Sequence[Allocation]
+) -> tuple[Allocation, Allocation, bool] | None:
+    """The pair a deterministic rule splits so that reporting x beats theta.
+
+    Over point masses e_p and e_o the critical hyperplane through theta is
+    x_p - x_o = theta_p - theta_o, so with d = x - theta a report beats the
+    truth exactly when some pair has theta_p > theta_o and d_p >= d_o.
+    Returns the first such (preferred, other) pair, preferred in the outer
+    and other in the inner loop over the given order -- the pair
+    ``oracle.search_beneficial_misreport`` finds -- and whether d_p == d_o,
+    the boundary case; None when x == theta or no pair qualifies.  An
+    O(m^2) scan of scalar comparisons over point masses of theta's
+    dimension.
+    """
+    if x.dim != theta.dim:
+        raise DimensionMismatch(f"type dims {theta.dim} vs {x.dim}")
+    if x == theta:
+        return None
+    scalars = []
+    for a in allocations:
+        coords = a.probs.coords
+        if a.dim != theta.dim or 1 not in coords:
+            raise MechanismError(f"expected point masses of dimension {theta.dim}; got {a.probs}")
+        i = coords.index(1)
+        scalars.append((a, theta[i], x[i] - theta[i]))
+    for preferred, level_p, d_p in scalars:
+        for other, level_o, d_o in scalars:
+            if level_p > level_o and d_p >= d_o:
+                return preferred, other, d_p == d_o
+    return None
 
 
 def _pairwise_halfspaces(theta: Vector, indices: Sequence[int]):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from mechverify import cli
 from mechverify.cli import (
     MECHANISM_CLASSES,
     Scenario,
@@ -331,6 +332,67 @@ option benefit 4
     document = run_scenario(parse_scenario(outside))
     assert ("covered", "true") in document.summary
     assert ("verifications", "none") in document.summary
+
+
+# A harmful query for each class certified by the point-mass closed form.
+POINT_MASS_HARMFUL = {
+    "deterministic": DETERMINISTIC_EXAMPLE,
+    "deterministic_reverse": """\
+scenario s
+class deterministic
+reported 0 1/10 7/5
+query 0 1/2 3/2
+""",
+    "universally_truthful": DETERMINISTIC_EXAMPLE.replace(
+        "class deterministic", "class universally_truthful"
+    ),
+    "vcg": "scenario s\nclass vcg\ntheta 0 2 1\noption others 1 0\nquery 0 3 0\n",
+    "kminded": "scenario s\nclass kminded\noption k 2\ntheta 0 1/2 3/2\nquery 0 1/10 7/5\n",
+    "facility_line": """\
+scenario s
+class facility_line
+theta 1/2
+option facilities 0 2
+option benefit 4
+query -1
+""",
+}
+
+
+@pytest.mark.parametrize("text", POINT_MASS_HARMFUL.values(), ids=POINT_MASS_HARMFUL)
+def test_point_mass_classes_certify_without_the_oracle(text, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the generic search ran for a point-mass class")
+
+    monkeypatch.setattr(cli, "search_beneficial_misreport", refuse)
+    document = run_scenario(parse_scenario(text))
+    assert [w.kind for w in document.witnesses] == ["separating"]
+    gained = witness_field(document.witnesses[0], "gained")[1]
+    assert gained > witness_field(document.witnesses[0], "truthful")[1]
+
+
+def test_explicit_allocation_expectation_scenarios_use_the_oracle(monkeypatch):
+    calls = []
+    search = cli.search_beneficial_misreport
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(cli, "search_beneficial_misreport", counted)
+    text = """\
+scenario s
+class truthful_in_expectation
+theta 1 2 4
+allocation 1 0 0
+allocation 0 1 0
+query 1/2 1 0
+query 0 5 0
+"""
+    document = run_scenario(parse_scenario(text))
+    assert [qr.member for qr in document.queries] == [True, False]
+    assert [w.kind for w in document.witnesses] == ["separating"]
+    assert len(calls) == 1
 
 
 # Per class: the mode it runs in (None for both), an anchor, and the

@@ -3,8 +3,9 @@ metamorphic properties every membership answer must keep.
 
 The references are the generic forms the kernels replace: dense sums for
 the vector arithmetic, the intersection of the pairwise harmless regions
-for deterministic membership, and the exact span projection for the
-expectation classes.
+for deterministic membership, the exact span projection for the
+expectation classes, and the oracle's scan of allocation pairs for the
+point-mass certificates.
 """
 
 from fractions import Fraction
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mechverify.cli import parse_scenario, point_mass_rule, run_scenario
 from mechverify.geometry import (
     ConvexRegion,
     DimensionMismatch,
@@ -29,9 +31,11 @@ from mechverify.harmless import (
     difference_projection,
     difference_span,
     pairwise_harmless,
+    point_mass_separating_pair,
     tie_harmless_contains,
 )
-from mechverify.mechanisms import Allocation, point_mass, point_masses
+from mechverify.mechanisms import Allocation, MechanismError, TieSide, point_mass, point_masses
+from mechverify.oracle import search_beneficial_misreport
 
 FAMILIES = (SimplexFamily.FULL_SIMPLEX, SimplexFamily.SUBSIMPLEX_WITH_NULL)
 
@@ -68,6 +72,28 @@ def point_mass_subsets(draw, m):
     order = draw(st.permutations(range(m)))
     size = draw(st.integers(min_value=2, max_value=m))
     return tuple(point_mass(i, m) for i in order[:size])
+
+
+@st.composite
+def certificate_cases(draw):
+    """theta over m <= 12 coordinates on few tied levels, and a report that
+    is theta itself, a harmless affine image lam*theta + c*1 with lam < 1,
+    a common shift of theta (every pair on its boundary), or theta + d with
+    each d_i in {-1, 0, 1}, so that d_p == d_o is common."""
+    m = draw(st.integers(min_value=2, max_value=12))
+    levels = st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(2)])
+    theta = draw(vectors(m, levels))
+    shape = draw(st.sampled_from(["perturbed", "boundary", "harmless", "same"]))
+    if shape == "same":
+        return theta, theta
+    shift = draw(small)
+    if shape == "harmless":
+        lam = draw(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(3, 4)]))
+        return theta, Vector(tuple(lam * t + shift for t in theta))
+    if shape == "boundary":
+        return theta, theta + ones_vector(m).scale(shift)
+    steps = st.sampled_from([Fraction(-1), Fraction(0), Fraction(1)])
+    return theta, theta + draw(vectors(m, steps))
 
 
 def reference_region(theta, allocations):
@@ -144,6 +170,56 @@ def test_deterministic_membership_rejects_other_dimensions():
         result.contains(vec(1, 1, 1))
 
 
+# -- point-mass certificates ---------------------------------------------------
+
+
+def rule_fields(rule):
+    return (rule.a_i, rule.a_j, rule.relative_price, rule.tie_assignment, rule.overrides)
+
+
+@given(certificate_cases(), st.data())
+def test_point_mass_rule_matches_the_oracle(case, data):
+    theta, x = case
+    allocations = data.draw(point_mass_subsets(theta.dim))
+    expected = search_beneficial_misreport(theta, x, allocations)
+    rule = point_mass_rule(theta, x, allocations)
+    assert (rule is None) == (expected is None)
+    assert (rule is None) == deterministic_harmless(theta, allocations).contains(x)
+    if rule is not None:
+        assert rule_fields(rule) == rule_fields(expected)
+
+
+def test_point_mass_rule_picks_the_oracles_pair_on_the_boundary():
+    # Listed as e_2 (level 1), e_1 (level 2), e_0 (level 0), and x shifts
+    # theta by 1, so every pair sits on its boundary.  The preferred side is
+    # the outer loop: e_2 is tried first and qualifies against e_0.
+    theta = vec(0, 2, 1)
+    x = vec(1, 3, 2)
+    allocations = (point_mass(2, 3), point_mass(1, 3), point_mass(0, 3))
+    rule = point_mass_rule(theta, x, allocations)
+    assert rule_fields(rule) == (
+        point_mass(2, 3),
+        point_mass(0, 3),
+        Fraction(1),
+        TieSide.TO_I,
+        {theta: point_mass(0, 3), x: point_mass(2, 3)},
+    )
+    assert rule_fields(rule) == rule_fields(search_beneficial_misreport(theta, x, allocations))
+    assert point_mass_rule(theta, theta, allocations) is None
+    assert point_mass_rule(theta, theta.scale(Fraction(1, 2)), allocations) is None
+
+
+def test_point_mass_pair_rejects_other_allocations():
+    theta, x = vec(1, 0), vec(0, 1)
+    half = Allocation(vec(Fraction(1, 2), Fraction(1, 2)))
+    with pytest.raises(MechanismError):
+        point_mass_separating_pair(theta, x, (point_mass(0, 2), half))
+    with pytest.raises(MechanismError):
+        point_mass_separating_pair(theta, x, point_masses(3))
+    with pytest.raises(DimensionMismatch):
+        point_mass_separating_pair(theta, vec(0, 1, 0), point_masses(2))
+
+
 # -- expectation projection ---------------------------------------------------
 
 
@@ -208,3 +284,32 @@ def test_common_positive_scaling_keeps_membership(pair, factor):
     assert _deterministic_member(stheta, sx) == _deterministic_member(theta, x)
     for family in FAMILIES:
         assert tie_harmless_contains(stheta, sx, family) == tie_harmless_contains(theta, x, family)
+
+
+def _scenario(anchor_line, query, allocations):
+    lines = ["scenario duality", "class deterministic", anchor_line, f"query {query}"]
+    lines += [f"allocation {_tokens(a.probs)}" for a in allocations]
+    return parse_scenario("\n".join(lines) + "\n")
+
+
+def _tokens(v):
+    return " ".join(str(c) for c in v)
+
+
+@given(certificate_cases(), st.data())
+def test_reverse_harmful_set_is_the_forward_complement(case, data):
+    # Reported r harms candidate c exactly when r is not harmless for the
+    # true type c, and both directions ship the same certificate.
+    candidate, reported = case
+    allocations = data.draw(point_mass_subsets(candidate.dim))
+    reverse = run_scenario(
+        _scenario(f"reported {_tokens(reported)}", _tokens(candidate), allocations)
+    )
+    forward = run_scenario(
+        _scenario(f"theta {_tokens(candidate)}", _tokens(reported), allocations)
+    )
+    assert reverse.queries[0].member == (not forward.queries[0].member)
+    assert [(w.kind, w.fields) for w in reverse.witnesses] == [
+        (w.kind, w.fields) for w in forward.witnesses
+    ]
+    assert len(reverse.witnesses) == int(reverse.queries[0].member)
