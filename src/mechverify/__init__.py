@@ -55,7 +55,7 @@ from .harmless import (
     difference_span,
     indifference_hyperplane,
     pairwise_harmless,
-    point_mass_separating_pair,
+    point_mass_rule,
     single_rule_harmless_contains,
     tie_harmless_contains,
     universally_truthful_harmless,

@@ -72,10 +72,10 @@ from .geometry import (
     frac,
 )
 from .harmless import (
-    HarmlessResult,
     SimplexFamily,
+    check_null_coordinate,
     deterministic_harmless,
-    point_mass_separating_pair,
+    point_mass_rule,
     tie_harmless_contains,
     universally_truthful_harmless,
 )
@@ -96,7 +96,6 @@ from .multiagent import (
     PriceFamily,
     UnitDemandProfile,
     find_beneficial_price,
-    vcg_harmless_contains,
     vcg_single_agent_rule,
 )
 from .oracle import construct_tie_witness, rule_benefit, search_beneficial_misreport
@@ -108,7 +107,6 @@ from .scenarios import (
     facility_harmless_position,
     facility_preferred,
     facility_type,
-    kminded_harmless_contains,
     second_price_harmful_contains,
 )
 
@@ -122,6 +120,9 @@ class ScenarioError(ValueError):
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+# An assignment or axis index: ASCII digits only (str.isdigit and int()
+# also take other scripts' digits and superscripts).
+_INDEX = re.compile(r"[0-9]+")
 
 
 def _parse_rational(token: str, line: int | None = None) -> Fraction:
@@ -208,14 +209,8 @@ def _option_rational(scenario: Scenario, key: str) -> Fraction | None:
 
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text, reporting the offending line on error."""
-    name = None
-    mechanism_class = None
-    theta = None
-    reported = None
-    labels: tuple[str, ...] | None = None
-    null_label = None
-    space_low = None
-    space_high = None
+    # The directives given at most once, by key.
+    once: dict[str, str | tuple[str, ...] | Vector] = {}
     queries: list[Vector] = []
     allocations: list[Allocation] = []
     options: list[tuple[str, tuple[str, ...]]] = []
@@ -225,50 +220,29 @@ def parse_scenario(text: str) -> Scenario:
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
-        parts = stripped.split()
-        key, args = parts[0], parts[1:]
-        if key == "scenario":
-            if name is not None:
-                raise ScenarioError("duplicate scenario line", line_no)
+        key, *args = stripped.split()
+        if key in once:
+            raise ScenarioError(f"duplicate {key} line", line_no)
+        if key in ("theta", "reported", "space_low", "space_high"):
+            once[key] = _parse_vector(args, line_no)
+        elif key == "scenario":
             if len(args) != 1:
                 raise ScenarioError("scenario takes exactly one name token", line_no)
-            name = args[0]
+            once[key] = args[0]
         elif key == "class":
-            if mechanism_class is not None:
-                raise ScenarioError("duplicate class line", line_no)
             if len(args) != 1 or args[0] not in MECHANISM_CLASSES:
                 raise ScenarioError(
                     f"class must be one of {', '.join(MECHANISM_CLASSES)}", line_no
                 )
-            mechanism_class = args[0]
+            once[key] = args[0]
         elif key == "assignments":
-            if labels is not None:
-                raise ScenarioError("duplicate assignments line", line_no)
             if len(args) < 2:
                 raise ScenarioError("need at least two assignment labels", line_no)
-            labels = tuple(args)
+            once[key] = tuple(args)
         elif key == "null_assignment":
-            if null_label is not None:
-                raise ScenarioError("duplicate null_assignment line", line_no)
             if len(args) != 1:
                 raise ScenarioError("null_assignment takes one label", line_no)
-            null_label = args[0]
-        elif key == "theta":
-            if theta is not None:
-                raise ScenarioError("duplicate theta line", line_no)
-            theta = _parse_vector(args, line_no)
-        elif key == "reported":
-            if reported is not None:
-                raise ScenarioError("duplicate reported line", line_no)
-            reported = _parse_vector(args, line_no)
-        elif key == "space_low":
-            if space_low is not None:
-                raise ScenarioError("duplicate space_low line", line_no)
-            space_low = _parse_vector(args, line_no)
-        elif key == "space_high":
-            if space_high is not None:
-                raise ScenarioError("duplicate space_high line", line_no)
-            space_high = _parse_vector(args, line_no)
+            once[key] = args[0]
         elif key == "query":
             queries.append(_parse_vector(args, line_no))
         elif key == "allocation":
@@ -284,6 +258,12 @@ def parse_scenario(text: str) -> Scenario:
         else:
             raise ScenarioError(f"unknown directive {key!r}", line_no)
 
+    name = once.get("scenario")
+    mechanism_class = once.get("class")
+    theta = once.get("theta")
+    reported = once.get("reported")
+    labels = once.get("assignments")
+    null_label = once.get("null_assignment")
     if name is None:
         raise ScenarioError("missing scenario line")
     if mechanism_class is None:
@@ -319,8 +299,8 @@ def parse_scenario(text: str) -> Scenario:
         queries=tuple(queries),
         assignments=assignments,
         allocations=tuple(allocations),
-        space_low=space_low,
-        space_high=space_high,
+        space_low=once.get("space_low"),
+        space_high=once.get("space_high"),
         options=tuple(options),
     )
     _validate_dimensions(scenario)
@@ -439,28 +419,6 @@ Setup = tuple[str, Decide, ConvexRegion | None, tuple[tuple[str, str], ...]]
 Search = Callable[[Vector, Vector, Sequence[Allocation]], SeparatingRule | None]
 
 
-def point_mass_rule(
-    theta: Vector, x: Vector, allocations: Sequence[Allocation]
-) -> SeparatingRule | None:
-    """The closed-form certificate over point masses, or None when x is harmless.
-
-    Splits the pair ``point_mass_separating_pair`` picks at theta's own
-    indifference level theta_p - theta_o, boundary to the preferred side,
-    with theta pinned to the worse allocation and a boundary x to the
-    better: the same rule ``search_beneficial_misreport`` returns, without
-    its O(m^3) scan of allocation vectors.
-    """
-    pair = point_mass_separating_pair(theta, x, allocations)
-    if pair is None:
-        return None
-    preferred, other, on_boundary = pair
-    overrides = {theta: other}
-    if on_boundary:
-        overrides[x] = preferred
-    price = preferred.value_to(theta) - other.value_to(theta)
-    return SeparatingRule(preferred, other, price, TieSide.TO_I, overrides)
-
-
 def _separating(
     true_type: Vector, report: Vector, allocations: Sequence[Allocation], search: Search
 ) -> Fields:
@@ -507,6 +465,24 @@ def _certified(
     return decide
 
 
+def _forward_point_mass(
+    scenario: Scenario,
+    operation: str,
+    allocations: Sequence[Allocation],
+    summary: tuple[tuple[str, str], ...],
+) -> Setup:
+    """Every forward point-mass class: the class's harmless set, built once
+    per scenario, decides each query and gives the region; each harmful
+    query is certified in closed form."""
+    theta = scenario.anchor
+    if scenario.mechanism_class == "universally_truthful":
+        result = universally_truthful_harmless(theta, allocations)
+    else:
+        result = deterministic_harmless(theta, allocations)
+    decide = _certified(result.contains, theta, allocations, point_mass_rule)
+    return operation, decide, result.region, summary
+
+
 def _setup_point_mass(scenario: Scenario) -> Setup:
     """deterministic and universally_truthful classes, both modes."""
     anchor = scenario.anchor
@@ -520,14 +496,9 @@ def _setup_point_mass(scenario: Scenario) -> Setup:
             return True, ("separating", _separating(q, anchor, allocations, point_mass_rule))
 
         return "harmful_union_contains", decide, None, summary
-    if scenario.mechanism_class == "universally_truthful":
-        operation = "universally_truthful_harmless"
-        result = universally_truthful_harmless(anchor, allocations)
-    else:
-        operation = "deterministic_harmless"
-        result = deterministic_harmless(anchor, allocations)
-    decide = _certified(result.contains, anchor, allocations, point_mass_rule)
-    return operation, decide, result.region, summary
+    return _forward_point_mass(
+        scenario, f"{scenario.mechanism_class}_harmless", allocations, summary
+    )
 
 
 def _setup_tie(scenario: Scenario) -> Setup:
@@ -578,17 +549,13 @@ def _setup_vcg(scenario: Scenario) -> Setup:
         others.append((_parse_rational(values[0]), _parse_rational(values[1])))
     rule = vcg_single_agent_rule(UnitDemandProfile(tuple(others)))
     prices = [price for _, price in rule.entries]
-    allocations = point_masses(3)
-    decide = _certified(
-        lambda q: vcg_harmless_contains(theta, q), theta, allocations, point_mass_rule
-    )
-    region = deterministic_harmless(theta, allocations).region
+    check_null_coordinate(theta, *scenario.queries)
     summary = (
         ("others", str(len(others))),
         ("price_item1", str(prices[1])),
         ("price_item2", str(prices[2])),
     )
-    return "vcg_harmless_contains", decide, region, summary
+    return _forward_point_mass(scenario, "vcg_harmless_contains", point_masses(3), summary)
 
 
 def _parse_price_bound(values: tuple[str, ...] | None, default: Fraction | None):
@@ -650,12 +617,10 @@ def _setup_kminded(scenario: Scenario) -> Setup:
         raise ScenarioError(
             f"kminded scenarios with k {k} use {k + 1} coordinates (null first)"
         )
-    allocations = point_masses(k + 1)
-    decide = _certified(
-        lambda q: kminded_harmless_contains(k, theta, q), theta, allocations, point_mass_rule
+    check_null_coordinate(theta, *scenario.queries)
+    return _forward_point_mass(
+        scenario, "kminded_harmless_contains", point_masses(k + 1), (("k", token),)
     )
-    region = deterministic_harmless(theta, allocations).region
-    return "kminded_harmless_contains", decide, region, (("k", token),)
 
 
 def _setup_second_price(scenario: Scenario) -> Setup:
@@ -814,7 +779,7 @@ def _verify_rule(scenario: Scenario) -> Rule:
             (point_mass(i, dim), _parse_rational(token)) for i, token in enumerate(prices)
         )
         return TaxationRule(entries)
-    if len(pair) != 2 or not all(t.isdigit() for t in pair):
+    if len(pair) != 2 or not all(_INDEX.fullmatch(t) for t in pair):
         raise ScenarioError("rule_pair takes two assignment indices")
     i, j = int(pair[0]), int(pair[1])
     if not (0 <= i < dim and 0 <= j < dim):
@@ -830,7 +795,12 @@ def _verify_rule(scenario: Scenario) -> Rule:
 
 
 def _verification(token: str, rule: Rule, dim: int) -> Callable[[Vector, Vector], bool]:
-    """The verification_kind's predicate: is (true type, report) caught?"""
+    """The verification_kind's predicate: is (true type, report) caught?
+
+    ``harmless_complement`` catches the reports outside the true type's
+    deterministic harmless set over the point masses, which are exactly
+    the reports with a ``point_mass_rule`` certificate.
+    """
     if token == "none":
         return lambda true, reported: False
     if token == "no_overbid":
@@ -844,15 +814,7 @@ def _verification(token: str, rule: Rule, dim: int) -> Callable[[Vector, Vector]
         return overstates_received
     if token == "harmless_complement":
         allocations = point_masses(dim)
-        harmless_sets: dict[Vector, HarmlessResult] = {}
-
-        def outside_harmless(true: Vector, reported: Vector) -> bool:
-            # One harmless set per true type, however many reports it meets.
-            if true not in harmless_sets:
-                harmless_sets[true] = deterministic_harmless(true, allocations)
-            return not harmless_sets[true].contains(reported)
-
-        return outside_harmless
+        return lambda true, reported: point_mass_rule(true, reported, allocations) is not None
     raise ScenarioError(f"unknown verification_kind {token!r}")
 
 
@@ -1375,9 +1337,6 @@ def render_regions(
 
 # --------------------------------------------------------------------------
 # Command line
-
-
-_INDEX = re.compile(r"[0-9]+")
 
 
 def _parse_axes(token: str) -> tuple[int, int]:

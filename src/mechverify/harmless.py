@@ -14,10 +14,12 @@ Three rule classes are characterised in closed form:
   carrying the true type as a boundary member.  The region lists all of
   them (up to m(m-1)/2), but membership needs only d = x - theta sorted
   by theta's value levels: O(m log m) comparisons in place of one dot
-  product per pair.  A harmful report's certificate is the first pair
-  with theta_p > theta_o and d_p >= d_o (``point_mass_separating_pair``):
-  O(m^2) scalar comparisons where the oracle's scan builds and scores
-  O(m^2) m-coordinate differences;
+  product per pair.  A harmful report's certificate is the rule that
+  splits the first pair with theta_p > theta_o and d_p >= d_o
+  (``point_mass_rule``): O(m^2) scalar comparisons where the oracle's scan
+  builds and scores O(m^2) m-coordinate differences.  That rule is None
+  exactly when x is harmless, so it also answers membership for a caller
+  that needs no region;
 * all truthful-in-expectation rules over a simplex of randomized allocations,
   where x is harmless iff its projection onto the difference span is a
   scaling of theta's by a factor at most one.  The projection is closed
@@ -54,6 +56,8 @@ from .mechanisms import (
     Allocation,
     MechanismError,
     Rule,
+    SeparatingRule,
+    TieSide,
     apply_rule,
 )
 
@@ -185,20 +189,21 @@ def deterministic_harmless(theta: Vector, allocations: Sequence[Allocation]) -> 
     return HarmlessResult(contains, region)
 
 
-def point_mass_separating_pair(
+def point_mass_rule(
     theta: Vector, x: Vector, allocations: Sequence[Allocation]
-) -> tuple[Allocation, Allocation, bool] | None:
-    """The pair a deterministic rule splits so that reporting x beats theta.
+) -> SeparatingRule | None:
+    """The closed-form certificate over point masses, or None when x is harmless.
 
     Over point masses e_p and e_o the critical hyperplane through theta is
     x_p - x_o = theta_p - theta_o, so with d = x - theta a report beats the
-    truth exactly when some pair has theta_p > theta_o and d_p >= d_o.
-    Returns the first such (preferred, other) pair, preferred in the outer
-    and other in the inner loop over the given order -- the pair
-    ``oracle.search_beneficial_misreport`` finds -- and whether d_p == d_o,
-    the boundary case; None when x == theta or no pair qualifies.  An
-    O(m^2) scan of scalar comparisons over point masses of theta's
-    dimension.
+    truth exactly when some pair has theta_p > theta_o and d_p >= d_o.  The
+    first such (preferred, other) pair, preferred in the outer and other in
+    the inner loop over the given order, is split at theta's own
+    indifference level theta_p - theta_o, boundary to the preferred side,
+    with theta pinned to the worse allocation and, when d_p == d_o, x to the
+    better: the rule ``oracle.search_beneficial_misreport`` returns, from an
+    O(m^2) scan of scalar comparisons in place of its O(m^3) scan of
+    allocation vectors.  None when x == theta or no pair qualifies.
     """
     if x.dim != theta.dim:
         raise DimensionMismatch(f"type dims {theta.dim} vs {x.dim}")
@@ -214,8 +219,17 @@ def point_mass_separating_pair(
     for preferred, level_p, d_p in scalars:
         for other, level_o, d_o in scalars:
             if level_p > level_o and d_p >= d_o:
-                return preferred, other, d_p == d_o
+                overrides = {theta: other}
+                if d_p == d_o:
+                    overrides[x] = preferred
+                return SeparatingRule(preferred, other, level_p - level_o, TieSide.TO_I, overrides)
     return None
+
+
+def check_null_coordinate(*types: Vector) -> None:
+    """Coordinate 0 is the null assignment, and every type values it at 0."""
+    if any(t[0] != 0 for t in types):
+        raise MechanismError("the null coordinate (index 0) must be worth 0")
 
 
 def _pairwise_halfspaces(theta: Vector, indices: Sequence[int]):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import DimensionMismatch, Vector, frac
-from .harmless import deterministic_harmless
+from .harmless import check_null_coordinate, deterministic_harmless
 from .mechanisms import MechanismError, TaxationRule, point_mass, point_masses
 
 ITEMS = (1, 2)  # type coordinates; coordinate 0 is the null assignment
@@ -277,6 +277,5 @@ def vcg_harmless_contains(theta: Vector, x: Vector) -> bool:
     deterministic one over the three point-mass allocations.
     """
     _check_types(theta, x)
-    if theta[0] != 0 or x[0] != 0:
-        raise MechanismError("the null coordinate (index 0) must be worth 0")
+    check_null_coordinate(theta, x)
     return deterministic_harmless(theta, point_masses(3)).contains(x)

@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .geometry import Vector, frac
-from .harmless import deterministic_harmless
+from .harmless import check_null_coordinate, deterministic_harmless
 from .mechanisms import MechanismError, point_masses
 
 
@@ -67,8 +67,7 @@ def kminded_harmless_contains(k: int, theta: Vector, x: Vector) -> bool:
         raise MechanismError(f"k must be 1 or 2, got {k}")
     if theta.dim != k + 1 or x.dim != k + 1:
         raise MechanismError(f"types need {k + 1} coordinates (null first)")
-    if theta[0] != 0 or x[0] != 0:
-        raise MechanismError("the null coordinate (index 0) must be worth 0")
+    check_null_coordinate(theta, x)
     return deterministic_harmless(theta, point_masses(k + 1)).contains(x)
 
 

@@ -6,12 +6,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from mechverify import cli
+from mechverify import cli, multiagent, scenarios
 from mechverify.cli import (
     MECHANISM_CLASSES,
     Scenario,
     ScenarioError,
+    load_scenario,
     main,
     parse_result,
     parse_scenario,
@@ -22,8 +25,21 @@ from mechverify.cli import (
     serialize_witnesses,
     slice_region_vertices,
 )
-from mechverify.geometry import Sense, vec
-from mechverify.mechanisms import MechanismError
+from mechverify.geometry import Sense, Vector, vec
+from mechverify.harmless import deterministic_harmless
+from mechverify.mechanisms import (
+    MechanismError,
+    SeparatingRule,
+    TaxationRule,
+    TieSide,
+    is_truthful_with_verification,
+    point_mass,
+    point_masses,
+)
+from mechverify.multiagent import vcg_harmless_contains
+from mechverify.scenarios import kminded_harmless_contains
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 DETERMINISTIC_EXAMPLE = """\
 scenario bundle_pair
@@ -104,6 +120,29 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ScenarioError) as err:
         parse_scenario("scenario s\nclass deterministic\ntheta 1 x\n")
     assert err.value.line == 3
+
+
+# One line for each directive a scenario may give at most once.
+ONCE_ONLY = {
+    "scenario": "scenario s",
+    "class": "class deterministic",
+    "assignments": "assignments a b",
+    "null_assignment": "null_assignment a",
+    "theta": "theta 0 1",
+    "reported": "reported 0 1",
+    "space_low": "space_low -1 -1",
+    "space_high": "space_high 2 2",
+}
+
+
+@pytest.mark.parametrize("key", ONCE_ONLY)
+def test_parse_rejects_a_repeated_once_only_directive(key):
+    lines = [line for k, line in ONCE_ONLY.items() if k not in (key, "reported")]
+    lines += [ONCE_ONLY[key], "query 0 1", ONCE_ONLY[key]]
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario("\n".join(lines) + "\n")
+    assert err.value.line == len(lines)
+    assert str(err.value) == f"line {len(lines)}: duplicate {key} line"
 
 
 def test_parse_requires_exactly_one_anchor():
@@ -371,6 +410,60 @@ def test_point_mass_classes_certify_without_the_oracle(text, monkeypatch):
     assert gained > witness_field(document.witnesses[0], "truthful")[1]
 
 
+# vcg and kminded anchors that value the null assignment, with no query.
+NULL_WORTH_NONZERO = {
+    "vcg": "scenario s\nclass vcg\ntheta 1 2 1\noption others 1 0\n",
+    "kminded": "scenario s\nclass kminded\noption k 2\ntheta 1 1/2 3/2\n",
+}
+
+
+@pytest.mark.parametrize("text", NULL_WORTH_NONZERO.values(), ids=NULL_WORTH_NONZERO)
+def test_null_coordinate_is_checked_at_setup(text, tmp_path, capsys):
+    message = "the null coordinate (index 0) must be worth 0"
+    with pytest.raises(MechanismError) as err:
+        run_scenario(parse_scenario(text))
+    assert str(err.value) == message
+    scenario = tmp_path / "s.scn"
+    scenario.write_text(text)
+    assert main(["harmless", "--scenario", str(scenario)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "name, library_contains",
+    [
+        ("two_items", vcg_harmless_contains),
+        ("bundles_k2", lambda theta, x: kminded_harmless_contains(2, theta, x)),
+    ],
+    ids=["vcg", "kminded"],
+)
+def test_vcg_and_kminded_build_one_harmless_set(name, library_contains, monkeypatch):
+    scenario = load_scenario(SCENARIO_DIR / f"{name}.scn")
+    builds = []
+    build = cli.deterministic_harmless
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    def refuse(*args):
+        raise AssertionError("a library wrapper rebuilt the harmless set")
+
+    monkeypatch.setattr(cli, "deterministic_harmless", counted)
+    monkeypatch.setattr(multiagent, "deterministic_harmless", refuse)
+    monkeypatch.setattr(scenarios, "deterministic_harmless", refuse)
+    document = run_scenario(scenario)
+    assert len(builds) == 1
+    monkeypatch.undo()
+    theta = scenario.anchor
+    assert document.region == deterministic_harmless(theta, point_masses(theta.dim)).region
+    assert [qr.member for qr in document.queries] == [
+        library_contains(theta, q) for q in scenario.queries
+    ]
+    assert len(document.witnesses) == [qr.member for qr in document.queries].count(False)
+
+
 def test_explicit_allocation_expectation_scenarios_use_the_oracle(monkeypatch):
     calls = []
     search = cli.search_beneficial_misreport
@@ -498,6 +591,99 @@ query 1 0
     both = text + "option rule_prices 0 1\noption rule_pair 0 1\n"
     with pytest.raises(ScenarioError):
         run_verify(parse_scenario(both))
+
+
+@pytest.mark.parametrize("index", ["\u0661", "\u00b2"], ids=["arabic-indic-one", "superscript-two"])
+def test_rule_pair_takes_ascii_indices(index, tmp_path, capsys):
+    text = (
+        "scenario s\nclass deterministic\ntheta 0 1\n"
+        f"option rule_pair {index} 0\noption rule_price 1\n"
+    )
+    with pytest.raises(ScenarioError) as err:
+        run_verify(parse_scenario(text))
+    assert str(err.value) == "rule_pair takes two assignment indices"
+    scenario = tmp_path / "s.scn"
+    scenario.write_text(text, encoding="utf-8")
+    assert main(["verify", "--scenario", str(scenario)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: rule_pair takes two assignment indices\n")
+
+
+# Few values, so types tie on coordinates and repeat across the grid.
+menu_values = st.sampled_from([Fraction(v, 2) for v in range(-2, 5)])
+
+
+def _tokens(values):
+    return " ".join(str(v) for v in values)
+
+
+@st.composite
+def point_mass_menus(draw):
+    """A verify scenario over m point masses with the harmless_complement
+    verification, the rule it declares, and its types (anchor first)."""
+    m = draw(st.integers(min_value=2, max_value=5))
+    coords = st.lists(menu_values, min_size=m, max_size=m)
+    types = [Vector(tuple(c)) for c in draw(st.lists(coords, min_size=2, max_size=8))]
+    if draw(st.booleans()):
+        prices = draw(coords)
+        rule = TaxationRule(tuple((point_mass(i, m), p) for i, p in enumerate(prices)))
+        options = [f"option rule_prices {_tokens(prices)}"]
+    else:
+        i, j = draw(st.permutations(range(m)))[:2]
+        price = draw(menu_values)
+        tie = draw(st.sampled_from([TieSide.TO_I, TieSide.TO_J]))
+        rule = SeparatingRule(point_mass(i, m), point_mass(j, m), price, tie)
+        options = [
+            f"option rule_pair {i} {j}",
+            f"option rule_price {price}",
+            f"option rule_tie {tie.value}",
+        ]
+    lines = ["scenario menu", "class deterministic", f"theta {_tokens(types[0])}"]
+    lines += [f"query {_tokens(t)}" for t in types[1:]]
+    lines += options + ["option verification_kind harmless_complement"]
+    return "\n".join(lines) + "\n", rule, types
+
+
+@given(point_mass_menus())
+def test_harmless_complement_matches_the_harmless_set(menu):
+    # Every deterministic rule is truthful once the harmless set's
+    # complement is verified, so the verdict alone would miss a predicate
+    # that catches too much; each grid pair is compared as well.
+    text, rule, types = menu
+    allocations = point_masses(types[0].dim)
+
+    def outside_harmless(true, reported):
+        return not deterministic_harmless(true, allocations).contains(reported)
+
+    grid = list(dict.fromkeys(types))
+    predicate = cli._verification("harmless_complement", rule, types[0].dim)
+    for true in grid:
+        for reported in grid:
+            assert predicate(true, reported) == outside_harmless(true, reported)
+    truthful, violation = is_truthful_with_verification(rule, outside_harmless, grid)
+    document = run_verify(parse_scenario(text))
+    assert ("truthful", "true" if truthful else "false") in document.summary
+    if violation is None:
+        assert document.witnesses == ()
+    else:
+        (witness,) = document.witnesses
+        assert witness.query_index == grid.index(violation[0])
+        assert witness_field(witness, "true_type")[1] == violation[0]
+        assert witness_field(witness, "beneficial_report")[1] == violation[1]
+
+
+def test_harmless_complement_builds_no_harmless_set(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("verify built a harmless set")
+
+    monkeypatch.setattr(cli, "deterministic_harmless", refuse)
+    guarded = parse_scenario(
+        (SCENARIO_DIR / "menu_check.scn").read_text()
+        + "option verification_kind harmless_complement\n"
+    )
+    document = run_verify(guarded)
+    assert ("truthful", "true") in document.summary
+    assert ("verification", "harmless_complement") in document.summary
 
 
 def test_serialize_round_trips_exactly():

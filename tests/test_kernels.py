@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mechverify.cli import parse_scenario, point_mass_rule, run_scenario
+from mechverify.cli import parse_scenario, run_scenario
 from mechverify.geometry import (
     ConvexRegion,
     DimensionMismatch,
@@ -31,7 +31,7 @@ from mechverify.harmless import (
     difference_projection,
     difference_span,
     pairwise_harmless,
-    point_mass_separating_pair,
+    point_mass_rule,
     tie_harmless_contains,
 )
 from mechverify.mechanisms import Allocation, MechanismError, TieSide, point_mass, point_masses
@@ -213,11 +213,11 @@ def test_point_mass_pair_rejects_other_allocations():
     theta, x = vec(1, 0), vec(0, 1)
     half = Allocation(vec(Fraction(1, 2), Fraction(1, 2)))
     with pytest.raises(MechanismError):
-        point_mass_separating_pair(theta, x, (point_mass(0, 2), half))
+        point_mass_rule(theta, x, (point_mass(0, 2), half))
     with pytest.raises(MechanismError):
-        point_mass_separating_pair(theta, x, point_masses(3))
+        point_mass_rule(theta, x, point_masses(3))
     with pytest.raises(DimensionMismatch):
-        point_mass_separating_pair(theta, vec(0, 1, 0), point_masses(2))
+        point_mass_rule(theta, vec(0, 1, 0), point_masses(2))
 
 
 # -- expectation projection ---------------------------------------------------
