@@ -8,7 +8,6 @@ prints the counts and a few disagreeing reports with their certifying rules.
 """
 
 import argparse
-from dataclasses import dataclass
 from fractions import Fraction
 
 from mechverify.geometry import Vector, frac, vec
@@ -21,26 +20,17 @@ from mechverify.mechanisms import point_masses
 from mechverify.oracle import construct_tie_witness
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    theta: Vector
-    radius: Fraction
-    steps: int
-    show: int
-
-
-def sweep(config: SweepConfig) -> None:
-    theta = config.theta
+def sweep(theta: Vector, radius: Fraction, steps: int, show: int) -> None:
     det = deterministic_harmless(theta, point_masses(theta.dim))
-    step = 2 * config.radius / config.steps
+    step = 2 * radius / steps
     counts = {"both": 0, "det_only": 0, "neither": 0}
     shown = 0
     # Vary the two highest coordinates, keep the rest at theta.
-    for a in range(config.steps + 1):
-        for b in range(config.steps + 1):
+    for a in range(steps + 1):
+        for b in range(steps + 1):
             coords = list(theta.coords)
-            coords[-2] = theta[-2] - config.radius + step * a
-            coords[-1] = theta[-1] - config.radius + step * b
+            coords[-2] = theta[-2] - radius + step * a
+            coords[-1] = theta[-1] - radius + step * b
             x = vec(*coords)
             in_det = det.contains(x)
             in_tie = tie_harmless_contains(theta, x, SimplexFamily.FULL_SIMPLEX)
@@ -48,7 +38,7 @@ def sweep(config: SweepConfig) -> None:
                 counts["both"] += 1
             elif in_det:
                 counts["det_only"] += 1
-                if shown < config.show:
+                if shown < show:
                     witness = construct_tie_witness(
                         theta, x, SimplexFamily.FULL_SIMPLEX
                     )
@@ -59,7 +49,7 @@ def sweep(config: SweepConfig) -> None:
                     shown += 1
             else:
                 counts["neither"] += 1
-    total = (config.steps + 1) ** 2
+    total = (steps + 1) ** 2
     print(f"true type {theta.coords}, {total} grid reports:")
     print(f"  harmless for both classes:        {counts['both']}")
     print(f"  deterministic-only harmless:      {counts['det_only']}")
@@ -74,7 +64,7 @@ def main() -> None:
     parser.add_argument("--show", type=int, default=3, help="examples to print")
     args = parser.parse_args()
     theta = vec(*(frac(t) for t in args.theta.split(",")))
-    sweep(SweepConfig(theta, frac(args.radius), args.steps, args.show))
+    sweep(theta, frac(args.radius), args.steps, args.show)
 
 
 if __name__ == "__main__":

@@ -9,8 +9,6 @@ all, agents strictly between them need both.
 """
 
 import argparse
-from dataclasses import dataclass
-from fractions import Fraction
 
 from mechverify.geometry import frac
 from mechverify.scenarios import (
@@ -30,23 +28,17 @@ SUBSETS = (
 )
 
 
-@dataclass(frozen=True)
-class CoverageConfig:
-    line: FacilityLine
-    steps: int
-
-
-def sweep(config: CoverageConfig) -> None:
-    left, right = config.line.locations
-    margin = config.line.span
-    step = (config.line.span + 2 * margin) / config.steps
+def sweep(line: FacilityLine, steps: int) -> None:
+    left, right = line.locations
+    margin = line.span
+    step = (line.span + 2 * margin) / steps
     header = f"{'position':>10} " + " ".join(f"{label:>10}" for _, label in SUBSETS)
     print(header)
-    for k in range(config.steps + 1):
+    for k in range(steps + 1):
         z = left - margin + step * k
         cells = []
         for kinds, _ in SUBSETS:
-            uncovered = facility_first_uncovered(z, config.line, kinds)
+            uncovered = facility_first_uncovered(z, line, kinds)
             cells.append("covered" if uncovered is None else str(uncovered))
         print(f"{str(z):>10} " + " ".join(f"{c:>10}" for c in cells))
 
@@ -59,7 +51,7 @@ def main() -> None:
     args = parser.parse_args()
     g1, g2 = (frac(t) for t in args.facilities.split(","))
     line = FacilityLine((g1, g2), frac(args.benefit))
-    sweep(CoverageConfig(line, args.steps))
+    sweep(line, args.steps)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,6 @@ after the scenario.
 """
 
 import argparse
-from dataclasses import dataclass
 from pathlib import Path
 
 from mechverify.cli import (
@@ -19,31 +18,24 @@ from mechverify.cli import (
 )
 
 
-@dataclass(frozen=True)
-class RenderConfig:
-    scenario_dir: Path
-    out_dir: Path
-    axes: tuple[int, int]
-
-
-def render_all(config: RenderConfig) -> None:
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    for path in sorted(config.scenario_dir.glob("*.scn")):
+def render_all(scenario_dir: Path, out_dir: Path, axes: tuple[int, int]) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for path in sorted(scenario_dir.glob("*.scn")):
         scenario = load_scenario(path)
         document = run_scenario(scenario)
-        base = config.out_dir / scenario.name
+        base = out_dir / scenario.name
         base.with_suffix(".result").write_text(serialize_result(document))
         pieces = [f"{scenario.name}: {len(document.queries)} queries"]
         if document.witnesses:
             base.with_suffix(".witnesses").write_text(serialize_witnesses(document))
             pieces.append(f"{len(document.witnesses)} witnesses")
         if document.region is not None:
-            axes = config.axes
+            plot_axes = axes
             if max(axes) >= document.anchor.dim:
-                axes = (0, document.anchor.dim - 1) if document.anchor.dim > 1 else None
-            if axes is not None:
-                base.with_suffix(".svg").write_text(render_regions(document, axes))
-                pieces.append(f"plot on axes {axes}")
+                plot_axes = (0, document.anchor.dim - 1) if document.anchor.dim > 1 else None
+            if plot_axes is not None:
+                base.with_suffix(".svg").write_text(render_regions(document, plot_axes))
+                pieces.append(f"plot on axes {plot_axes}")
         print(", ".join(pieces))
 
 
@@ -58,7 +50,7 @@ def main() -> None:
     )
     args = parser.parse_args()
     i, j = (int(t) for t in args.axes.split(","))
-    render_all(RenderConfig(Path(args.scenarios), Path(args.out), (i, j)))
+    render_all(Path(args.scenarios), Path(args.out), (i, j))
 
 
 if __name__ == "__main__":

@@ -406,29 +406,22 @@ def _provenance(mechanism_class: str, operation: str) -> tuple[tuple[str, str], 
 
 # A certificate for one query: the witness kind and its fields.
 Certificate = tuple[str, Fields]
-# decide(q) gives q's membership and, for the answer that needs one, a
-# certificate that has been checked.
-Decide = Callable[[Vector], tuple[bool, Certificate | None]]
-# What a class's setup returns: (operation, decide, region before the
-# type-space box or None, summary).
-Setup = tuple[str, Decide, ConvexRegion | None, tuple[tuple[str, str], ...]]
+# What a class's setup returns: (operation, certify, region before the
+# type-space box or None, summary).  certify(q) gives q's checked
+# certificate, or None when q has none: a forward query is a member exactly
+# when it has none, a reverse query exactly when it has one.
+Setup = tuple[
+    str, Callable[[Vector], Certificate | None], ConvexRegion | None, tuple[tuple[str, str], ...]
+]
 
 
-# A certificate search: (true type, report, allocations) -> a rule under
-# which the report strictly beats the truth, or None.
-Search = Callable[[Vector, Vector, Sequence[Allocation]], SeparatingRule | None]
-
-
-def _separating(
-    true_type: Vector, report: Vector, allocations: Sequence[Allocation], search: Search
-) -> Fields:
-    """The rule ``search`` finds under which reporting ``report`` beats the
+def _separating(rule: SeparatingRule | None, true_type: Vector, report: Vector) -> Fields:
+    """The fields of ``rule``, under which reporting ``report`` beats the
     truth, checked by direct evaluation before it is shipped.
 
-    Called only where a closed form said harmful, so a search finding no
+    Called only where a closed form said harmful, so a caller finding no
     rule means the two disagree.
     """
-    rule = search(true_type, report, allocations)
     if rule is None:
         raise AssertionError("membership said harmful but no rule benefits")
     gained, truthful = rule_benefit(rule, true_type, report)
@@ -449,22 +442,6 @@ def _separating(
     return tuple(fields)
 
 
-def _certified(
-    contains: Callable[[Vector], bool],
-    theta: Vector,
-    allocations: Sequence[Allocation],
-    search: Search,
-) -> Decide:
-    """Membership from a closed form; each harmful report certified by ``search``."""
-
-    def decide(q: Vector) -> tuple[bool, Certificate | None]:
-        if contains(q):
-            return True, None
-        return False, ("separating", _separating(theta, q, allocations, search))
-
-    return decide
-
-
 def _forward_point_mass(
     scenario: Scenario,
     operation: str,
@@ -479,8 +456,13 @@ def _forward_point_mass(
         result = universally_truthful_harmless(theta, allocations)
     else:
         result = deterministic_harmless(theta, allocations)
-    decide = _certified(result.contains, theta, allocations, point_mass_rule)
-    return operation, decide, result.region, summary
+
+    def certify(q: Vector) -> Certificate | None:
+        if result.contains(q):
+            return None
+        return "separating", _separating(point_mass_rule(theta, q, allocations), theta, q)
+
+    return operation, certify, result.region, summary
 
 
 def _setup_point_mass(scenario: Scenario) -> Setup:
@@ -490,12 +472,12 @@ def _setup_point_mass(scenario: Scenario) -> Setup:
     summary = (("allocations", str(len(allocations))),)
     if scenario.mode == "reverse":
 
-        def decide(q: Vector) -> tuple[bool, Certificate | None]:
+        def certify(q: Vector) -> Certificate | None:
             if not harmful_union_contains(anchor, allocations, q):
-                return False, None
-            return True, ("separating", _separating(q, anchor, allocations, point_mass_rule))
+                return None
+            return "separating", _separating(point_mass_rule(q, anchor, allocations), q, anchor)
 
-        return "harmful_union_contains", decide, None, summary
+        return "harmful_union_contains", certify, None, summary
     return _forward_point_mass(
         scenario, f"{scenario.mechanism_class}_harmless", allocations, summary
     )
@@ -507,24 +489,25 @@ def _setup_tie(scenario: Scenario) -> Setup:
         # Explicit allocation sets satisfy the rank-one hypothesis, where
         # the expectation class and the two-allocation search coincide.
         allocations = scenario.allocations
-        decide = _certified(
-            lambda q: tie_harmless_contains(theta, q, allocations),
-            theta,
-            allocations,
-            search_beneficial_misreport,
-        )
-        return "tie_harmless_contains", decide, None, (("family", "explicit"),)
+
+        def certify(q: Vector) -> Certificate | None:
+            if tie_harmless_contains(theta, q, allocations):
+                return None
+            rule = search_beneficial_misreport(theta, q, allocations)
+            return "separating", _separating(rule, theta, q)
+
+        return "tie_harmless_contains", certify, None, (("family", "explicit"),)
     family = SimplexFamily.FULL_SIMPLEX
     if scenario.assignments is not None and scenario.assignments.null_index is not None:
         if scenario.assignments.null_index != 0:
             raise ScenarioError("the null assignment must be listed first")
         family = SimplexFamily.SUBSIMPLEX_WITH_NULL
 
-    def decide(q: Vector) -> tuple[bool, Certificate | None]:
+    def certify(q: Vector) -> Certificate | None:
         # The witness construction decides membership itself: None is harmless.
         witness = construct_tie_witness(theta, q, family)
         if witness is None:
-            return True, None
+            return None
         fields = (
             ("low", "v", witness.low.probs),
             ("high", "v", witness.high.probs),
@@ -533,15 +516,37 @@ def _setup_tie(scenario: Scenario) -> Setup:
             ("gained", "r", witness.gained_value),
             ("truthful", "r", witness.truthful_value),
         )
-        return False, ("randomized_pair", fields)
+        return "randomized_pair", fields
 
-    return "tie_harmless_contains", decide, None, (("family", family.value),)
+    return "tie_harmless_contains", certify, None, (("family", family.value),)
+
+
+def _check_vcg(scenario: Scenario) -> None:
+    """A vcg type is (null, item1, item2) with the null coordinate worth 0."""
+    if scenario.anchor.dim != 3:
+        raise ScenarioError("vcg scenarios use three coordinates (null, item1, item2)")
+    check_null_coordinate(scenario.anchor, *scenario.queries)
+
+
+def _kminded_k(scenario: Scenario) -> str:
+    """Option k, after checking that every type has k + 1 coordinates, the
+    null coordinate first and worth 0."""
+    token = _option_token(scenario, "k")
+    if token is None:
+        raise ScenarioError("kminded scenarios need option k")
+    if token not in ("1", "2"):
+        raise ScenarioError("option k must be 1 or 2")
+    k = int(token)
+    if scenario.anchor.dim != k + 1:
+        raise ScenarioError(
+            f"kminded scenarios with k {k} use {k + 1} coordinates (null first)"
+        )
+    check_null_coordinate(scenario.anchor, *scenario.queries)
+    return token
 
 
 def _setup_vcg(scenario: Scenario) -> Setup:
-    theta = scenario.anchor
-    if theta.dim != 3:
-        raise ScenarioError("vcg scenarios use three coordinates (null, item1, item2)")
+    _check_vcg(scenario)
     others = []
     for values in option_values(scenario, "others"):
         if len(values) != 2:
@@ -549,7 +554,6 @@ def _setup_vcg(scenario: Scenario) -> Setup:
         others.append((_parse_rational(values[0]), _parse_rational(values[1])))
     rule = vcg_single_agent_rule(UnitDemandProfile(tuple(others)))
     prices = [price for _, price in rule.entries]
-    check_null_coordinate(theta, *scenario.queries)
     summary = (
         ("others", str(len(others))),
         ("price_item1", str(prices[1])),
@@ -580,11 +584,11 @@ def _setup_price_family(scenario: Scenario) -> Setup:
         raise ScenarioError("price_low bounds must be finite")
     family = PriceFamily(((lows[0], highs[0]), (lows[1], highs[1])))
 
-    def decide(q: Vector) -> tuple[bool, Certificate | None]:
+    def certify(q: Vector) -> Certificate | None:
         # The vertex scan decides membership itself: None is harmless.
         witness = find_beneficial_price(theta, family, q)
         if witness is None:
-            return True, None
+            return None
         fields = (
             ("price_item1", "r", witness.prices[0]),
             ("price_item2", "r", witness.prices[1]),
@@ -593,7 +597,7 @@ def _setup_price_family(scenario: Scenario) -> Setup:
             ("gained", "r", witness.gained_value),
             ("truthful", "r", witness.truthful_value),
         )
-        return False, ("prices", fields)
+        return "prices", fields
 
     def bound_token(bound: Fraction | None) -> str:
         return "inf" if bound is None else str(bound)
@@ -602,24 +606,13 @@ def _setup_price_family(scenario: Scenario) -> Setup:
         ("price_low", f"{lows[0]},{lows[1]}"),
         ("price_high", f"{bound_token(highs[0])},{bound_token(highs[1])}"),
     )
-    return "price_family_harmless_contains", decide, None, summary
+    return "price_family_harmless_contains", certify, None, summary
 
 
 def _setup_kminded(scenario: Scenario) -> Setup:
-    theta = scenario.anchor
-    token = _option_token(scenario, "k")
-    if token is None:
-        raise ScenarioError("kminded scenarios need option k")
-    if token not in ("1", "2"):
-        raise ScenarioError("option k must be 1 or 2")
-    k = int(token)
-    if theta.dim != k + 1:
-        raise ScenarioError(
-            f"kminded scenarios with k {k} use {k + 1} coordinates (null first)"
-        )
-    check_null_coordinate(theta, *scenario.queries)
+    token = _kminded_k(scenario)
     return _forward_point_mass(
-        scenario, "kminded_harmless_contains", point_masses(k + 1), (("k", token),)
+        scenario, "kminded_harmless_contains", point_masses(int(token) + 1), (("k", token),)
     )
 
 
@@ -632,24 +625,24 @@ def _setup_second_price(scenario: Scenario) -> Setup:
         raise ScenarioError("second_price scenarios need option threshold")
     allocation_dependent = _option_flag(scenario, "allocation_dependent", False)
 
-    def decide(q: Vector) -> tuple[bool, Certificate | None]:
+    def certify(q: Vector) -> Certificate | None:
         if not second_price_harmful_contains(
             reported[0], threshold, allocation_dependent, q[0]
         ):
-            return False, None
+            return None
         fields = (
             ("threshold", "r", threshold),
             ("reported", "r", reported[0]),
             ("candidate", "r", q[0]),
         )
-        return True, ("threshold", fields)
+        return "threshold", fields
 
     region = _second_price_region(reported[0], threshold, allocation_dependent)
     summary = (
         ("threshold", str(threshold)),
         ("allocation_dependent", "true" if allocation_dependent else "false"),
     )
-    return "second_price_harmful_contains", decide, region, summary
+    return "second_price_harmful_contains", certify, region, summary
 
 
 def _second_price_region(
@@ -690,15 +683,16 @@ def _setup_facility(scenario: Scenario) -> Setup:
     agent_type = facility_type(theta[0], line)
     allocations = point_masses(2)
 
-    def decide(q: Vector) -> tuple[bool, Certificate | None]:
+    def certify(q: Vector) -> Certificate | None:
         if facility_harmless_position(theta[0], line, q[0]):
-            return True, None
+            return None
         report_type = facility_type(q[0], line)
+        rule = point_mass_rule(agent_type, report_type, allocations)
         fields = (
             ("agent_type", "v", agent_type),
             ("report_type", "v", report_type),
-        ) + _separating(agent_type, report_type, allocations, point_mass_rule)
-        return False, ("separating", fields)
+        ) + _separating(rule, agent_type, report_type)
+        return "separating", fields
 
     preferred = facility_preferred(theta[0], line)
     summary = [
@@ -708,7 +702,7 @@ def _setup_facility(scenario: Scenario) -> Setup:
     ]
     if uncovered is not None:
         summary.append(("first_uncovered", str(uncovered)))
-    return "facility_verification_covers", decide, None, tuple(summary)
+    return "facility_verification_covers", certify, None, tuple(summary)
 
 
 # Each class: the scenario mode it runs in (None for both), its setup, and
@@ -734,24 +728,26 @@ def run_scenario(source: Scenario | str | os.PathLike[str]) -> ResultDocument:
     cls = scenario.mechanism_class
     if cls not in _CLASSES:
         raise ScenarioError(f"unsupported mechanism class {cls!r}")
-    mode, setup, _ = _CLASSES[cls]
-    if mode is not None and scenario.mode != mode:
-        raise ScenarioError(f"{cls} scenarios are {mode}-mode only")
-    operation, decide, region, summary = setup(scenario)
+    class_mode, setup, _ = _CLASSES[cls]
+    mode = scenario.mode
+    if class_mode is not None and mode != class_mode:
+        raise ScenarioError(f"{cls} scenarios are {class_mode}-mode only")
+    operation, certify, region, summary = setup(scenario)
     if region is not None:
         box = box_region(scenario.space_low, scenario.space_high)
         region = ConvexRegion(region.halfspaces + box.halfspaces, region.extra_points)
+    forward = mode == "forward"
     queries: list[QueryResult] = []
     witnesses: list[WitnessRecord] = []
     for index, q in enumerate(scenario.queries):
-        member, certificate = decide(q)
-        queries.append(QueryResult(q, member))
+        certificate = certify(q)
+        queries.append(QueryResult(q, (certificate is None) == forward))
         if certificate is not None:
             witnesses.append(WitnessRecord(index, *certificate))
     return ResultDocument(
         scenario_name=scenario.name,
         mechanism_class=cls,
-        mode=scenario.mode,
+        mode=mode,
         operation=operation,
         anchor=scenario.anchor,
         region=region,
@@ -823,6 +819,13 @@ def run_verify(source: Scenario | str | os.PathLike[str]) -> ResultDocument:
     scenario = source if isinstance(source, Scenario) else load_scenario(source)
     if scenario.mode != "forward":
         raise ScenarioError("verify needs a forward-mode scenario")
+    cls = scenario.mechanism_class
+    if cls == "facility_line":
+        raise ScenarioError("verify reads value vectors, not facility_line positions")
+    if cls == "vcg":
+        _check_vcg(scenario)
+    elif cls == "kminded":
+        _kminded_k(scenario)
     theta = scenario.anchor
     rule = _verify_rule(scenario)
     token = _option_token(scenario, "verification_kind", "none")
@@ -858,7 +861,7 @@ def run_verify(source: Scenario | str | os.PathLike[str]) -> ResultDocument:
         )
     return ResultDocument(
         scenario_name=scenario.name,
-        mechanism_class=scenario.mechanism_class,
+        mechanism_class=cls,
         mode="forward",
         operation=operation,
         anchor=theta,
@@ -866,7 +869,7 @@ def run_verify(source: Scenario | str | os.PathLike[str]) -> ResultDocument:
         queries=(),
         witnesses=witnesses,
         summary=tuple(summary),
-        provenance=_provenance(scenario.mechanism_class, operation),
+        provenance=_provenance(cls, operation),
     )
 
 
@@ -970,6 +973,7 @@ def _parse_witness_line(args: list[str], line_no: int) -> WitnessRecord:
 
 
 _SINGLE_TOKEN_DIRECTIVES = ("result", "mode", "class", "operation", "anchor", "region_extra")
+_ONCE_DIRECTIVES = ("result", "mode", "class", "operation", "anchor", "region")
 _HALFSPACE_FIELDS = ("normal", "offset", "sense")
 
 
@@ -1001,7 +1005,9 @@ def parse_result(text: str) -> ResultDocument:
     mechanism_class = None
     operation = None
     anchor = None
-    region_declared = False
+    region_line = None
+    region_args: list[str] = []
+    seen: set[str] = set()
     halfspaces: list[Halfspace] = []
     extras: list[Vector] = []
     queries: list[QueryResult] = []
@@ -1018,6 +1024,10 @@ def parse_result(text: str) -> ResultDocument:
             raise ScenarioError(f"{key} takes exactly one token", line_no)
         if key in ("summary", "provenance") and not args:
             raise ScenarioError(f"{key} needs a key", line_no)
+        if key in _ONCE_DIRECTIVES:
+            if key in seen:
+                raise ScenarioError(f"duplicate {key} line", line_no)
+            seen.add(key)
         if key == "result":
             name = args[0]
         elif key == "mode":
@@ -1029,7 +1039,7 @@ def parse_result(text: str) -> ResultDocument:
         elif key == "anchor":
             anchor = _parse_vector_token(args[0], line_no)
         elif key == "region":
-            region_declared = True
+            region_line, region_args = line_no, args
         elif key == "region_halfspace":
             halfspaces.append(_parse_halfspace(args, line_no))
         elif key == "region_extra":
@@ -1055,12 +1065,17 @@ def parse_result(text: str) -> ResultDocument:
         raise ScenarioError("result document missing header lines")
     if anchor is None:
         raise ScenarioError("result document missing anchor")
-    try:
-        region = (
-            ConvexRegion(tuple(halfspaces), frozenset(extras)) if region_declared else None
-        )
-    except DimensionMismatch as exc:
-        raise ScenarioError(str(exc)) from None
+    region = None
+    if region_line is not None:
+        try:
+            region = ConvexRegion(tuple(halfspaces), frozenset(extras))
+        except DimensionMismatch as exc:
+            raise ScenarioError(str(exc)) from None
+        counts = [f"halfspaces={len(halfspaces)}", f"extras={len(extras)}"]
+        if region_args != counts:
+            raise ScenarioError(f"region line must read: region {' '.join(counts)}", region_line)
+    elif halfspaces or extras:
+        raise ScenarioError("region_halfspace and region_extra lines need a region line")
     return ResultDocument(
         scenario_name=name,
         mechanism_class=mechanism_class,
@@ -1093,7 +1108,6 @@ class _SlicedHalfspace:
     ny: Fraction
     offset: Fraction
     indifference_offset: Fraction
-    sense: Sense
 
 
 def _slice_halfspaces(
@@ -1120,24 +1134,24 @@ def _slice_halfspaces(
                 empty = True
             continue
         sliced.append(
-            _SlicedHalfspace(nx, ny, hs.hyperplane.offset - rest, -rest, hs.sense)
+            _SlicedHalfspace(nx, ny, hs.hyperplane.offset - rest, -rest)
         )
     return sliced, empty
 
 
 def _clip_polygon(
-    polygon: list[tuple[Fraction, Fraction]], h: _SlicedHalfspace
+    polygon: list[tuple[Fraction, Fraction]], nx: Fraction, ny: Fraction, offset: Fraction
 ) -> list[tuple[Fraction, Fraction]]:
-    """One Sutherland-Hodgman pass against the closure of the halfplane."""
+    """One Sutherland-Hodgman pass against nx*x + ny*y >= offset."""
 
     def inside(p: tuple[Fraction, Fraction]) -> bool:
-        return h.nx * p[0] + h.ny * p[1] >= h.offset
+        return nx * p[0] + ny * p[1] >= offset
 
     def crossing(
         p: tuple[Fraction, Fraction], q: tuple[Fraction, Fraction]
     ) -> tuple[Fraction, Fraction]:
-        sp = h.nx * p[0] + h.ny * p[1] - h.offset
-        sq = h.nx * q[0] + h.ny * q[1] - h.offset
+        sp = nx * p[0] + ny * p[1] - offset
+        sq = nx * q[0] + ny * q[1] - offset
         t = sp / (sp - sq)
         return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
 
@@ -1154,24 +1168,11 @@ def _clip_polygon(
 
 
 def _line_segment(
-    nx: Fraction,
-    ny: Fraction,
-    offset: Fraction,
-    bounds: tuple[Fraction, Fraction, Fraction, Fraction],
+    nx: Fraction, ny: Fraction, offset: Fraction, box: list[tuple[Fraction, Fraction]]
 ) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]] | None:
-    """The piece of the line nx*x + ny*y = offset inside the bounds box."""
-    xmin, xmax, ymin, ymax = bounds
-    corners = [(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)]
-    points: list[tuple[Fraction, Fraction]] = []
-    for index, p in enumerate(corners):
-        q = corners[(index + 1) % 4]
-        sp = nx * p[0] + ny * p[1] - offset
-        sq = nx * q[0] + ny * q[1] - offset
-        if sp == 0:
-            points.append(p)
-        if (sp < 0 < sq) or (sq < 0 < sp):
-            t = sp / (sp - sq)
-            points.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    """The piece of the line nx*x + ny*y = offset inside the convex polygon
+    ``box``: the polygon clipped to both closed sides of the line."""
+    points = _clip_polygon(_clip_polygon(box, nx, ny, offset), -nx, -ny, -offset)
     unique = sorted(set(points))
     if len(unique) < 2:
         return None
@@ -1240,22 +1241,15 @@ def render_regions(
     xmin, xmax, ymin, ymax = (frac(b) for b in bounds)
     if xmin >= xmax or ymin >= ymax:
         raise ScenarioError("bounds box must have positive width and height")
-    bounds = (xmin, xmax, ymin, ymax)
+    box = [(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)]
 
     sliced, slice_empty = _slice_halfspaces(document.region, anchor, (i, j))
 
-    polygon: list[tuple[Fraction, Fraction]] = [
-        (xmin, ymin),
-        (xmax, ymin),
-        (xmax, ymax),
-        (xmin, ymax),
-    ]
-    if slice_empty:
-        polygon = []
+    polygon = [] if slice_empty else box
     for h in sliced:
         if not polygon:
             break
-        polygon = _clip_polygon(polygon, h)
+        polygon = _clip_polygon(polygon, h.nx, h.ny, h.offset)
     polygon = [
         p for index, p in enumerate(polygon) if p != polygon[(index + 1) % len(polygon)]
     ]
@@ -1296,7 +1290,7 @@ def render_regions(
             if key in seen:
                 continue
             seen.add(key)
-            segment = _line_segment(h.nx, h.ny, offset, bounds)
+            segment = _line_segment(h.nx, h.ny, offset, box)
             if segment is not None:
                 segments.append((style, *segment))
     for style, start, end in segments:

@@ -6,7 +6,8 @@ intersections of open or closed half-spaces together with an explicit set of
 always-included points.  The extra points exist because the boundary
 behaviour of allocation rules is point-sensitive: a region can lawfully be
 "an open half-space plus one point of its boundary", and membership must be
-decided exactly.
+decided exactly.  Rank and projection share one exact Gram-Schmidt pass over
+a span's generators.
 """
 
 from __future__ import annotations
@@ -231,52 +232,33 @@ class Span:
         return self.basis[0].dim if self.basis else None
 
 
-def _echelon(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Row echelon form over the rationals; returns the nonzero rows."""
-    work = [list(r) for r in rows]
-    out: list[list[Fraction]] = []
-    if not work:
-        return out
-    ncols = len(work[0])
-    for col in range(ncols):
-        pivot = next((r for r in work if r[col] != 0), None)
-        if pivot is None:
-            continue
-        work.remove(pivot)
-        out.append(pivot)
-        for r in work:
-            if r[col] != 0:
-                factor = r[col] / pivot[col]
-                for j in range(col, ncols):
-                    r[j] -= factor * pivot[j]
-    return out
+def _orthogonal_basis(span: Span) -> list[tuple[Vector, Fraction]]:
+    """Exact Gram-Schmidt: pairwise orthogonal nonzero vectors, each with its
+    squared norm, spanning the same space.  Dependent and zero generators
+    leave a zero residual and are dropped."""
+    basis: list[tuple[Vector, Fraction]] = []
+    for v in span.basis:
+        r = _residual(basis, v)
+        if not r.is_zero():
+            basis.append((r, r.dot(r)))
+    return basis
 
 
-def _solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a square nonsingular rational system by Gaussian elimination."""
-    n = len(matrix)
-    aug = [list(matrix[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            raise ArithmeticError("singular system")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [a * inv for a in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+def _residual(basis: list[tuple[Vector, Fraction]], x: Vector) -> Vector:
+    """x minus its projection onto an orthogonal basis."""
+    for u, norm in basis:
+        c = x.dot(u)
+        if c:
+            x = x - u.scale(c / norm)
+    return x
 
 
 def rank(vectors: Iterable[Vector]) -> int:
-    rows = [list(v.coords) for v in vectors]
-    return len(_echelon(rows))
+    return span_rank(Span(tuple(vectors)))
 
 
 def span_rank(span: Span) -> int:
-    return rank(span.basis)
+    return len(_orthogonal_basis(span))
 
 
 def project_onto_span(span: Span, x: Vector) -> Vector:
@@ -287,20 +269,4 @@ def project_onto_span(span: Span, x: Vector) -> Vector:
     """
     if span.dim is not None and span.dim != x.dim:
         raise DimensionMismatch(f"span dimension {span.dim} vs vector {x.dim}")
-    basis = _echelon([list(v.coords) for v in span.basis])
-    if not basis:
-        return zero_vector(x.dim)
-    k = len(basis)
-    gram = [
-        [sum((a * b for a, b in zip(basis[i], basis[j])), Fraction(0)) for j in range(k)]
-        for i in range(k)
-    ]
-    rhs = [
-        sum((a * b for a, b in zip(basis[i], x.coords)), Fraction(0)) for i in range(k)
-    ]
-    weights = _solve(gram, rhs)
-    coords = [
-        sum((weights[i] * basis[i][j] for i in range(k)), Fraction(0))
-        for j in range(x.dim)
-    ]
-    return Vector(tuple(coords))
+    return x - _residual(_orthogonal_basis(span), x)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mechverify import cli, multiagent, scenarios
@@ -593,6 +593,53 @@ query 1 0
         run_verify(parse_scenario(both))
 
 
+# vcg and kminded scenarios whose types harmless refuses; verify must refuse
+# them with the same message.
+VERIFY_CLASS_CHECKS = {
+    "vcg-null": (
+        "scenario s\nclass vcg\ntheta 0 2 1\nquery 1 2 1\noption rule_prices 0 1 1\n"
+        "option verification_kind harmless_complement\n",
+        "the null coordinate (index 0) must be worth 0",
+    ),
+    "vcg-dimension": (
+        "scenario s\nclass vcg\ntheta 0 2\noption rule_prices 0 1\n",
+        "vcg scenarios use three coordinates (null, item1, item2)",
+    ),
+    "kminded-null": (
+        "scenario s\nclass kminded\noption k 1\ntheta 1 2\noption rule_prices 0 1\n",
+        "the null coordinate (index 0) must be worth 0",
+    ),
+    "kminded-dimension": (
+        "scenario s\nclass kminded\noption k 2\ntheta 0 1\noption rule_prices 0 1\n",
+        "kminded scenarios with k 2 use 3 coordinates (null first)",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, message", VERIFY_CLASS_CHECKS.values(), ids=VERIFY_CLASS_CHECKS)
+def test_verify_runs_the_class_checks_of_harmless(text, message, tmp_path, capsys):
+    scenario = tmp_path / "s.scn"
+    scenario.write_text(text)
+    for verb in ("verify", "harmless"):
+        assert main([verb, "--scenario", str(scenario)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_verify_refuses_facility_positions(tmp_path, capsys):
+    # A position is no value vector, so no taxation rule can be checked on it.
+    text = "scenario s\nclass facility_line\ntheta 1/2\noption facilities 0 2\noption rule_prices 0\n"
+    with pytest.raises(ScenarioError) as err:
+        run_verify(parse_scenario(text))
+    message = "verify reads value vectors, not facility_line positions"
+    assert str(err.value) == message
+    scenario = tmp_path / "s.scn"
+    scenario.write_text(text)
+    assert main(["verify", "--scenario", str(scenario)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("index", ["\u0661", "\u00b2"], ids=["arabic-indic-one", "superscript-two"])
 def test_rule_pair_takes_ascii_indices(index, tmp_path, capsys):
     text = (
@@ -729,6 +776,49 @@ def test_parse_result_reports_malformed_lines(text, message):
     assert str(info.value).startswith(message)
 
 
+def _with_line_repeated(text, key):
+    lines = text.splitlines()
+    index = next(n for n, line in enumerate(lines) if line.split()[0] == key)
+    return "\n".join(lines[: index + 1] + lines[index:]) + "\n", index + 2
+
+
+@pytest.mark.parametrize("key", ["result", "mode", "class", "operation", "anchor", "region"])
+def test_parse_result_rejects_a_repeated_header_line(key):
+    text = serialize_result(run_scenario(parse_scenario(DETERMINISTIC_EXAMPLE)))
+    repeated, line_no = _with_line_repeated(text, key)
+    with pytest.raises(ScenarioError) as info:
+        parse_result(repeated)
+    assert str(info.value) == f"line {line_no}: duplicate {key} line"
+
+
+HEADER = "result r\nmode forward\nclass deterministic\noperation o\nanchor 1,2\n"
+HALFSPACE = "region_halfspace normal=1,0 offset=0 sense=strict\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            HEADER + "region halfspaces=9 extras=9\n",
+            "line 6: region line must read: region halfspaces=0 extras=0",
+        ),
+        (
+            HEADER + "region halfspaces=0 extras=0\n" + HALFSPACE + "region_extra 1,2\n",
+            "line 6: region line must read: region halfspaces=1 extras=1",
+        ),
+        (HEADER + "region\n" + HALFSPACE, "line 6: region line must read: region halfspaces=1 extras=0"),
+        (HEADER + HALFSPACE, "region_halfspace and region_extra lines need a region line"),
+    ],
+    ids=["counts-without-lines", "lines-beyond-counts", "no-counts", "no-region-line"],
+)
+def test_parse_result_checks_the_region_counts(text, message):
+    with pytest.raises(ScenarioError) as info:
+        parse_result(text)
+    assert str(info.value) == message
+    counted = HEADER + "region halfspaces=1 extras=1\n" + HALFSPACE + "region_extra 1,2\n"
+    assert len(parse_result(counted).region.halfspaces) == 1
+
+
 @pytest.mark.parametrize("token", ["1e400", "1_000", "1.5"])
 def test_rationals_are_integers_or_p_over_q(token, tmp_path, cli_env):
     text = f"scenario s\nclass deterministic\ntheta {token} 1\nquery 0 1\n"
@@ -783,6 +873,58 @@ def test_render_regions_deterministic_bytes():
     tie_document = run_scenario(parse_scenario(TIE_EXAMPLE))
     with pytest.raises(ScenarioError):
         render_regions(tie_document)
+
+
+def _naive_line_segment(nx, ny, offset, bounds):
+    """Meet the line with the four edge lines of the box, keep the meeting
+    points inside the box, and take the smallest and the largest."""
+    xmin, xmax, ymin, ymax = bounds
+    points = set()
+    for ex, ey, edge in ((1, 0, xmin), (1, 0, xmax), (0, 1, ymin), (0, 1, ymax)):
+        det = nx * ey - ny * ex
+        if det == 0:
+            continue
+        x = (offset * ey - edge * ny) / det
+        y = (nx * edge - ex * offset) / det
+        if xmin <= x <= xmax and ymin <= y <= ymax:
+            points.add((x, y))
+    if len(points) < 2:
+        return None
+    return min(points), max(points)
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def lines_and_boxes(draw):
+    """A box and a line nx*x + ny*y = offset: through a random point, a box
+    corner, or along a box edge."""
+    xmin, ymin = draw(small_rationals), draw(small_rationals)
+    xmax = xmin + draw(st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4))
+    ymax = ymin + draw(st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4))
+    kind = draw(st.sampled_from(["free", "corner", "edge"]))
+    if kind == "edge":
+        nx, ny = draw(st.sampled_from([(1, 0), (0, 1), (-2, 0), (0, -1)]))
+        x, y = draw(st.sampled_from([xmin, xmax])), draw(st.sampled_from([ymin, ymax]))
+    else:
+        nx, ny = draw(small_rationals), draw(small_rationals)
+        if nx == ny == 0:
+            nx = Fraction(1)
+        if kind == "corner":
+            x, y = draw(st.sampled_from([xmin, xmax])), draw(st.sampled_from([ymin, ymax]))
+        else:
+            x, y = draw(small_rationals), draw(small_rationals)
+    return Fraction(nx), Fraction(ny), nx * x + ny * y, (xmin, xmax, ymin, ymax)
+
+
+@settings(max_examples=300)
+@given(lines_and_boxes())
+def test_line_segment_matches_the_edge_line_intersections(drawn):
+    nx, ny, offset, bounds = drawn
+    xmin, xmax, ymin, ymax = bounds
+    box = [(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)]
+    assert cli._line_segment(nx, ny, offset, box) == _naive_line_segment(nx, ny, offset, bounds)
 
 
 def run_cli(args, tmp_path, env):

@@ -1,6 +1,7 @@
 """Exact rational vectors, half-spaces, regions, and span projections."""
 
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given
@@ -182,3 +183,74 @@ def test_projection_fixes_span_members(x):
     span = Span((vec(1, 1, 1),))
     scaled = vec(1, 1, 1).scale(x[0])
     assert project_onto_span(span, scaled) == scaled
+
+
+def test_rank_rejects_mixed_dimensions():
+    with pytest.raises(DimensionMismatch):
+        rank([vec(1, 0), vec(1, 0, 0)])
+    with pytest.raises(DimensionMismatch):
+        rank([zero_vector(2), vec(1, 0, 0)])
+
+
+def _determinant(matrix):
+    """Leibniz expansion: a sum over permutations, no elimination."""
+    total = Fraction(0)
+    for perm in permutations(range(len(matrix))):
+        inversions = sum(perm[a] > perm[b] for a, b in combinations(range(len(perm)), 2))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for row, col in enumerate(perm):
+            term *= matrix[row][col]
+        total += term
+    return total
+
+
+def _independent(generators):
+    return _determinant([[u.dot(v) for v in generators] for u in generators]) != 0
+
+
+def _largest_independent_subset(generators):
+    for size in range(len(generators), 0, -1):
+        for subset in combinations(generators, size):
+            if _independent(subset):
+                return list(subset)
+    return []
+
+
+@st.composite
+def generator_lists(draw):
+    """Up to five generators in dimension 1 to 4: a few drawn vectors, then
+    zero vectors and small combinations of them, shuffled."""
+    dim = draw(st.integers(1, 4))
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    base = draw(st.lists(vectors(dim), min_size=0, max_size=3))
+    generators = list(base)
+    for _ in range(draw(st.integers(0, 5 - len(base)))):
+        if base and draw(st.booleans()):
+            combination = zero_vector(dim)
+            for v in base:
+                combination = combination + v.scale(draw(small))
+            generators.append(combination)
+        else:
+            generators.append(zero_vector(dim))
+    return dim, draw(st.permutations(generators))
+
+
+@given(generator_lists())
+def test_rank_is_the_largest_subset_with_nonzero_gram_determinant(drawn):
+    _, generators = drawn
+    assert rank(generators) == len(_largest_independent_subset(generators))
+    assert span_rank(Span(tuple(generators))) == rank(generators)
+
+
+@given(generator_lists(), st.data())
+def test_projection_onto_dependent_generators(drawn, data):
+    dim, generators = drawn
+    x = data.draw(vectors(dim))
+    span = Span(tuple(generators))
+    p = project_onto_span(span, x)
+    assert project_onto_span(span, p) == p
+    for g in generators:
+        assert (x - p).dot(g) == 0
+    # p lies in the span: adding it to a maximal independent subset leaves
+    # the Gram determinant zero.
+    assert not _independent([*_largest_independent_subset(generators), p])
