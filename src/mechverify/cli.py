@@ -36,6 +36,11 @@ Class-specific options:
 Every class accepts the verify-verb options; any other option key a class
 does not read is an error.
 
+Two budgets bound the work a file can ask for: at most ``MAX_DIMENSION``
+coordinates (or assignment labels) on a line, and at most ``MAX_QUERIES``
+query lines.  Both are checked as each line is read, before its values are
+parsed and before any set is built.
+
 Verbs and their own flags: every verb takes ``--scenario FILE`` and
 ``--out FILE``; ``plot`` takes ``--axes I,J`` and
 ``--bounds XMIN,XMAX,YMIN,YMAX``.  A flag reads ``--flag VALUE`` or
@@ -57,12 +62,12 @@ import os
 import re
 import sys
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import (
     ConvexRegion,
     DimensionMismatch,
+    Frozen,
     Halfspace,
     Hyperplane,
     Sense,
@@ -142,20 +147,31 @@ def _parse_vector(tokens: Sequence[str], line: int | None = None) -> Vector:
     return Vector(tuple(_parse_rational(t, line) for t in tokens))
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Frozen):
     """A named setting: mechanism class, anchor type, queries, options."""
 
-    name: str
-    mechanism_class: str
-    theta: Vector | None = None
-    reported: Vector | None = None
-    queries: tuple[Vector, ...] = ()
-    assignments: AssignmentSet | None = None
-    allocations: tuple[Allocation, ...] = ()
-    space_low: Vector | None = None
-    space_high: Vector | None = None
-    options: tuple[tuple[str, tuple[str, ...]], ...] = ()
+    __slots__ = (
+        "name", "mechanism_class", "theta", "reported", "queries",
+        "assignments", "allocations", "space_low", "space_high", "options",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        mechanism_class: str,
+        theta: Vector | None = None,
+        reported: Vector | None = None,
+        queries: tuple[Vector, ...] = (),
+        assignments: AssignmentSet | None = None,
+        allocations: tuple[Allocation, ...] = (),
+        space_low: Vector | None = None,
+        space_high: Vector | None = None,
+        options: tuple[tuple[str, tuple[str, ...]], ...] = (),
+    ) -> None:
+        self._init(
+            name, mechanism_class, theta, reported, queries,
+            assignments, allocations, space_low, space_high, options,
+        )
 
     @property
     def mode(self) -> str:
@@ -207,6 +223,18 @@ def _option_rational(scenario: Scenario, key: str) -> Fraction | None:
     return None if token is None else _parse_rational(token)
 
 
+# The budgets.  A deterministic region prints m(m-1)/2 normals of m
+# coordinates, and verify compares every pair of grid points, so work and
+# output grow polynomially in both sizes; the largest reverse scenario they
+# admit takes seconds, not minutes.
+MAX_DIMENSION = 64
+MAX_QUERIES = 128
+# The directives whose arguments are one coordinate or label per dimension.
+_DIMENSION_DIRECTIVES = (
+    "theta", "reported", "space_low", "space_high", "query", "allocation", "assignments"
+)
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text, reporting the offending line on error."""
     # The directives given at most once, by key.
@@ -223,6 +251,12 @@ def parse_scenario(text: str) -> Scenario:
         key, *args = stripped.split()
         if key in once:
             raise ScenarioError(f"duplicate {key} line", line_no)
+        if key in _DIMENSION_DIRECTIVES and len(args) > MAX_DIMENSION:
+            raise ScenarioError(
+                f"{key} has {len(args)} values; the dimension budget is {MAX_DIMENSION}", line_no
+            )
+        if key == "query" and len(queries) == MAX_QUERIES:
+            raise ScenarioError(f"more than {MAX_QUERIES} query lines (the budget)", line_no)
         if key in ("theta", "reported", "space_low", "space_high"):
             once[key] = _parse_vector(args, line_no)
         elif key == "scenario":
@@ -359,38 +393,50 @@ FieldValue = Vector | Fraction | str
 Fields = tuple[tuple[str, str, FieldValue], ...]
 
 
-@dataclass(frozen=True)
-class WitnessRecord:
+class WitnessRecord(Frozen):
     """A certificate attached to one query: named, typed fields.
 
     Type codes: "v" vector, "r" rational, "t" token.
     """
 
-    query_index: int
-    kind: str
-    fields: Fields
+    __slots__ = ("query_index", "kind", "fields")
+
+    def __init__(self, query_index: int, kind: str, fields: Fields) -> None:
+        self._init(query_index, kind, fields)
 
 
-@dataclass(frozen=True)
-class QueryResult:
-    query: Vector
-    member: bool
+class QueryResult(Frozen):
+    __slots__ = ("query", "member")
+
+    def __init__(self, query: Vector, member: bool) -> None:
+        self._init(query, member)
 
 
-@dataclass(frozen=True)
-class ResultDocument:
+class ResultDocument(Frozen):
     """Everything a scenario run produced, exact and serializable."""
 
-    scenario_name: str
-    mechanism_class: str
-    mode: str
-    operation: str
-    anchor: Vector
-    region: ConvexRegion | None = None
-    queries: tuple[QueryResult, ...] = ()
-    witnesses: tuple[WitnessRecord, ...] = ()
-    summary: tuple[tuple[str, str], ...] = ()
-    provenance: tuple[tuple[str, str], ...] = ()
+    __slots__ = (
+        "scenario_name", "mechanism_class", "mode", "operation", "anchor",
+        "region", "queries", "witnesses", "summary", "provenance",
+    )
+
+    def __init__(
+        self,
+        scenario_name: str,
+        mechanism_class: str,
+        mode: str,
+        operation: str,
+        anchor: Vector,
+        region: ConvexRegion | None = None,
+        queries: tuple[QueryResult, ...] = (),
+        witnesses: tuple[WitnessRecord, ...] = (),
+        summary: tuple[tuple[str, str], ...] = (),
+        provenance: tuple[tuple[str, str], ...] = (),
+    ) -> None:
+        self._init(
+            scenario_name, mechanism_class, mode, operation, anchor,
+            region, queries, witnesses, summary, provenance,
+        )
 
 
 def _provenance(mechanism_class: str, operation: str) -> tuple[tuple[str, str], ...]:
@@ -1102,12 +1148,13 @@ def _fmt(value) -> str:
     return f"{float(value):.6f}"
 
 
-@dataclass(frozen=True)
-class _SlicedHalfspace:
-    nx: Fraction
-    ny: Fraction
-    offset: Fraction
-    indifference_offset: Fraction
+class _SlicedHalfspace(Frozen):
+    __slots__ = ("nx", "ny", "offset", "indifference_offset")
+
+    def __init__(
+        self, nx: Fraction, ny: Fraction, offset: Fraction, indifference_offset: Fraction
+    ) -> None:
+        self._init(nx, ny, offset, indifference_offset)
 
 
 def _slice_halfspaces(

@@ -13,7 +13,6 @@ a span's generators.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -29,17 +28,65 @@ def frac(value: RationalLike) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-@dataclass(frozen=True)
-class Vector:
+class Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in ``__slots__`` and sets each once, in
+    ``__init__``, through ``_init``.  Equality, hashing and repr run over
+    those fields in order, and any later assignment raises
+    ``AttributeError``.  Such a class is cheap to build at import.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Copies and pickles are rebuilt through the constructor.
+        return self.__class__, self._fields()
+
+
+class Vector(Frozen):
     """Immutable point/direction with exact rational coordinates."""
 
-    coords: tuple[Fraction, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self) -> None:
-        coords = tuple(frac(c) for c in self.coords)
+    def __init__(self, coords: Iterable[RationalLike]) -> None:
+        coords = tuple([frac(c) for c in coords])
         if not coords:
             raise ValueError("a vector needs at least one coordinate")
-        object.__setattr__(self, "coords", coords)
+        _set_coords(self, coords)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self) -> int:
+        return hash(self.coords)
 
     @property
     def dim(self) -> int:
@@ -54,22 +101,22 @@ class Vector:
         return sum((a * b for a, b in zip(self.coords, other.coords) if a and b), Fraction(0))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def __add__(self, other: "Vector") -> "Vector":
         _check_dim(self, other)
-        return Vector(tuple(a + b if b else a for a, b in zip(self.coords, other.coords)))
+        return _vector(tuple([a + b if b else a for a, b in zip(self.coords, other.coords)]))
 
     def __sub__(self, other: "Vector") -> "Vector":
         _check_dim(self, other)
-        return Vector(tuple(a - b if b else a for a, b in zip(self.coords, other.coords)))
+        return _vector(tuple([a - b if b else a for a, b in zip(self.coords, other.coords)]))
 
     def __neg__(self) -> "Vector":
-        return Vector(tuple(-a for a in self.coords))
+        return _vector(tuple([-a for a in self.coords]))
 
     def scale(self, factor: RationalLike) -> "Vector":
         f = frac(factor)
-        return Vector(tuple(f * a for a in self.coords))
+        return _vector(tuple([f * a for a in self.coords]))
 
     def __rmul__(self, factor: RationalLike) -> "Vector":
         return self.scale(factor)
@@ -81,23 +128,45 @@ class Vector:
         return self.coords[i]
 
 
+_set_coords = Vector.coords.__set__
+
+
+def _vector(coords: tuple[Fraction, ...]) -> Vector:
+    """A Vector over a non-empty tuple of Fractions, taken as it is.
+
+    Vector arithmetic only ever holds such tuples, so it skips the coercion
+    and the emptiness check that the public constructor runs.
+    """
+    v = object.__new__(Vector)
+    _set_coords(v, coords)
+    return v
+
+
 def vec(*coords: RationalLike) -> Vector:
     """Build a Vector from loose rational-like values."""
-    return Vector(tuple(frac(c) for c in coords))
+    return Vector(coords)
 
 
 def zero_vector(dim: int) -> Vector:
-    return Vector((Fraction(0),) * dim)
+    return _constant_vector(Fraction(0), dim)
 
 
 def unit_vector(index: int, dim: int) -> Vector:
     if not 0 <= index < dim:
         raise ValueError(f"unit index {index} out of range for dimension {dim}")
-    return Vector(tuple(Fraction(1 if i == index else 0) for i in range(dim)))
+    coords = [Fraction(0)] * dim
+    coords[index] = Fraction(1)
+    return _vector(tuple(coords))
 
 
 def ones_vector(dim: int) -> Vector:
-    return Vector((Fraction(1),) * dim)
+    return _constant_vector(Fraction(1), dim)
+
+
+def _constant_vector(value: Fraction, dim: int) -> Vector:
+    if dim < 1:
+        raise ValueError("a vector needs at least one coordinate")
+    return _vector((value,) * dim)
 
 
 def _check_dim(u: Vector, v: Vector) -> None:
@@ -112,17 +181,16 @@ class Sense(Enum):
     GREATER_EQUAL = "closed"
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(Frozen):
     """Points x with normal . x == offset."""
 
-    normal: Vector
-    offset: Fraction
+    __slots__ = ("normal", "offset")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "offset", frac(self.offset))
-        if self.normal.is_zero():
+    def __init__(self, normal: Vector, offset: RationalLike) -> None:
+        offset = frac(offset)
+        if normal.is_zero():
             raise ValueError("hyperplane normal must be nonzero")
+        self._init(normal, offset)
 
     def side(self, x: Vector) -> int:
         """-1, 0, or +1 according to normal . x vs offset."""
@@ -134,12 +202,13 @@ class Hyperplane:
         return 0
 
 
-@dataclass(frozen=True)
-class Halfspace:
+class Halfspace(Frozen):
     """One side of a hyperplane; strict or closed per ``sense``."""
 
-    hyperplane: Hyperplane
-    sense: Sense = Sense.STRICT_GREATER
+    __slots__ = ("hyperplane", "sense")
+
+    def __init__(self, hyperplane: Hyperplane, sense: Sense = Sense.STRICT_GREATER) -> None:
+        self._init(hyperplane, sense)
 
 
 def halfspace_contains(h: Halfspace, x: Vector) -> bool:
@@ -149,24 +218,27 @@ def halfspace_contains(h: Halfspace, x: Vector) -> bool:
     return s >= h.hyperplane.offset
 
 
-@dataclass(frozen=True)
-class ConvexRegion:
+class ConvexRegion(Frozen):
     """Intersection of half-spaces, plus points that are members regardless.
 
     An empty ``halfspaces`` tuple with no extra points is the whole space.
     ``extra_points`` lets an open region carry isolated boundary members.
     """
 
-    halfspaces: tuple[Halfspace, ...] = ()
-    extra_points: frozenset[Vector] = frozenset()
+    __slots__ = ("halfspaces", "extra_points")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "halfspaces", tuple(self.halfspaces))
-        object.__setattr__(self, "extra_points", frozenset(self.extra_points))
-        dims = {h.hyperplane.normal.dim for h in self.halfspaces}
-        dims |= {p.dim for p in self.extra_points}
+    def __init__(
+        self,
+        halfspaces: Iterable[Halfspace] = (),
+        extra_points: Iterable[Vector] = frozenset(),
+    ) -> None:
+        halfspaces = tuple(halfspaces)
+        extra_points = frozenset(extra_points)
+        dims = {h.hyperplane.normal.dim for h in halfspaces}
+        dims |= {p.dim for p in extra_points}
         if len(dims) > 1:
             raise DimensionMismatch(f"mixed dimensions in region: {sorted(dims)}")
+        self._init(halfspaces, extra_points)
 
     @property
     def dim(self) -> int | None:
@@ -215,17 +287,17 @@ def box_region(low: Vector | None, high: Vector | None) -> ConvexRegion:
     return ConvexRegion(tuple(halves), frozenset())
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(Frozen):
     """Linear span of a finite set of generators (possibly dependent)."""
 
-    basis: tuple[Vector, ...]
+    __slots__ = ("basis",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "basis", tuple(self.basis))
-        dims = {v.dim for v in self.basis}
+    def __init__(self, basis: Iterable[Vector]) -> None:
+        basis = tuple(basis)
+        dims = {v.dim for v in basis}
         if len(dims) > 1:
             raise DimensionMismatch(f"mixed dimensions in span: {sorted(dims)}")
+        self._init(basis)
 
     @property
     def dim(self) -> int | None:

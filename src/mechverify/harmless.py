@@ -31,7 +31,6 @@ Three rule classes are characterised in closed form:
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
@@ -39,11 +38,13 @@ from itertools import combinations
 from .geometry import (
     ConvexRegion,
     DimensionMismatch,
+    Frozen,
     Halfspace,
     Hyperplane,
     Sense,
     Span,
     Vector,
+    _vector,
     ones_vector,
     project_onto_span,
     rank,
@@ -88,13 +89,14 @@ class SimplexFamily(Enum):
 AllocationSpace = SimplexFamily | tuple[Allocation, ...]
 
 
-@dataclass(frozen=True)
-class HarmlessResult:
+class HarmlessResult(Frozen):
     """Outcome of a harmless-set computation: one convex region plus extra
     points, and a ``membership`` test that decides it exactly."""
 
-    membership: Callable[[Vector], bool]
-    region: ConvexRegion
+    __slots__ = ("membership", "region")
+
+    def __init__(self, membership: Callable[[Vector], bool], region: ConvexRegion) -> None:
+        self._init(membership, region)
 
     def contains(self, x: Vector) -> bool:
         return self.membership(x)
@@ -244,7 +246,7 @@ def _pairwise_halfspaces(theta: Vector, indices: Sequence[int]):
         normal[other] = Fraction(1)
         normal[preferred] = Fraction(-1)
         offset = theta[other] - theta[preferred]
-        yield Halfspace(Hyperplane(Vector(tuple(normal)), offset), Sense.STRICT_GREATER)
+        yield Halfspace(Hyperplane(_vector(tuple(normal)), offset), Sense.STRICT_GREATER)
 
 
 def universally_truthful_harmless(

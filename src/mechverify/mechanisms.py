@@ -16,53 +16,52 @@ involves money.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
-from .geometry import DimensionMismatch, Vector, frac, unit_vector
+from .geometry import DimensionMismatch, Frozen, RationalLike, Vector, frac, unit_vector
 
 
 class MechanismError(ValueError):
     """Malformed rule, assignment set, or query."""
 
 
-@dataclass(frozen=True)
-class AssignmentSet:
+class AssignmentSet(Frozen):
     """Labels for the m possible assignments; at most one may be null."""
 
-    labels: tuple[str, ...]
-    null_index: int | None = None
+    __slots__ = ("labels", "null_index")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if len(self.labels) < 2:
+    def __init__(self, labels: Iterable[str], null_index: int | None = None) -> None:
+        labels = tuple(labels)
+        if len(labels) < 2:
             raise MechanismError("need at least two assignments")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise MechanismError("assignment labels must be distinct")
-        if self.null_index is not None and not 0 <= self.null_index < len(self.labels):
-            raise MechanismError(f"null index {self.null_index} out of range")
+        if null_index is not None and not 0 <= null_index < len(labels):
+            raise MechanismError(f"null index {null_index} out of range")
+        self._init(labels, null_index)
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(Frozen):
     """A probability distribution over assignments (point mass = deterministic)."""
 
-    probs: Vector
+    __slots__ = ("probs",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, probs: Vector) -> None:
         total = Fraction(0)
-        for p in self.probs:
+        for p in probs:
             if p < 0 or p > 1:
                 raise MechanismError(f"allocation probability {p} outside [0, 1]")
             total += p
         if total != 1:
             raise MechanismError(f"allocation probabilities sum to {total}, not 1")
+        self._init(probs)
 
     @property
     def dim(self) -> int:
@@ -80,8 +79,13 @@ def point_mass(index: int, dim: int) -> Allocation:
     return Allocation(unit_vector(index, dim))
 
 
+@lru_cache(maxsize=64)
 def point_masses(dim: int) -> tuple[Allocation, ...]:
-    """One deterministic allocation per assignment."""
+    """One deterministic allocation per assignment.
+
+    Cached per dimension: the allocations are immutable, and validating m
+    unit vectors costs O(m^2) on every build.
+    """
     return tuple(point_mass(i, dim) for i in range(dim))
 
 
@@ -90,8 +94,7 @@ class TieSide(Enum):
     TO_J = "to_j"
 
 
-@dataclass(frozen=True)
-class SeparatingRule:
+class SeparatingRule(Frozen):
     """Two-allocation rule: a_i above the hyperplane, a_j below.
 
     The hyperplane is (a_i - a_j) . x = relative_price.  ``overrides`` may pin
@@ -99,26 +102,31 @@ class SeparatingRule:
     get ``tie_assignment``.
     """
 
-    a_i: Allocation
-    a_j: Allocation
-    relative_price: Fraction
-    tie_assignment: TieSide = TieSide.TO_I
-    overrides: Mapping[Vector, Allocation] = field(default_factory=dict)
+    __slots__ = ("a_i", "a_j", "relative_price", "tie_assignment", "overrides")
+    # Unhashable: ``overrides`` is a dict.
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "relative_price", frac(self.relative_price))
-        if self.a_i.dim != self.a_j.dim:
-            raise DimensionMismatch(
-                f"allocation dimensions {self.a_i.dim} vs {self.a_j.dim}"
-            )
-        if self.a_i == self.a_j:
+    def __init__(
+        self,
+        a_i: Allocation,
+        a_j: Allocation,
+        relative_price: RationalLike,
+        tie_assignment: TieSide = TieSide.TO_I,
+        overrides: Mapping[Vector, Allocation] | None = None,
+    ) -> None:
+        relative_price = frac(relative_price)
+        if a_i.dim != a_j.dim:
+            raise DimensionMismatch(f"allocation dimensions {a_i.dim} vs {a_j.dim}")
+        if a_i == a_j:
             raise MechanismError("separating rule needs two distinct allocations")
-        object.__setattr__(self, "overrides", dict(self.overrides))
+        overrides = {} if overrides is None else dict(overrides)
+        self._init(a_i, a_j, relative_price, tie_assignment, overrides)
         n = self.normal
-        for point, target in self.overrides.items():
-            if n.dot(point) != self.relative_price:
-                raise MechanismError(f"override point {point} is off the boundary")
-            if target not in (self.a_i, self.a_j):
+        for point, target in overrides.items():
+            if n.dot(point) != relative_price:
+                coords = ", ".join(str(c) for c in point)
+                raise MechanismError(f"override point ({coords}) is off the boundary")
+            if target not in (a_i, a_j):
                 raise MechanismError("override target must be one of the rule's pair")
 
     @property
@@ -137,18 +145,16 @@ def allocate_separating(rule: SeparatingRule, x: Vector) -> Allocation:
     return rule.a_i if rule.tie_assignment is TieSide.TO_I else rule.a_j
 
 
-@dataclass(frozen=True)
-class TaxationRule:
+class TaxationRule(Frozen):
     """Menu of (allocation, price) entries; types self-select the best entry.
 
     When several entries tie on utility, the earliest one wins.
     """
 
-    entries: tuple[tuple[Allocation, Fraction], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        entries = tuple((a, frac(p)) for a, p in self.entries)
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries: Iterable[tuple[Allocation, RationalLike]]) -> None:
+        entries = tuple((a, frac(p)) for a, p in entries)
         if not entries:
             raise MechanismError("taxation rule needs at least one entry")
         dims = {a.dim for a, _ in entries}
@@ -158,6 +164,7 @@ class TaxationRule:
         for i, a in enumerate(allocs):
             if a in allocs[:i]:
                 raise MechanismError("taxation entries must have distinct allocations")
+        self._init(entries)
 
     @property
     def dim(self) -> int:

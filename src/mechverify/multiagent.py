@@ -19,29 +19,27 @@ ever rewards it.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from .geometry import DimensionMismatch, Vector, frac
+from .geometry import DimensionMismatch, Frozen, RationalLike, Vector, frac
 from .harmless import check_null_coordinate, deterministic_harmless
 from .mechanisms import MechanismError, TaxationRule, point_mass, point_masses
 
 ITEMS = (1, 2)  # type coordinates; coordinate 0 is the null assignment
 
 
-@dataclass(frozen=True)
-class UnitDemandProfile:
+class UnitDemandProfile(Frozen):
     """Values of the other agents, one (item1, item2) pair per agent."""
 
-    others: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = ("others",)
 
-    def __post_init__(self) -> None:
-        cleaned = tuple((frac(a), frac(b)) for a, b in self.others)
-        object.__setattr__(self, "others", cleaned)
+    def __init__(self, others: Iterable[tuple[RationalLike, RationalLike]]) -> None:
+        cleaned = tuple((frac(a), frac(b)) for a, b in others)
         for a, b in cleaned:
             if a < 0 or b < 0:
                 raise MechanismError("unit-demand values must be nonnegative")
+        self._init(cleaned)
 
 
 def best_matching_welfare(
@@ -87,21 +85,20 @@ def vcg_single_agent_rule(profile: UnitDemandProfile) -> TaxationRule:
     return TaxationRule(entries)
 
 
-@dataclass(frozen=True)
-class PriceFamily:
+class PriceFamily(Frozen):
     """All taxation menus with item prices inside a box; null is free.
 
     ``bounds`` holds one (low, high) pair per item; ``high`` may be None for
     an unbounded axis.  Lower bounds act as reserve prices.
     """
 
-    bounds: tuple[tuple[Fraction, Fraction | None], tuple[Fraction, Fraction | None]]
+    __slots__ = ("bounds",)
 
-    def __post_init__(self) -> None:
-        if len(self.bounds) != 2:
+    def __init__(self, bounds: Sequence[tuple[RationalLike, RationalLike | None]]) -> None:
+        if len(bounds) != 2:
             raise MechanismError("price family covers exactly two items")
         cleaned = []
-        for low, high in self.bounds:
+        for low, high in bounds:
             low = frac(low)
             high = None if high is None else frac(high)
             if low < 0:
@@ -109,21 +106,26 @@ class PriceFamily:
             if high is not None and high < low:
                 raise MechanismError(f"empty price interval [{low}, {high}]")
             cleaned.append((low, high))
-        object.__setattr__(self, "bounds", tuple(cleaned))
+        self._init(tuple(cleaned))
 
 
 UNRESERVED = PriceFamily(((Fraction(0), None), (Fraction(0), None)))
 
 
-@dataclass(frozen=True)
-class PriceWitness:
+class PriceWitness(Frozen):
     """A price vector plus tie choices under which the report wins."""
 
-    prices: tuple[Fraction, Fraction]
-    report_entry: int
-    truthful_entry: int
-    gained_value: Fraction
-    truthful_value: Fraction
+    __slots__ = ("prices", "report_entry", "truthful_entry", "gained_value", "truthful_value")
+
+    def __init__(
+        self,
+        prices: tuple[Fraction, Fraction],
+        report_entry: int,
+        truthful_entry: int,
+        gained_value: Fraction,
+        truthful_value: Fraction,
+    ) -> None:
+        self._init(prices, report_entry, truthful_entry, gained_value, truthful_value)
 
 
 def _check_types(theta: Vector, x: Vector) -> None:

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Vector
+from .geometry import Frozen, Vector
 from .harmless import SimplexFamily, difference_projection, tie_harmless_contains
 from .mechanisms import (
     Allocation,
@@ -86,8 +85,7 @@ def search_beneficial_misreport(
     return None
 
 
-@dataclass(frozen=True)
-class TieWitness:
+class TieWitness(Frozen):
     """A randomized-pair rule certifying that a report is not harmless.
 
     ``rule`` allocates ``high`` when the separating direction scores the
@@ -95,11 +93,17 @@ class TieWitness:
     ``high`` while theta keeps ``low``, and theta strictly prefers ``high``.
     """
 
-    low: Allocation
-    high: Allocation
-    rule: SeparatingRule
-    gained_value: Fraction
-    truthful_value: Fraction
+    __slots__ = ("low", "high", "rule", "gained_value", "truthful_value")
+
+    def __init__(
+        self,
+        low: Allocation,
+        high: Allocation,
+        rule: SeparatingRule,
+        gained_value: Fraction,
+        truthful_value: Fraction,
+    ) -> None:
+        self._init(low, high, rule, gained_value, truthful_value)
 
 
 def _positive_negative_parts(direction: Vector) -> tuple[list[Fraction], list[Fraction]]:

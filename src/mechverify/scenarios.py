@@ -9,11 +9,10 @@ requirements these settings are known to need.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .geometry import Vector, frac
+from .geometry import Frozen, RationalLike, Vector, frac
 from .harmless import check_null_coordinate, deterministic_harmless
 from .mechanisms import MechanismError, point_masses
 
@@ -71,21 +70,19 @@ def kminded_harmless_contains(k: int, theta: Vector, x: Vector) -> bool:
     return deterministic_harmless(theta, point_masses(k + 1)).contains(x)
 
 
-@dataclass(frozen=True)
-class FacilityLine:
+class FacilityLine(Frozen):
     """Two facility locations on a line and the benefit of being served."""
 
-    locations: tuple[Fraction, Fraction]
-    benefit: Fraction
+    __slots__ = ("locations", "benefit")
 
-    def __post_init__(self) -> None:
-        locations = tuple(frac(g) for g in self.locations)
-        object.__setattr__(self, "locations", locations)
-        object.__setattr__(self, "benefit", frac(self.benefit))
+    def __init__(self, locations: Iterable[RationalLike], benefit: RationalLike) -> None:
+        locations = tuple(frac(g) for g in locations)
+        benefit = frac(benefit)
         if len(locations) != 2:
             raise MechanismError("exactly two facility locations are supported")
         if not locations[0] < locations[1]:
             raise MechanismError("facility locations must be distinct and sorted")
+        self._init(locations, benefit)
 
     @property
     def span(self) -> Fraction:

@@ -204,6 +204,49 @@ def test_parse_validates_dimensions():
         )
 
 
+# A line over a budget is refused before its values are read: its tokens are
+# malformed, so reading any of them would fail with "bad rational" instead.
+@pytest.mark.parametrize(
+    "key", ["theta", "reported", "space_low", "space_high", "query", "allocation", "assignments"]
+)
+def test_dimension_budget_refuses_one_value_more(key, tmp_path, capsys):
+    text = f"scenario s\nclass deterministic\n{key} {' '.join(['x'] * (cli.MAX_DIMENSION + 1))}\n"
+    with pytest.raises(ScenarioError, match="dimension budget is 64") as err:
+        parse_scenario(text)
+    assert err.value.line == 3
+    (tmp_path / "big.scn").write_text(text)
+    assert main(["harmless", "--scenario", str(tmp_path / "big.scn")]) == 1
+    assert "dimension budget" in capsys.readouterr().err
+
+
+def test_query_budget_refuses_one_query_more(tmp_path, capsys):
+    lines = ["scenario s", "class second_price", "reported 1", "option threshold 1/2"]
+    lines += ["query 1/4"] * cli.MAX_QUERIES + ["query x"]
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ScenarioError, match="more than 128 query lines") as err:
+        parse_scenario(text)
+    assert err.value.line == len(lines)
+    (tmp_path / "many.scn").write_text(text)
+    assert main(["harmful", "--scenario", str(tmp_path / "many.scn")]) == 1
+    assert "more than 128 query lines" in capsys.readouterr().err
+
+
+def test_budgets_admit_their_own_size():
+    # The query budget, on a one-coordinate class.
+    lines = ["scenario s", "class second_price", "reported 1", "option threshold 1/2"]
+    text = "\n".join(lines + ["query 1/4"] * cli.MAX_QUERIES) + "\n"
+    document = run_scenario(parse_scenario(text))
+    assert len(document.queries) == cli.MAX_QUERIES
+    assert all(q.member for q in document.queries)
+    # The dimension budget, on a class with no region: every query is theta
+    # itself, so each is harmless after one O(m) projection.
+    theta = " ".join(str(i) for i in range(cli.MAX_DIMENSION))
+    text = f"scenario s\nclass truthful_in_expectation\ntheta {theta}\nquery {theta}\n"
+    document = run_scenario(parse_scenario(text))
+    assert document.anchor.dim == cli.MAX_DIMENSION
+    assert [q.member for q in document.queries] == [True]
+
+
 def test_run_deterministic_worked_example():
     document = run_scenario(parse_scenario(DETERMINISTIC_EXAMPLE))
     assert document.operation == "deterministic_harmless"
@@ -982,7 +1025,10 @@ def test_cli_executable(tmp_path, cli_env):
 
 # Modules a CLI run has no use for.  A cold start-up pays to load each one it
 # imports, and to compile it too when no bytecode cache holds it.
-UNUSED_MODULES = ("argparse", "pathlib", "typing", "shutil", "locale", "gettext", "bz2", "lzma")
+UNUSED_MODULES = (
+    "argparse", "pathlib", "typing", "shutil", "locale", "gettext", "bz2", "lzma",
+    "dataclasses", "inspect", "ast", "dis", "tokenize",
+)
 IMPORT_PROBE = """\
 import sys
 from mechverify import cli

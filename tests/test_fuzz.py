@@ -195,6 +195,7 @@ def test_cli_exits_0_or_1_on_any_scenario(run, plot_flags):
         with contextlib.redirect_stderr(stderr):
             code = main(argv)
     assert code in (0, 1), stderr.getvalue()
+    assert "object at 0x" not in stderr.getvalue()
 
 
 BUNDLED = Path(__file__).resolve().parent.parent / "scenarios" / "bundle_pair.scn"
