@@ -20,26 +20,32 @@ are ignored.  Rationals are integers or "p/q" strings, optionally signed.
 Exactly one of ``theta``/``reported`` must appear: ``theta`` makes a
 forward-mode scenario, ``reported`` a reverse-mode one; there is no mode
 directive.  Anchors and queries must lie inside the declared type-space box.
-Class-specific options:
+Class-specific options (V and P nonnegative):
 
     vcg            option others V1 V2        (repeatable, one per other agent)
     price_family   option price_low P1 P2 / option price_high P1 P2 ("inf" ok)
-    second_price   option threshold T / option allocation_dependent true|false
-    kminded        option k 1|2
-    facility_line  option facilities G1 G2 / option benefit B /
+    second_price   option threshold T (required) /
+                   option allocation_dependent true|false
+    kminded        option k 1|2 (required)
+    facility_line  option facilities G1 G2 (required) / option benefit B /
                    option verification no_underbid_distance|direction_imposing...
+                   (repeatable)
     verify verb    option rule_prices P... | option rule_pair I J +
                    option rule_price C [+ option rule_tie to_i|to_j];
                    option verification_kind none|no_overbid|
                    no_overbid_on_received|harmless_complement
 
-Every class accepts the verify-verb options; any other option key a class
-does not read is an error.
+Every class accepts the verify-verb options.  A key the class does not
+read, a second line of a key that does not repeat, and a value the key does
+not take are errors that name their line.  Every verb checks the
+class's type rule (the dimension of its types, a null coordinate 0 worth 0,
+nonnegative values, point-mass allocations) before it answers any query.
 
-Two budgets bound the work a file can ask for: at most ``MAX_DIMENSION``
-coordinates (or assignment labels) on a line, and at most ``MAX_QUERIES``
-query lines.  Both are checked as each line is read, before its values are
-parsed and before any set is built.
+Three budgets bound the work a file can ask for: at most ``MAX_DIMENSION``
+coordinates (or assignment labels) on a line, at most ``MAX_QUERIES``
+query lines, and at most ``MAX_REPEATS`` ``allocation`` lines and as many
+``option`` lines of each key.  Each is checked as the line is read, before
+its values are parsed and before any set is built.
 
 Verbs and their own flags: every verb takes ``--scenario FILE`` and
 ``--out FILE``; ``plot`` takes ``--axes I,J`` and
@@ -80,6 +86,7 @@ from .harmless import (
     SimplexFamily,
     check_null_coordinate,
     deterministic_harmless,
+    point_mass_indices,
     point_mass_rule,
     tie_harmless_contains,
     universally_truthful_harmless,
@@ -148,7 +155,11 @@ def _parse_vector(tokens: Sequence[str], line: int | None = None) -> Vector:
 
 
 class Scenario(Frozen):
-    """A named setting: mechanism class, anchor type, queries, options."""
+    """A named setting: mechanism class, anchor type, queries, options.
+
+    ``options`` pairs each option key with its value as the class table
+    reads it; a repeatable key's value is the tuple of its lines' values.
+    """
 
     __slots__ = (
         "name", "mechanism_class", "theta", "reported", "queries",
@@ -166,7 +177,7 @@ class Scenario(Frozen):
         allocations: tuple[Allocation, ...] = (),
         space_low: Vector | None = None,
         space_high: Vector | None = None,
-        options: tuple[tuple[str, tuple[str, ...]], ...] = (),
+        options: tuple[tuple[str, object], ...] = (),
     ) -> None:
         self._init(
             name, mechanism_class, theta, reported, queries,
@@ -185,50 +196,48 @@ class Scenario(Frozen):
         return anchor
 
 
-def option_values(scenario: Scenario, key: str) -> list[tuple[str, ...]]:
-    """All values given for a repeatable option, in file order."""
-    return [values for k, values in scenario.options if k == key]
+def _nonnegative(token: str) -> Fraction:
+    value = _parse_rational(token)
+    if value < 0:
+        raise ScenarioError(f"values are nonnegative, not {token}")
+    return value
 
 
-def option_single(scenario: Scenario, key: str) -> tuple[str, ...] | None:
-    """The value tuple of a non-repeatable option, or None."""
-    found = option_values(scenario, key)
-    if not found:
-        return None
-    if len(found) > 1:
-        raise ScenarioError(f"option {key!r} given more than once")
-    return found[0]
+def _price_bound(token: str) -> Fraction | None:
+    """A nonnegative price, or None for "inf" (no upper bound)."""
+    return None if token == "inf" else _nonnegative(token)
 
 
-def _option_token(scenario: Scenario, key: str, default: str | None = None) -> str | None:
-    values = option_single(scenario, key)
-    if values is None:
-        return default
-    if len(values) != 1:
-        raise ScenarioError(f"option {key!r} takes exactly one value")
-    return values[0]
+def _index(token: str) -> int:
+    if not _INDEX.fullmatch(token):
+        raise ScenarioError(f"bad assignment index {token!r}")
+    return int(token)
 
 
-def _option_flag(scenario: Scenario, key: str, default: bool = False) -> bool:
-    token = _option_token(scenario, key)
-    if token is None:
-        return default
-    if token not in ("true", "false"):
-        raise ScenarioError(f"option {key!r} must be true or false, not {token!r}")
-    return token == "true"
-
-
-def _option_rational(scenario: Scenario, key: str) -> Fraction | None:
-    token = _option_token(scenario, key)
-    return None if token is None else _parse_rational(token)
+def _option_value(tokens: Sequence[str], spec: tuple) -> object:
+    """One option line's value under its key's spec in the class table."""
+    count, read, _ = spec
+    if count is not None and len(tokens) != count:
+        raise ScenarioError(f"takes {count} value{'s' * (count > 1)}, not {len(tokens)}")
+    values = []
+    for token in tokens:
+        if not isinstance(read, dict):
+            values.append(read(token))
+        elif token in read:
+            values.append(read[token])
+        else:
+            raise ScenarioError(f"{token!r} is not one of {', '.join(read)}")
+    return values[0] if count == 1 else tuple(values)
 
 
 # The budgets.  A deterministic region prints m(m-1)/2 normals of m
-# coordinates, and verify compares every pair of grid points, so work and
-# output grow polynomially in both sizes; the largest reverse scenario they
-# admit takes seconds, not minutes.
+# coordinates, verify compares every pair of grid points, an explicit
+# allocation set is searched pair by pair and the vcg price sums over the
+# other agents' matchings, so work and output grow polynomially in every
+# size; the largest scenario they admit takes seconds, not minutes.
 MAX_DIMENSION = 64
 MAX_QUERIES = 128
+MAX_REPEATS = 64
 # The directives whose arguments are one coordinate or label per dimension.
 _DIMENSION_DIRECTIVES = (
     "theta", "reported", "space_low", "space_high", "query", "allocation", "assignments"
@@ -241,8 +250,9 @@ def parse_scenario(text: str) -> Scenario:
     once: dict[str, str | tuple[str, ...] | Vector] = {}
     queries: list[Vector] = []
     allocations: list[Allocation] = []
-    options: list[tuple[str, tuple[str, ...]]] = []
-    option_lines: dict[str, int] = {}
+    option_lines: list[tuple[int, str, list[str]]] = []
+    # Lines read so far of each repeatable directive, and of each option key.
+    repeats: dict[str, int] = {}
 
     for line_no, raw in enumerate(text.splitlines(), 1):
         stripped = raw.split("#", 1)[0].strip()
@@ -255,8 +265,12 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(
                 f"{key} has {len(args)} values; the dimension budget is {MAX_DIMENSION}", line_no
             )
-        if key == "query" and len(queries) == MAX_QUERIES:
-            raise ScenarioError(f"more than {MAX_QUERIES} query lines (the budget)", line_no)
+        if key in ("query", "allocation", "option"):
+            counted = f"option {args[0]}" if key == "option" and args else key
+            seen = repeats.get(counted, 0)
+            if seen == (MAX_QUERIES if key == "query" else MAX_REPEATS):
+                raise ScenarioError(f"more than {seen} {counted} lines (the budget)", line_no)
+            repeats[counted] = seen + 1
         if key in ("theta", "reported", "space_low", "space_high"):
             once[key] = _parse_vector(args, line_no)
         elif key == "scenario":
@@ -287,8 +301,7 @@ def parse_scenario(text: str) -> Scenario:
         elif key == "option":
             if not args:
                 raise ScenarioError("option needs a key", line_no)
-            options.append((args[0], tuple(args[1:])))
-            option_lines.setdefault(args[0], line_no)
+            option_lines.append((line_no, args[0], args[1:]))
         else:
             raise ScenarioError(f"unknown directive {key!r}", line_no)
 
@@ -304,12 +317,19 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("missing class line")
     if (theta is None) == (reported is None):
         raise ScenarioError("exactly one of theta or reported must be given")
-    known_options = _CLASSES[mechanism_class][2] + _VERIFY_OPTIONS
-    for key, line_no in option_lines.items():
-        if key not in known_options:
-            raise ScenarioError(
-                f"unknown option {key!r} for class {mechanism_class}", line_no
-            )
+    specs = _CLASSES[mechanism_class][2]
+    options: dict[str, object] = {}
+    for line_no, key, args in option_lines:
+        spec = specs.get(key) or _VERIFY_OPTIONS.get(key)
+        if spec is None:
+            raise ScenarioError(f"unknown option {key!r} for class {mechanism_class}", line_no)
+        if key in options and spec[2] != "repeatable":
+            raise ScenarioError(f"option {key!r} given more than once", line_no)
+        try:
+            value = _option_value(args, spec)
+        except ValueError as exc:
+            raise ScenarioError(f"option {key}: {exc}", line_no) from None
+        options[key] = options.get(key, ()) + (value,) if spec[2] == "repeatable" else value
 
     assignments = None
     if labels is not None:
@@ -335,7 +355,7 @@ def parse_scenario(text: str) -> Scenario:
         allocations=tuple(allocations),
         space_low=once.get("space_low"),
         space_high=once.get("space_high"),
-        options=tuple(options),
+        options=tuple(options.items()),
     )
     _validate_dimensions(scenario)
     return scenario
@@ -348,19 +368,16 @@ def _validate_dimensions(scenario: Scenario) -> None:
         raise ScenarioError(
             f"{scenario.assignments.size} assignment labels but dimension {dim}"
         )
-    for q in scenario.queries:
-        if q.dim != dim:
-            raise ScenarioError(f"query dimension {q.dim} does not match {dim}")
-    for a in scenario.allocations:
-        if a.dim != dim:
-            raise ScenarioError(f"allocation dimension {a.dim} does not match {dim}")
-    for bound_name, bound in (("space_low", scenario.space_low), ("space_high", scenario.space_high)):
-        if bound is not None and bound.dim != dim:
-            raise ScenarioError(f"{bound_name} dimension {bound.dim} does not match {dim}")
-    if scenario.space_low is not None and scenario.space_high is not None:
-        for lo, hi in zip(scenario.space_low, scenario.space_high):
-            if lo > hi:
-                raise ScenarioError(f"space_low {lo} exceeds space_high {hi}")
+    low, high = scenario.space_low, scenario.space_high
+    named = [("query", q) for q in scenario.queries]
+    named += [("allocation", a.probs) for a in scenario.allocations]
+    named += [(label, v) for label, v in (("space_low", low), ("space_high", high)) if v]
+    for label, v in named:
+        if v.dim != dim:
+            raise ScenarioError(f"{label} dimension {v.dim} does not match {dim}")
+    for lo, hi in zip(low or (), high or ()):
+        if lo > hi:
+            raise ScenarioError(f"space_low {lo} exceeds space_high {hi}")
     _check_in_space(scenario, anchor, "anchor")
     for index, q in enumerate(scenario.queries):
         _check_in_space(scenario, q, f"query {index}")
@@ -370,14 +387,10 @@ def _check_in_space(scenario: Scenario, point: Vector, label: str) -> None:
     # Points outside the declared type space are not types at all; the box
     # prunes the region rather than flipping memberships, so out-of-space
     # queries are rejected instead of answered.
-    if scenario.space_low is not None:
-        for coord, lo in zip(point, scenario.space_low):
-            if coord < lo:
-                raise ScenarioError(f"{label} lies below the type-space box")
-    if scenario.space_high is not None:
-        for coord, hi in zip(point, scenario.space_high):
-            if coord > hi:
-                raise ScenarioError(f"{label} lies above the type-space box")
+    if any(c < lo for c, lo in zip(point, scenario.space_low or ())):
+        raise ScenarioError(f"{label} lies below the type-space box")
+    if any(c > hi for c, hi in zip(point, scenario.space_high or ())):
+        raise ScenarioError(f"{label} lies above the type-space box")
 
 
 def load_scenario(path: str | os.PathLike[str]) -> Scenario:
@@ -511,7 +524,7 @@ def _forward_point_mass(
     return operation, certify, result.region, summary
 
 
-def _setup_point_mass(scenario: Scenario) -> Setup:
+def _setup_point_mass(scenario: Scenario, options: dict) -> Setup:
     """deterministic and universally_truthful classes, both modes."""
     anchor = scenario.anchor
     allocations = scenario.allocations or point_masses(anchor.dim)
@@ -529,7 +542,7 @@ def _setup_point_mass(scenario: Scenario) -> Setup:
     )
 
 
-def _setup_tie(scenario: Scenario) -> Setup:
+def _setup_tie(scenario: Scenario, options: dict) -> Setup:
     theta = scenario.anchor
     if scenario.allocations:
         # Explicit allocation sets satisfy the rank-one hypothesis, where
@@ -567,38 +580,9 @@ def _setup_tie(scenario: Scenario) -> Setup:
     return "tie_harmless_contains", certify, None, (("family", family.value),)
 
 
-def _check_vcg(scenario: Scenario) -> None:
-    """A vcg type is (null, item1, item2) with the null coordinate worth 0."""
-    if scenario.anchor.dim != 3:
-        raise ScenarioError("vcg scenarios use three coordinates (null, item1, item2)")
-    check_null_coordinate(scenario.anchor, *scenario.queries)
-
-
-def _kminded_k(scenario: Scenario) -> str:
-    """Option k, after checking that every type has k + 1 coordinates, the
-    null coordinate first and worth 0."""
-    token = _option_token(scenario, "k")
-    if token is None:
-        raise ScenarioError("kminded scenarios need option k")
-    if token not in ("1", "2"):
-        raise ScenarioError("option k must be 1 or 2")
-    k = int(token)
-    if scenario.anchor.dim != k + 1:
-        raise ScenarioError(
-            f"kminded scenarios with k {k} use {k + 1} coordinates (null first)"
-        )
-    check_null_coordinate(scenario.anchor, *scenario.queries)
-    return token
-
-
-def _setup_vcg(scenario: Scenario) -> Setup:
-    _check_vcg(scenario)
-    others = []
-    for values in option_values(scenario, "others"):
-        if len(values) != 2:
-            raise ScenarioError("option others takes two item values")
-        others.append((_parse_rational(values[0]), _parse_rational(values[1])))
-    rule = vcg_single_agent_rule(UnitDemandProfile(tuple(others)))
+def _setup_vcg(scenario: Scenario, options: dict) -> Setup:
+    others = options.get("others", ())
+    rule = vcg_single_agent_rule(UnitDemandProfile(others))
     prices = [price for _, price in rule.entries]
     summary = (
         ("others", str(len(others))),
@@ -608,26 +592,10 @@ def _setup_vcg(scenario: Scenario) -> Setup:
     return _forward_point_mass(scenario, "vcg_harmless_contains", point_masses(3), summary)
 
 
-def _parse_price_bound(values: tuple[str, ...] | None, default: Fraction | None):
-    if values is None:
-        return (default, default)
-    if len(values) != 2:
-        raise ScenarioError("price bounds take two values")
-
-    def one(token: str):
-        if token in ("inf", "none"):
-            return None
-        return _parse_rational(token)
-
-    return (one(values[0]), one(values[1]))
-
-
-def _setup_price_family(scenario: Scenario) -> Setup:
+def _setup_price_family(scenario: Scenario, options: dict) -> Setup:
     theta = scenario.anchor
-    lows = _parse_price_bound(option_single(scenario, "price_low"), Fraction(0))
-    highs = _parse_price_bound(option_single(scenario, "price_high"), None)
-    if lows[0] is None or lows[1] is None:
-        raise ScenarioError("price_low bounds must be finite")
+    lows = options.get("price_low", (Fraction(0), Fraction(0)))
+    highs = options.get("price_high", (None, None))
     family = PriceFamily(((lows[0], highs[0]), (lows[1], highs[1])))
 
     def certify(q: Vector) -> Certificate | None:
@@ -655,21 +623,17 @@ def _setup_price_family(scenario: Scenario) -> Setup:
     return "price_family_harmless_contains", certify, None, summary
 
 
-def _setup_kminded(scenario: Scenario) -> Setup:
-    token = _kminded_k(scenario)
+def _setup_kminded(scenario: Scenario, options: dict) -> Setup:
+    k = options["k"]
     return _forward_point_mass(
-        scenario, "kminded_harmless_contains", point_masses(int(token) + 1), (("k", token),)
+        scenario, "kminded_harmless_contains", point_masses(k + 1), (("k", str(k)),)
     )
 
 
-def _setup_second_price(scenario: Scenario) -> Setup:
+def _setup_second_price(scenario: Scenario, options: dict) -> Setup:
     reported = scenario.anchor
-    if reported.dim != 1:
-        raise ScenarioError("second_price scenarios use one-coordinate values")
-    threshold = _option_rational(scenario, "threshold")
-    if threshold is None:
-        raise ScenarioError("second_price scenarios need option threshold")
-    allocation_dependent = _option_flag(scenario, "allocation_dependent", False)
+    threshold = options["threshold"]
+    allocation_dependent = options.get("allocation_dependent", False)
 
     def certify(q: Vector) -> Certificate | None:
         if not second_price_harmful_contains(
@@ -706,25 +670,10 @@ def _second_price_region(
     )
 
 
-def _setup_facility(scenario: Scenario) -> Setup:
+def _setup_facility(scenario: Scenario, options: dict) -> Setup:
     theta = scenario.anchor
-    if theta.dim != 1:
-        raise ScenarioError("facility_line scenarios use one-coordinate positions")
-    facilities = option_single(scenario, "facilities")
-    if facilities is None or len(facilities) != 2:
-        raise ScenarioError("facility_line scenarios need option facilities G1 G2")
-    benefit = _option_rational(scenario, "benefit")
-    line = FacilityLine(
-        (_parse_rational(facilities[0]), _parse_rational(facilities[1])),
-        Fraction(1) if benefit is None else benefit,
-    )
-    kinds = []
-    for values in option_values(scenario, "verification"):
-        for token in values:
-            try:
-                kinds.append(VerificationKind(token))
-            except ValueError:
-                raise ScenarioError(f"unknown verification kind {token!r}") from None
+    line = FacilityLine(options["facilities"], options.get("benefit", Fraction(1)))
+    kinds = [kind for listed in options.get("verification", ()) for kind in listed]
     uncovered = facility_first_uncovered(theta[0], line, kinds)
     agent_type = facility_type(theta[0], line)
     allocations = point_masses(2)
@@ -751,37 +700,91 @@ def _setup_facility(scenario: Scenario) -> Setup:
     return "facility_verification_covers", certify, None, tuple(summary)
 
 
-# Each class: the scenario mode it runs in (None for both), its setup, and
-# the option keys that setup reads.
+# The class table.  An option key maps to (count, read, kind): a line of the
+# key holds ``count`` values (any number when None), each read by a function
+# of its token or looked up in a dict of the allowed tokens, and kind is
+# "repeatable", "required" or None.  Every class reads the verify verb's keys.
+_VERIFY_OPTIONS = {
+    "rule_prices": (None, _parse_rational, None),
+    "rule_pair": (2, _index, None),
+    "rule_price": (1, _parse_rational, None),
+    "rule_tie": (1, {"to_i": TieSide.TO_I, "to_j": TieSide.TO_J}, None),
+    "verification_kind": (1, {"none": "none", "no_overbid": "no_overbid",
+                              "no_overbid_on_received": "no_overbid_on_received",
+                              "harmless_complement": "harmless_complement"}, None),
+}
+# Each class: the mode it runs in (None for both), its setup, its own option
+# keys, and its type rule: the types' dimension (None for any, or a function
+# of the options) with the message naming it, then tags for a null
+# coordinate 0 worth 0, nonnegative values, point-mass allocations and
+# "positions" (a type is a position on a line, not a value vector).
 _CLASSES = {
-    "deterministic": (None, _setup_point_mass, ()),
-    "universally_truthful": (None, _setup_point_mass, ()),
-    "truthful_in_expectation": ("forward", _setup_tie, ()),
-    "vcg": ("forward", _setup_vcg, ("others",)),
-    "price_family": ("forward", _setup_price_family, ("price_low", "price_high")),
-    "second_price": ("reverse", _setup_second_price, ("threshold", "allocation_dependent")),
-    "kminded": ("forward", _setup_kminded, ("k",)),
-    "facility_line": ("forward", _setup_facility, ("facilities", "benefit", "verification")),
+    "deterministic": (None, _setup_point_mass, {}, (None, "", "point_masses")),
+    "universally_truthful": (None, _setup_point_mass, {}, (None, "", "point_masses")),
+    "truthful_in_expectation": ("forward", _setup_tie, {}, (None, "")),
+    "vcg": ("forward", _setup_vcg, {"others": (2, _nonnegative, "repeatable")},
+            (3, "vcg scenarios use three coordinates (null, item1, item2)", "null")),
+    "price_family": ("forward", _setup_price_family,
+                     {"price_low": (2, _nonnegative, None), "price_high": (2, _price_bound, None)},
+                     (3, "price_family scenarios use three coordinates (null, item1, item2)")),
+    "second_price": ("reverse", _setup_second_price,
+                     {"threshold": (1, _parse_rational, "required"),
+                      "allocation_dependent": (1, {"true": True, "false": False}, None)},
+                     (1, "second_price scenarios use one-coordinate values", "nonnegative")),
+    "kminded": ("forward", _setup_kminded, {"k": (1, {"1": 1, "2": 2}, "required")},
+                (lambda options: options["k"] + 1,
+                 "kminded scenarios with k {k} use {dim} coordinates (null first)", "null")),
+    "facility_line": ("forward", _setup_facility,
+                      {"facilities": (2, _parse_rational, "required"),
+                       "benefit": (1, _parse_rational, None),
+                       "verification": (None, {
+                           "no_underbid_distance": VerificationKind.NO_UNDERBID_DISTANCE,
+                           "direction_imposing": VerificationKind.DIRECTION_IMPOSING,
+                       }, "repeatable")},
+                      (1, "facility_line scenarios use one-coordinate positions", "positions")),
 }
 MECHANISM_CLASSES = tuple(_CLASSES)
-# The verify verb's options, which every class accepts.
-_VERIFY_OPTIONS = ("rule_prices", "rule_pair", "rule_price", "rule_tie", "verification_kind")
+
+
+def _checked(scenario: Scenario) -> tuple[Callable[[Scenario, dict], Setup], dict, tuple]:
+    """The class's setup, the scenario's options as a dict and the type
+    rule's tags, once the class runs in the scenario's mode, its required
+    options are given and its type rule holds for the anchor, every query
+    and the explicit allocations.  Every verb calls this before it answers
+    a query."""
+    cls = scenario.mechanism_class
+    if cls not in _CLASSES:
+        raise ScenarioError(f"unsupported mechanism class {cls!r}")
+    class_mode, setup, specs, (dim, message, *tags) = _CLASSES[cls]
+    if class_mode is not None and scenario.mode != class_mode:
+        raise ScenarioError(f"{cls} scenarios are {class_mode}-mode only")
+    options = dict(scenario.options)
+    for key, (_, _, kind) in specs.items():
+        if kind == "required" and key not in options:
+            raise ScenarioError(f"{cls} scenarios need option {key}")
+    anchor = scenario.anchor
+    dim = dim(options) if callable(dim) else dim
+    if dim is not None and anchor.dim != dim:
+        raise ScenarioError(message.format(dim=dim, **options))
+    types = (anchor, *scenario.queries)
+    if "null" in tags:
+        check_null_coordinate(*types)
+    if "nonnegative" in tags and any(c < 0 for t in types for c in t):
+        raise ScenarioError(f"{cls} scenarios use nonnegative values")
+    if "point_masses" in tags and scenario.allocations:
+        point_mass_indices(scenario.allocations, anchor.dim)
+    return setup, options, tags
 
 
 def run_scenario(source: Scenario | str | os.PathLike[str]) -> ResultDocument:
     """Evaluate a scenario (or scenario file) and return its result document."""
     scenario = source if isinstance(source, Scenario) else load_scenario(source)
-    cls = scenario.mechanism_class
-    if cls not in _CLASSES:
-        raise ScenarioError(f"unsupported mechanism class {cls!r}")
-    class_mode, setup, _ = _CLASSES[cls]
-    mode = scenario.mode
-    if class_mode is not None and mode != class_mode:
-        raise ScenarioError(f"{cls} scenarios are {class_mode}-mode only")
-    operation, certify, region, summary = setup(scenario)
+    setup, options, _ = _checked(scenario)
+    operation, certify, region, summary = setup(scenario, options)
     if region is not None:
         box = box_region(scenario.space_low, scenario.space_high)
         region = ConvexRegion(region.halfspaces + box.halfspaces, region.extra_points)
+    mode = scenario.mode
     forward = mode == "forward"
     queries: list[QueryResult] = []
     witnesses: list[WitnessRecord] = []
@@ -790,6 +793,7 @@ def run_scenario(source: Scenario | str | os.PathLike[str]) -> ResultDocument:
         queries.append(QueryResult(q, (certificate is None) == forward))
         if certificate is not None:
             witnesses.append(WitnessRecord(index, *certificate))
+    cls = scenario.mechanism_class
     return ResultDocument(
         scenario_name=scenario.name,
         mechanism_class=cls,
@@ -808,32 +812,22 @@ def run_scenario(source: Scenario | str | os.PathLike[str]) -> ResultDocument:
 # Truthfulness checks with explicit verification (the verify verb)
 
 
-def _verify_rule(scenario: Scenario) -> Rule:
-    dim = scenario.anchor.dim
-    prices = option_single(scenario, "rule_prices")
-    pair = option_single(scenario, "rule_pair")
+def _verify_rule(dim: int, options: dict) -> Rule:
+    prices = options.get("rule_prices")
+    pair = options.get("rule_pair")
     if (prices is None) == (pair is None):
         raise ScenarioError("verify needs exactly one of rule_prices or rule_pair")
     if prices is not None:
         if len(prices) != dim:
             raise ScenarioError(f"rule_prices takes {dim} values")
-        entries = tuple(
-            (point_mass(i, dim), _parse_rational(token)) for i, token in enumerate(prices)
-        )
-        return TaxationRule(entries)
-    if len(pair) != 2 or not all(_INDEX.fullmatch(t) for t in pair):
-        raise ScenarioError("rule_pair takes two assignment indices")
-    i, j = int(pair[0]), int(pair[1])
-    if not (0 <= i < dim and 0 <= j < dim):
+        return TaxationRule(tuple((point_mass(i, dim), p) for i, p in enumerate(prices)))
+    i, j = pair
+    if not (i < dim and j < dim):
         raise ScenarioError("rule_pair indices out of range")
-    price = _option_rational(scenario, "rule_price")
-    if price is None:
+    if "rule_price" not in options:
         raise ScenarioError("rule_pair needs option rule_price")
-    tie_token = _option_token(scenario, "rule_tie", "to_i")
-    if tie_token not in ("to_i", "to_j"):
-        raise ScenarioError("option rule_tie must be to_i or to_j")
-    tie = TieSide.TO_I if tie_token == "to_i" else TieSide.TO_J
-    return SeparatingRule(point_mass(i, dim), point_mass(j, dim), price, tie)
+    tie = options.get("rule_tie", TieSide.TO_I)
+    return SeparatingRule(point_mass(i, dim), point_mass(j, dim), options["rule_price"], tie)
 
 
 def _verification(token: str, rule: Rule, dim: int) -> Callable[[Vector, Vector], bool]:
@@ -854,10 +848,8 @@ def _verification(token: str, rule: Rule, dim: int) -> Callable[[Vector, Vector]
             return received.value_to(reported) > received.value_to(true)
 
         return overstates_received
-    if token == "harmless_complement":
-        allocations = point_masses(dim)
-        return lambda true, reported: point_mass_rule(true, reported, allocations) is not None
-    raise ScenarioError(f"unknown verification_kind {token!r}")
+    allocations = point_masses(dim)  # harmless_complement
+    return lambda true, reported: point_mass_rule(true, reported, allocations) is not None
 
 
 def run_verify(source: Scenario | str | os.PathLike[str]) -> ResultDocument:
@@ -865,21 +857,15 @@ def run_verify(source: Scenario | str | os.PathLike[str]) -> ResultDocument:
     scenario = source if isinstance(source, Scenario) else load_scenario(source)
     if scenario.mode != "forward":
         raise ScenarioError("verify needs a forward-mode scenario")
+    _, options, tags = _checked(scenario)
     cls = scenario.mechanism_class
-    if cls == "facility_line":
-        raise ScenarioError("verify reads value vectors, not facility_line positions")
-    if cls == "vcg":
-        _check_vcg(scenario)
-    elif cls == "kminded":
-        _kminded_k(scenario)
+    if "positions" in tags:
+        raise ScenarioError(f"verify reads value vectors, not {cls} positions")
     theta = scenario.anchor
-    rule = _verify_rule(scenario)
-    token = _option_token(scenario, "verification_kind", "none")
+    rule = _verify_rule(theta.dim, options)
+    token = options.get("verification_kind", "none")
     verification = _verification(token, rule, theta.dim)
-    grid: list[Vector] = []
-    for point in (theta, *scenario.queries):
-        if point not in grid:
-            grid.append(point)
+    grid = list(dict.fromkeys((theta, *scenario.queries)))
     truthful, violation = is_truthful_with_verification(rule, verification, grid)
     operation = "is_truthful_with_verification"
     witnesses: tuple[WitnessRecord, ...] = ()

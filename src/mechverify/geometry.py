@@ -88,6 +88,9 @@ class Vector(Frozen):
     def __hash__(self) -> int:
         return hash(self.coords)
 
+    def __str__(self) -> str:
+        return f"({', '.join([str(c) for c in self.coords])})"
+
     @property
     def dim(self) -> int:
         return len(self.coords)

@@ -33,6 +33,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .geometry import (
@@ -156,20 +157,7 @@ def deterministic_harmless(theta: Vector, allocations: Sequence[Allocation]) -> 
     value levels in increasing order, each level's smallest d exceeds the
     largest d on the level above.
     """
-    allocations = tuple(allocations)
-    if len(allocations) < 2:
-        raise MechanismError("need at least two allocations")
-    for a in allocations:
-        if not a.is_deterministic():
-            raise MechanismError(
-                "deterministic harmless sets are over point-mass allocations; "
-                f"got {a.probs}"
-            )
-        if a.dim != theta.dim:
-            raise DimensionMismatch(f"allocation dim {a.dim} vs type dim {theta.dim}")
-    if len(set(allocations)) != len(allocations):
-        raise MechanismError("allocations must be distinct")
-    indices = tuple(a.probs.coords.index(1) for a in allocations)
+    indices = point_mass_indices(allocations, theta.dim)
     region = ConvexRegion(tuple(_pairwise_halfspaces(theta, indices)), frozenset({theta}))
 
     def contains(x: Vector) -> bool:
@@ -189,6 +177,23 @@ def deterministic_harmless(theta: Vector, allocations: Sequence[Allocation]) -> 
         return True
 
     return HarmlessResult(contains, region)
+
+
+def point_mass_indices(allocations: Sequence[Allocation], dim: int) -> tuple[int, ...]:
+    """Each allocation's coordinate, once all are checked to be distinct
+    point masses of dimension ``dim``, at least two of them."""
+    if len(allocations) < 2:
+        raise MechanismError("need at least two allocations")
+    for a in allocations:
+        if not a.is_deterministic():
+            raise MechanismError(
+                f"deterministic harmless sets are over point-mass allocations; got {a.probs}"
+            )
+        if a.dim != dim:
+            raise DimensionMismatch(f"allocation dim {a.dim} vs type dim {dim}")
+    if len(set(allocations)) != len(allocations):
+        raise MechanismError("allocations must be distinct")
+    return tuple([a.probs.coords.index(1) for a in allocations])
 
 
 def point_mass_rule(
@@ -262,6 +267,7 @@ def single_rule_harmless_contains(theta: Vector, rule: Rule, x: Vector) -> bool:
     return apply_rule(rule, x).value_to(theta) <= apply_rule(rule, theta).value_to(theta)
 
 
+@lru_cache(maxsize=16)
 def difference_span(theta: Vector, space: AllocationSpace) -> Span:
     """Span of scaled allocation differences over pairs theta is not
     indifferent between.
@@ -273,7 +279,9 @@ def difference_span(theta: Vector, space: AllocationSpace) -> Span:
     indifferent between everything give the zero span.  Explicit allocation
     sets are accepted only when the scaled differences really do form a
     subspace, i.e. when all non-indifferent difference directions are
-    collinear; otherwise :class:`SubspaceHypothesisError` is raised.
+    collinear; otherwise :class:`SubspaceHypothesisError` is raised.  The
+    span of n allocations takes O(n^2 m) to build, and a scenario asks for
+    it once per query, so the last 16 are kept.
     """
     m = theta.dim
     if space is SimplexFamily.FULL_SIMPLEX:
@@ -286,16 +294,16 @@ def difference_span(theta: Vector, space: AllocationSpace) -> Span:
             return Span(())
         basis = tuple(unit_vector(i, m) for i in range(m))
         return Span(basis)
-    differences = []
-    for a_i, a_j in combinations(space, 2):
-        if a_i.value_to(theta) != a_j.value_to(theta):
-            differences.append(a_i.probs - a_j.probs)
+    valued = [(a, a.value_to(theta)) for a in space]
+    differences = [
+        a_i.probs - a_j.probs for (a_i, v_i), (a_j, v_j) in combinations(valued, 2) if v_i != v_j
+    ]
     if rank(differences) > 1:
         raise SubspaceHypothesisError(
             "scaled differences span more than one direction; "
             "the closed-form characterisation does not apply"
         )
-    return Span(tuple(differences))
+    return Span(tuple(differences[:1]))  # rank one: the first spans them all
 
 
 def _proportionality(px: Vector, ptheta: Vector) -> Fraction | None:
@@ -328,7 +336,7 @@ def difference_projection(theta: Vector, space: AllocationSpace) -> Callable[[Ve
         if theta.is_zero():
             return lambda v: zero_vector(m)
         return lambda v: v
-    span = difference_span(theta, space)
+    span = difference_span(theta, tuple(space))
     return lambda v: project_onto_span(span, v)
 
 

@@ -124,8 +124,7 @@ class SeparatingRule(Frozen):
         n = self.normal
         for point, target in overrides.items():
             if n.dot(point) != relative_price:
-                coords = ", ".join(str(c) for c in point)
-                raise MechanismError(f"override point ({coords}) is off the boundary")
+                raise MechanismError(f"override point {point} is off the boundary")
             if target not in (a_i, a_j):
                 raise MechanismError("override target must be one of the rule's pair")
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mechverify import cli, multiagent, scenarios
+from mechverify import cli, harmless, multiagent, scenarios
 from mechverify.cli import (
     MECHANISM_CLASSES,
     Scenario,
@@ -245,6 +245,54 @@ def test_budgets_admit_their_own_size():
     document = run_scenario(parse_scenario(text))
     assert document.anchor.dim == cli.MAX_DIMENSION
     assert [q.member for q in document.queries] == [True]
+
+
+# The repeat budget, for allocation lines and for a repeatable option: the
+# line one over it is refused before its tokens are read.
+REPEATED_LINES = {
+    "allocation": ("deterministic", "theta " + " ".join(["0"] * 64), "allocation", None),
+    "others": ("vcg", "theta 0 2 1", "option others", "1 0"),
+    "verification": (
+        "facility_line", "theta 1/2\noption facilities 0 2", "option verification",
+        "no_underbid_distance",
+    ),
+}
+
+
+def _repeated(cls, head, directive, value, count):
+    lines = ["scenario s", f"class {cls}", *head.splitlines()]
+    for index in range(count):
+        # Allocation lines run through the 64 point masses.
+        tokens = value or " ".join("1" if i == index else "0" for i in range(64))
+        lines.append(f"{directive} {tokens}")
+    return lines
+
+
+@pytest.mark.parametrize("case", REPEATED_LINES.values(), ids=REPEATED_LINES)
+def test_repeat_budget_refuses_one_line_more(case, tmp_path, capsys):
+    cls, head, directive, value = case
+    lines = _repeated(cls, head, directive, value, cli.MAX_REPEATS) + [f"{directive} x"]
+    text = "\n".join(lines) + "\n"
+    message = f"more than {cli.MAX_REPEATS} {directive} lines (the budget)"
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert (err.value.line, str(err.value)) == (len(lines), f"line {len(lines)}: {message}")
+    (tmp_path / "many.scn").write_text(text)
+    assert main(["harmless", "--scenario", str(tmp_path / "many.scn")]) == 1
+    assert capsys.readouterr().err == f"error: line {len(lines)}: {message}\n"
+
+
+@pytest.mark.parametrize("case", REPEATED_LINES.values(), ids=REPEATED_LINES)
+def test_repeat_budget_admits_its_own_size(case):
+    cls, head, directive, value = case
+    lines = _repeated(cls, head, directive, value, cli.MAX_REPEATS)
+    scenario = parse_scenario("\n".join(lines + [lines[2].replace("theta", "query")]) + "\n")
+    document = run_scenario(scenario)
+    assert [q.member for q in document.queries] == [True]
+    if directive == "allocation":
+        assert len(scenario.allocations) == cli.MAX_REPEATS
+    else:
+        assert len(dict(scenario.options)[directive.split()[1]]) == cli.MAX_REPEATS
 
 
 def test_run_deterministic_worked_example():
@@ -531,6 +579,23 @@ query 0 5 0
     assert len(calls) == 1
 
 
+def test_explicit_allocation_span_is_built_once():
+    # An explicit set's difference span takes O(n^2 m) to build; a scenario
+    # builds it once for all its queries, and keeps one generator of the line.
+    harmless.difference_span.cache_clear()
+    text = (
+        "scenario s\nclass truthful_in_expectation\ntheta 1 2 4\n"
+        "allocation 1 0 0\nallocation 1/2 1/2 0\nallocation 0 1 0\n"
+        "query 1/2 1 0\nquery 0 5 0\nquery 3 3 3\n"
+    )
+    document = run_scenario(parse_scenario(text))
+    assert [qr.member for qr in document.queries] == [True, False, True]
+    info = harmless.difference_span.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    scenario = parse_scenario(text)
+    assert len(harmless.difference_span(scenario.anchor, scenario.allocations).basis) == 1
+
+
 # Per class: the mode it runs in (None for both), an anchor, and the
 # options that make the scenario runnable.
 CLASS_MODES = {
@@ -566,6 +631,163 @@ def test_class_runs_only_in_its_modes(cls, mode):
         with pytest.raises(ScenarioError) as err:
             run_scenario(scenario)
         assert str(err.value) == f"{cls} scenarios are {runs_in}-mode only"
+
+
+# Files that break a class's type rule or hold a bad option value, each
+# with and without a query: every verb that reads the file's mode refuses
+# them with the same message.
+CLASS_RULE_BREACHES = {
+    "reverse-fractional-allocation": (
+        "scenario s\nclass deterministic\nreported 0 1 2\nallocation 1/2 1/2 0\nallocation 0 0 1\n",
+        "query 1 0 2\n",
+        "deterministic harmless sets are over point-mass allocations; got (1/2, 1/2, 0)",
+    ),
+    "forward-fractional-allocation": (
+        "scenario s\nclass deterministic\ntheta 0 1 2\nallocation 1/2 1/2 0\nallocation 0 0 1\n",
+        "query 1 0 2\n",
+        "deterministic harmless sets are over point-mass allocations; got (1/2, 1/2, 0)",
+    ),
+    "reverse-equal-allocations": (
+        "scenario s\nclass universally_truthful\nreported 0 1\nallocation 1 0\nallocation 1 0\n",
+        "query 1 0\n",
+        "allocations must be distinct",
+    ),
+    "second-price-negative": (
+        "scenario s\nclass second_price\nreported -1\noption threshold 1/2\n",
+        "query 1\n",
+        "second_price scenarios use nonnegative values",
+    ),
+    "price-family-dimension": (
+        "scenario s\nclass price_family\ntheta 0 1\n",
+        "query 0 2\n",
+        "price_family scenarios use three coordinates (null, item1, item2)",
+    ),
+    "rule-tie": (
+        "scenario s\nclass deterministic\ntheta 0 1\noption rule_tie sideways\n",
+        "query 1 0\n",
+        "line 4: option rule_tie: 'sideways' is not one of to_i, to_j",
+    ),
+}
+
+
+@pytest.mark.parametrize("with_query", [False, True], ids=["no-query", "query"])
+@pytest.mark.parametrize(
+    "text, query, message", CLASS_RULE_BREACHES.values(), ids=CLASS_RULE_BREACHES
+)
+def test_every_verb_refuses_a_class_rule_breach(text, query, message, with_query, tmp_path, capsys):
+    scenario = tmp_path / "s.scn"
+    scenario.write_text(text + (query if with_query else ""))
+    forward = "\ntheta " in text
+    verbs = ("harmless", "witness", "plot", "verify") if forward else ("harmful", "witness", "plot")
+    for verb in verbs:
+        assert main([verb, "--scenario", str(scenario)]) == 1, verb
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n"), verb
+
+
+TABLE_KEYS = [
+    (cls, key) for cls in MECHANISM_CLASSES for key in (*cli._CLASSES[cls][2], *cli._VERIFY_OPTIONS)
+]
+
+
+@pytest.mark.parametrize("cls, key", TABLE_KEYS, ids=[f"{cls}-{key}" for cls, key in TABLE_KEYS])
+def test_a_malformed_option_value_names_its_line(cls, key, tmp_path, capsys):
+    runs_in, anchor, options = CLASS_MODES[cls]
+    anchor_key = "reported" if runs_in == "reverse" else "theta"
+    lines = ["scenario s", f"class {cls}", f"{anchor_key} {anchor}"]
+    lines += [line for line in options.splitlines() if line.split()[1] != key]
+    count = {**cli._VERIFY_OPTIONS, **cli._CLASSES[cls][2]}[key][0]
+    lines.append(f"option {key} " + " ".join(["x"] * (count or 1)))
+    scenario = tmp_path / "s.scn"
+    scenario.write_text("\n".join(lines) + "\n")
+    verb = "harmful" if runs_in == "reverse" else "harmless"
+    assert main([verb, "--scenario", str(scenario)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {len(lines)}: option {key}: "), err
+
+
+REQUIRED_KEYS = [
+    (cls, key)
+    for cls in MECHANISM_CLASSES
+    for key, (_, _, kind) in cli._CLASSES[cls][2].items()
+    if kind == "required"
+]
+
+
+@pytest.mark.parametrize(
+    "cls, key", REQUIRED_KEYS, ids=[f"{cls}-{key}" for cls, key in REQUIRED_KEYS]
+)
+def test_a_missing_required_option_is_refused(cls, key, tmp_path, capsys):
+    runs_in, anchor, options = CLASS_MODES[cls]
+    anchor_key = "reported" if runs_in == "reverse" else "theta"
+    lines = ["scenario s", f"class {cls}", f"{anchor_key} {anchor}"]
+    lines += [line for line in options.splitlines() if line.split()[1] != key]
+    scenario = tmp_path / "s.scn"
+    scenario.write_text("\n".join(lines) + "\n")
+    verbs = ("harmful", "witness") if runs_in == "reverse" else ("harmless", "witness", "verify")
+    for verb in verbs:
+        assert main([verb, "--scenario", str(scenario)]) == 1, verb
+        assert capsys.readouterr().err == f"error: {cls} scenarios need option {key}\n", verb
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "scenario s\nclass kminded\noption k 2\ntheta 0 1 2\noption k 2\n",
+            "line 5: option 'k' given more than once",
+        ),
+        (
+            "scenario s\nclass kminded\noption k 1 2\ntheta 0 1 2\n",
+            "line 3: option k: takes 1 value, not 2",
+        ),
+        (
+            "scenario s\nclass vcg\ntheta 0 2 1\noption others -1 0\n",
+            "line 4: option others: values are nonnegative, not -1",
+        ),
+        (
+            "scenario s\nclass price_family\ntheta 0 1 2\noption price_high none 5\n",
+            "line 4: option price_high: bad rational 'none'",
+        ),
+        (
+            "scenario s\nclass price_family\ntheta 0 1 2\noption price_low inf 0\n",
+            "line 4: option price_low: bad rational 'inf'",
+        ),
+        (
+            "scenario s\nclass deterministic\ntheta 0 1\noption rule_prices 0 1\n"
+            "option rule_pair 0\n",
+            "line 5: option rule_pair: takes 2 values, not 1",
+        ),
+    ],
+    ids=["repeated", "count", "negative", "none-is-not-inf", "finite-low", "pair-count"],
+)
+def test_option_lines_are_checked_at_their_line(text, message):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert str(err.value) == message
+
+
+def test_parse_scenario_reads_typed_options():
+    # An option line may come before the class line; values arrive typed.
+    text = (
+        "scenario s\noption allocation_dependent true\noption threshold 1/2\n"
+        "class second_price\nreported 1\noption rule_tie to_j\n"
+    )
+    assert parse_scenario(text).options == (
+        ("allocation_dependent", True),
+        ("threshold", Fraction(1, 2)),
+        ("rule_tie", TieSide.TO_J),
+    )
+    reserve = load_scenario(SCENARIO_DIR / "reserve_box.scn")
+    assert reserve.options == (("price_low", (Fraction(3, 2), Fraction(3, 2))),)
+    split = FACILITY_EXAMPLE.replace(" direction_imposing", "")
+    facility = parse_scenario(split + "option verification direction_imposing\n")
+    kinds = dict(facility.options)["verification"]
+    assert kinds == (
+        (scenarios.VerificationKind.NO_UNDERBID_DISTANCE,),
+        (scenarios.VerificationKind.DIRECTION_IMPOSING,),
+    )
+    assert run_scenario(facility).summary == run_scenario(parse_scenario(FACILITY_EXAMPLE)).summary
 
 
 def test_run_scenario_appends_the_type_space_box():
@@ -689,14 +911,15 @@ def test_rule_pair_takes_ascii_indices(index, tmp_path, capsys):
         "scenario s\nclass deterministic\ntheta 0 1\n"
         f"option rule_pair {index} 0\noption rule_price 1\n"
     )
+    message = f"line 4: option rule_pair: bad assignment index {index!r}"
     with pytest.raises(ScenarioError) as err:
-        run_verify(parse_scenario(text))
-    assert str(err.value) == "rule_pair takes two assignment indices"
+        parse_scenario(text)
+    assert str(err.value) == message
     scenario = tmp_path / "s.scn"
     scenario.write_text(text, encoding="utf-8")
     assert main(["verify", "--scenario", str(scenario)]) == 1
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "error: rule_pair takes two assignment indices\n")
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 # Few values, so types tie on coordinates and repeat across the grid.
@@ -1126,7 +1349,8 @@ def test_cli_error_paths(tmp_path, cli_env):
         (
             "harmless",
             FACILITY_EXAMPLE + "option verification no_overbid\n",
-            "error: unknown verification kind 'no_overbid'\n",
+            "error: line 9: option verification: 'no_overbid' is not one of "
+            "no_underbid_distance, direction_imposing\n",
         ),
     ],
     ids=["harmless-on-reverse", "harmful-on-forward", "facility-no-overbid"],

@@ -7,12 +7,14 @@ the command line exits 0 or 1.  An uncaught exception would be exit 2.
 import contextlib
 import io
 import os
+import re
 import tempfile
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mechverify import cli
 from mechverify.cli import (
     MECHANISM_CLASSES,
     ResultDocument,
@@ -73,6 +75,16 @@ CLASS_SHAPES = {
     "kminded": ("theta", (2, 3), True, False, ("k",)),
     "facility_line": ("theta", (1,), False, False, ("facilities", "benefit", "verification")),
 }
+
+
+def test_option_keys_match_the_class_table():
+    table = {cls: set(row[2]) for cls, row in cli._CLASSES.items()}
+    keys = set(cli._VERIFY_OPTIONS).union(*table.values())
+    assert set(VALID_OPTIONS) == keys
+    assert {cls: set(shape[4]) for cls, shape in CLASS_SHAPES.items()} == table
+    assert set(re.findall(r"option ([a-z_]+)", cli.__doc__)) == keys
+
+
 DIRECTIVES = (
     "assignments", "null_assignment", "theta", "reported", "space_low", "space_high",
     "allocation", "query", "option", "scenario", "class", "frobnicate",

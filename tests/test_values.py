@@ -221,5 +221,8 @@ def error_messages():
 
 def test_error_messages_name_values_not_addresses():
     messages = list(error_messages())
-    assert all("object at 0x" not in message for message in messages), messages
+    for fragment in ("object at 0x", "Fraction(", "Vector("):
+        assert all(fragment not in message for message in messages), messages
     assert "override point (1, 1/2) is off the boundary" in messages
+    assert messages[1].endswith("point-mass allocations; got (1/2, 1/2)")
+    assert messages[2].endswith("dimension 2; got (1/2, 1/2)")
