@@ -35,11 +35,11 @@ Class-specific options (V and P nonnegative):
                    option verification_kind none|no_overbid|
                    no_overbid_on_received|harmless_complement
 
-Every class accepts the verify-verb options.  A key the class does not
-read, a second line of a key that does not repeat, and a value the key does
-not take are errors that name their line.  Every verb checks the
-class's type rule (the dimension of its types, a null coordinate 0 worth 0,
-nonnegative values, point-mass allocations) before it answers any query.
+Every class accepts the verify-verb options.  An unknown key, a repeated
+single line, a bad value and values that contradict each other are errors
+that name their line.  Every verb checks the class's type rule (dimension,
+a null coordinate 0 worth 0, nonnegative values, allocation lines only for
+the classes that read them, point masses) before it answers any query.
 
 Three budgets bound the work a file can ask for: at most ``MAX_DIMENSION``
 coordinates (or assignment labels) on a line, at most ``MAX_QUERIES``
@@ -317,7 +317,8 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("missing class line")
     if (theta is None) == (reported is None):
         raise ScenarioError("exactly one of theta or reported must be given")
-    specs = _CLASSES[mechanism_class][2]
+    _, _, specs, _, model = _CLASSES[mechanism_class]
+    required = [key for key, (_, _, kind) in specs.items() if kind == "required"]
     options: dict[str, object] = {}
     for line_no, key, args in option_lines:
         spec = specs.get(key) or _VERIFY_OPTIONS.get(key)
@@ -327,9 +328,12 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"option {key!r} given more than once", line_no)
         try:
             value = _option_value(args, spec)
+            options[key] = options.get(key, ()) + (value,) if spec[2] == "repeatable" else value
+            # Values that must agree are checked by the line that breaks them.
+            if model is not None and all(k in options for k in required):
+                model(options)
         except ValueError as exc:
             raise ScenarioError(f"option {key}: {exc}", line_no) from None
-        options[key] = options.get(key, ()) + (value,) if spec[2] == "repeatable" else value
 
     assignments = None
     if labels is not None:
@@ -592,11 +596,15 @@ def _setup_vcg(scenario: Scenario, options: dict) -> Setup:
     return _forward_point_mass(scenario, "vcg_harmless_contains", point_masses(3), summary)
 
 
-def _setup_price_family(scenario: Scenario, options: dict) -> Setup:
-    theta = scenario.anchor
+def _price_family(options: dict) -> PriceFamily:
     lows = options.get("price_low", (Fraction(0), Fraction(0)))
     highs = options.get("price_high", (None, None))
-    family = PriceFamily(((lows[0], highs[0]), (lows[1], highs[1])))
+    return PriceFamily(((lows[0], highs[0]), (lows[1], highs[1])))
+
+
+def _setup_price_family(scenario: Scenario, options: dict) -> Setup:
+    theta = scenario.anchor
+    family = _price_family(options)
 
     def certify(q: Vector) -> Certificate | None:
         # The vertex scan decides membership itself: None is harmless.
@@ -616,9 +624,10 @@ def _setup_price_family(scenario: Scenario, options: dict) -> Setup:
     def bound_token(bound: Fraction | None) -> str:
         return "inf" if bound is None else str(bound)
 
+    (low1, high1), (low2, high2) = family.bounds
     summary = (
-        ("price_low", f"{lows[0]},{lows[1]}"),
-        ("price_high", f"{bound_token(highs[0])},{bound_token(highs[1])}"),
+        ("price_low", f"{low1},{low2}"),
+        ("price_high", f"{bound_token(high1)},{bound_token(high2)}"),
     )
     return "price_family_harmless_contains", certify, None, summary
 
@@ -670,9 +679,13 @@ def _second_price_region(
     )
 
 
+def _facility_line(options: dict) -> FacilityLine:
+    return FacilityLine(options["facilities"], options.get("benefit", Fraction(1)))
+
+
 def _setup_facility(scenario: Scenario, options: dict) -> Setup:
     theta = scenario.anchor
-    line = FacilityLine(options["facilities"], options.get("benefit", Fraction(1)))
+    line = _facility_line(options)
     kinds = [kind for listed in options.get("verification", ()) for kind in listed]
     uncovered = facility_first_uncovered(theta[0], line, kinds)
     agent_type = facility_type(theta[0], line)
@@ -714,26 +727,30 @@ _VERIFY_OPTIONS = {
                               "harmless_complement": "harmless_complement"}, None),
 }
 # Each class: the mode it runs in (None for both), its setup, its own option
-# keys, and its type rule: the types' dimension (None for any, or a function
-# of the options) with the message naming it, then tags for a null
-# coordinate 0 worth 0, nonnegative values, point-mass allocations and
-# "positions" (a type is a position on a line, not a value vector).
+# keys, its type rule: the types' dimension (None for any, or a function of
+# the options) with the message naming it, then tags for a null coordinate 0
+# worth 0, nonnegative values, explicit allocations read (point masses or
+# any) and "positions" (a type is a position on a line, not a value vector),
+# and the library object, if any, that checks option values against each other.
 _CLASSES = {
-    "deterministic": (None, _setup_point_mass, {}, (None, "", "point_masses")),
-    "universally_truthful": (None, _setup_point_mass, {}, (None, "", "point_masses")),
-    "truthful_in_expectation": ("forward", _setup_tie, {}, (None, "")),
+    "deterministic": (None, _setup_point_mass, {}, (None, "", "point_masses"), None),
+    "universally_truthful": (None, _setup_point_mass, {}, (None, "", "point_masses"), None),
+    "truthful_in_expectation": ("forward", _setup_tie, {}, (None, "", "allocations"), None),
     "vcg": ("forward", _setup_vcg, {"others": (2, _nonnegative, "repeatable")},
-            (3, "vcg scenarios use three coordinates (null, item1, item2)", "null")),
+            (3, "vcg scenarios use three coordinates (null, item1, item2)", "null"), None),
     "price_family": ("forward", _setup_price_family,
                      {"price_low": (2, _nonnegative, None), "price_high": (2, _price_bound, None)},
-                     (3, "price_family scenarios use three coordinates (null, item1, item2)")),
+                     (3, "price_family scenarios use three coordinates (null, item1, item2)"),
+                     _price_family),
     "second_price": ("reverse", _setup_second_price,
                      {"threshold": (1, _parse_rational, "required"),
                       "allocation_dependent": (1, {"true": True, "false": False}, None)},
-                     (1, "second_price scenarios use one-coordinate values", "nonnegative")),
+                     (1, "second_price scenarios use one-coordinate values", "nonnegative"),
+                     None),
     "kminded": ("forward", _setup_kminded, {"k": (1, {"1": 1, "2": 2}, "required")},
                 (lambda options: options["k"] + 1,
-                 "kminded scenarios with k {k} use {dim} coordinates (null first)", "null")),
+                 "kminded scenarios with k {k} use {dim} coordinates (null first)", "null"),
+                None),
     "facility_line": ("forward", _setup_facility,
                       {"facilities": (2, _parse_rational, "required"),
                        "benefit": (1, _parse_rational, None),
@@ -741,7 +758,8 @@ _CLASSES = {
                            "no_underbid_distance": VerificationKind.NO_UNDERBID_DISTANCE,
                            "direction_imposing": VerificationKind.DIRECTION_IMPOSING,
                        }, "repeatable")},
-                      (1, "facility_line scenarios use one-coordinate positions", "positions")),
+                      (1, "facility_line scenarios use one-coordinate positions", "positions"),
+                      _facility_line),
 }
 MECHANISM_CLASSES = tuple(_CLASSES)
 
@@ -755,7 +773,7 @@ def _checked(scenario: Scenario) -> tuple[Callable[[Scenario, dict], Setup], dic
     cls = scenario.mechanism_class
     if cls not in _CLASSES:
         raise ScenarioError(f"unsupported mechanism class {cls!r}")
-    class_mode, setup, specs, (dim, message, *tags) = _CLASSES[cls]
+    class_mode, setup, specs, (dim, message, *tags), _ = _CLASSES[cls]
     if class_mode is not None and scenario.mode != class_mode:
         raise ScenarioError(f"{cls} scenarios are {class_mode}-mode only")
     options = dict(scenario.options)
@@ -771,6 +789,8 @@ def _checked(scenario: Scenario) -> tuple[Callable[[Scenario, dict], Setup], dic
         check_null_coordinate(*types)
     if "nonnegative" in tags and any(c < 0 for t in types for c in t):
         raise ScenarioError(f"{cls} scenarios use nonnegative values")
+    if scenario.allocations and not {"allocations", "point_masses"} & set(tags):
+        raise ScenarioError(f"{cls} scenarios read no allocation lines")
     if "point_masses" in tags and scenario.allocations:
         point_mass_indices(scenario.allocations, anchor.dim)
     return setup, options, tags
@@ -1134,41 +1154,37 @@ def _fmt(value) -> str:
     return f"{float(value):.6f}"
 
 
-class _SlicedHalfspace(Frozen):
-    __slots__ = ("nx", "ny", "offset", "indifference_offset")
+def _slice(
+    document: ResultDocument, axes: tuple[int, int], purpose: str
+) -> tuple[list[tuple[Fraction, Fraction, Fraction, Fraction]], bool]:
+    """The document's region with off-axis coordinates pinned to the anchor.
 
-    def __init__(
-        self, nx: Fraction, ny: Fraction, offset: Fraction, indifference_offset: Fraction
-    ) -> None:
-        self._init(nx, ny, offset, indifference_offset)
-
-
-def _slice_halfspaces(
-    region: ConvexRegion, anchor: Vector, axes: tuple[int, int]
-) -> tuple[list[_SlicedHalfspace], bool]:
-    """Fix off-axis coordinates at the anchor; returns (sliced, slice_empty)."""
+    Returns each halfspace that still cuts the plane as (nx, ny, offset,
+    indifference offset), for nx*x + ny*y >= offset and its parallel through
+    the indifference point, and whether an off-axis halfspace already
+    excludes the whole slice.
+    """
+    if document.region is None:
+        raise ScenarioError(
+            f"result for {document.scenario_name!r} carries no region to {purpose}"
+        )
+    anchor = document.anchor
     i, j = axes
-    sliced: list[_SlicedHalfspace] = []
+    if i == j or not (0 <= i < anchor.dim and 0 <= j < anchor.dim):
+        raise ScenarioError(f"axes {axes} invalid for dimension {anchor.dim}")
+    sliced = []
     empty = False
-    for hs in region.halfspaces:
-        normal = hs.hyperplane.normal
+    for hs in document.region.halfspaces:
+        normal, offset = hs.hyperplane.normal, hs.hyperplane.offset
         rest = sum(
             (normal[k] * anchor[k] for k in range(normal.dim) if k not in (i, j)),
             Fraction(0),
         )
         nx, ny = normal[i], normal[j]
-        if nx == 0 and ny == 0:
-            satisfied = (
-                rest > hs.hyperplane.offset
-                if hs.sense is Sense.STRICT_GREATER
-                else rest >= hs.hyperplane.offset
-            )
-            if not satisfied:
-                empty = True
-            continue
-        sliced.append(
-            _SlicedHalfspace(nx, ny, hs.hyperplane.offset - rest, -rest)
-        )
+        if nx or ny:
+            sliced.append((nx, ny, offset - rest, -rest))
+        elif not (rest > offset if hs.sense is Sense.STRICT_GREATER else rest >= offset):
+            empty = True
     return sliced, empty
 
 
@@ -1222,27 +1238,18 @@ def slice_region_vertices(
     candidate; for bounded slices this is exactly the vertex set.  Unbounded
     slices return only the vertices their constraints do pin down.
     """
-    if document.region is None:
-        raise ScenarioError(
-            f"result for {document.scenario_name!r} carries no region to slice"
-        )
-    anchor = document.anchor
-    i, j = axes
-    if i == j or not (0 <= i < anchor.dim and 0 <= j < anchor.dim):
-        raise ScenarioError(f"axes {axes} invalid for dimension {anchor.dim}")
-    sliced, slice_empty = _slice_halfspaces(document.region, anchor, (i, j))
-    if slice_empty:
+    sliced, empty = _slice(document, axes, "slice")
+    if empty:
         return ()
     vertices: set[tuple[Fraction, Fraction]] = set()
-    for a in range(len(sliced)):
-        for b in range(a + 1, len(sliced)):
-            h1, h2 = sliced[a], sliced[b]
-            det = h1.nx * h2.ny - h1.ny * h2.nx
+    for a, (nx1, ny1, c1, _) in enumerate(sliced):
+        for nx2, ny2, c2, _ in sliced[a + 1 :]:
+            det = nx1 * ny2 - ny1 * nx2
             if det == 0:
                 continue
-            px = (h1.offset * h2.ny - h2.offset * h1.ny) / det
-            py = (h1.nx * h2.offset - h2.nx * h1.offset) / det
-            if all(h.nx * px + h.ny * py >= h.offset for h in sliced):
+            px = (c1 * ny2 - c2 * ny1) / det
+            py = (nx1 * c2 - nx2 * c1) / det
+            if all(nx * px + ny * py >= c for nx, ny, c, _ in sliced):
                 vertices.add((px, py))
     return tuple(sorted(vertices))
 
@@ -1260,15 +1267,9 @@ def render_regions(
     the zero-offset (indifference) position.  Floats appear only here, at six
     decimal places, so equal inputs give byte-identical output.
     """
-    if document.region is None:
-        raise ScenarioError(
-            f"result for {document.scenario_name!r} carries no region to plot"
-        )
+    sliced, empty = _slice(document, axes, "plot")
     anchor = document.anchor
-    dim = anchor.dim
     i, j = axes
-    if i == j or not (0 <= i < dim and 0 <= j < dim):
-        raise ScenarioError(f"axes {axes} invalid for dimension {dim}")
     if bounds is None:
         bounds = (anchor[i] - 2, anchor[i] + 2, anchor[j] - 2, anchor[j] + 2)
     xmin, xmax, ymin, ymax = (frac(b) for b in bounds)
@@ -1276,13 +1277,11 @@ def render_regions(
         raise ScenarioError("bounds box must have positive width and height")
     box = [(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)]
 
-    sliced, slice_empty = _slice_halfspaces(document.region, anchor, (i, j))
-
-    polygon = [] if slice_empty else box
-    for h in sliced:
+    polygon = [] if empty else box
+    for nx, ny, offset, _ in sliced:
         if not polygon:
             break
-        polygon = _clip_polygon(polygon, h.nx, h.ny, h.offset)
+        polygon = _clip_polygon(polygon, nx, ny, offset)
     polygon = [
         p for index, p in enumerate(polygon) if p != polygon[(index + 1) % len(polygon)]
     ]
@@ -1317,13 +1316,13 @@ def render_regions(
 
     seen: set = set()
     segments: list[tuple[str, tuple[Fraction, Fraction], tuple[Fraction, Fraction]]] = []
-    for h in sliced:
-        for style, offset in (("solid", h.offset), ("dashed", h.indifference_offset)):
-            key = (style, canonical(h.nx, h.ny, offset))
+    for nx, ny, solid, dashed in sliced:
+        for style, offset in (("solid", solid), ("dashed", dashed)):
+            key = (style, canonical(nx, ny, offset))
             if key in seen:
                 continue
             seen.add(key)
-            segment = _line_segment(h.nx, h.ny, offset, box)
+            segment = _line_segment(nx, ny, offset, box)
             if segment is not None:
                 segments.append((style, *segment))
     for style, start, end in segments:

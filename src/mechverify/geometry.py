@@ -243,14 +243,6 @@ class ConvexRegion(Frozen):
             raise DimensionMismatch(f"mixed dimensions in region: {sorted(dims)}")
         self._init(halfspaces, extra_points)
 
-    @property
-    def dim(self) -> int | None:
-        for h in self.halfspaces:
-            return h.hyperplane.normal.dim
-        for p in self.extra_points:
-            return p.dim
-        return None
-
 
 def whole_space() -> ConvexRegion:
     return ConvexRegion((), frozenset())

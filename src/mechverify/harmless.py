@@ -12,14 +12,11 @@ Three rule classes are characterised in closed form:
   set of point-mass allocations -- an intersection of one strict half-space
   x_o - x_p > theta_o - theta_p per pair with theta_p > theta_o, each
   carrying the true type as a boundary member.  The region lists all of
-  them (up to m(m-1)/2), but membership needs only d = x - theta sorted
-  by theta's value levels: O(m log m) comparisons in place of one dot
-  product per pair.  A harmful report's certificate is the rule that
-  splits the first pair with theta_p > theta_o and d_p >= d_o
-  (``point_mass_rule``): O(m^2) scalar comparisons where the oracle's scan
-  builds and scores O(m^2) m-coordinate differences.  That rule is None
-  exactly when x is harmless, so it also answers membership for a caller
-  that needs no region;
+  them (up to m(m-1)/2), but one O(m log m) pass over d = x - theta,
+  grouped by theta's value levels, answers both questions: is x harmless,
+  and if not, which rule shows it (``point_mass_rule``: the oracle's pair).
+  ``point_mass_indices`` is the one check that the allocations are
+  distinct point masses;
 * all truthful-in-expectation rules over a simplex of randomized allocations,
   where x is harmless iff its projection onto the difference span is a
   scaling of theta's by a factor at most one.  The projection is closed
@@ -35,6 +32,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import inf, lcm
 
 from .geometry import (
     ConvexRegion,
@@ -152,10 +150,9 @@ def deterministic_harmless(theta: Vector, allocations: Sequence[Allocation]) -> 
 
     Equals the intersection of the pairwise harmless sets: one strict
     half-space per pair theta is not indifferent between, in pair order,
-    with theta itself as the single extra point.  Membership is the level
-    test on d = x - theta: x is harmless iff x == theta or, over theta's
-    value levels in increasing order, each level's smallest d exceeds the
-    largest d on the level above.
+    with theta itself as the single extra point.  Membership is
+    ``point_mass_rule``'s pass on the indices validated here: x is harmless
+    iff x == theta or no pair of allocations is split in x's favour.
     """
     indices = point_mass_indices(allocations, theta.dim)
     region = ConvexRegion(tuple(_pairwise_halfspaces(theta, indices)), frozenset({theta}))
@@ -163,37 +160,48 @@ def deterministic_harmless(theta: Vector, allocations: Sequence[Allocation]) -> 
     def contains(x: Vector) -> bool:
         if x.dim != theta.dim:
             raise DimensionMismatch(f"type dims {theta.dim} vs {x.dim}")
-        if x == theta:
-            return True
-        levels: dict[Fraction, list[Fraction]] = {}
-        for i in indices:
-            levels.setdefault(theta[i], []).append(x[i] - theta[i])
-        lower_min = None
-        for value in sorted(levels):
-            shifts = levels[value]
-            if lower_min is not None and max(shifts) >= lower_min:
-                return False
-            lower_min = min(shifts)
-        return True
+        return x == theta or _beneficial_pair(theta, x, indices) is None
 
     return HarmlessResult(contains, region)
 
 
 def point_mass_indices(allocations: Sequence[Allocation], dim: int) -> tuple[int, ...]:
-    """Each allocation's coordinate, once all are checked to be distinct
-    point masses of dimension ``dim``, at least two of them."""
-    if len(allocations) < 2:
-        raise MechanismError("need at least two allocations")
+    """Each allocation's coordinate, once each is checked to be a point mass
+    of dimension ``dim``, there are at least two and they are distinct."""
     for a in allocations:
-        if not a.is_deterministic():
+        if a.dim != dim:
+            raise DimensionMismatch(f"allocation dim {a.dim} vs type dim {dim}")
+        if 1 not in a.probs.coords:  # nonnegative and summing to 1: one 1 is a point mass
             raise MechanismError(
                 f"deterministic harmless sets are over point-mass allocations; got {a.probs}"
             )
-        if a.dim != dim:
-            raise DimensionMismatch(f"allocation dim {a.dim} vs type dim {dim}")
-    if len(set(allocations)) != len(allocations):
+    indices = [a.probs.coords.index(1) for a in allocations]
+    if len(indices) < 2:
+        raise MechanismError("need at least two allocations")
+    if len(set(indices)) != len(indices):
         raise MechanismError("allocations must be distinct")
-    return tuple([a.probs.coords.index(1) for a in allocations])
+    return tuple(indices)
+
+
+def _beneficial_pair(theta: Vector, x: Vector, indices: Sequence[int]) -> tuple | None:
+    """``point_mass_rule``'s pair as positions (p, o) in ``indices``, with
+    whether d_p == d_o, or None.  One pass: sorted by theta's value level,
+    the running minimum of d where a level begins is the smallest d below
+    it, and p is the first position whose d reaches that floor.  Values are
+    integers over one common denominator: they order as the rationals do,
+    without a Fraction operation per comparison."""
+    scale = lcm(*[c.denominator for i in indices for c in (theta[i], x[i])])
+    levels = [theta[i].numerator * (scale // theta[i].denominator) for i in indices]
+    shifts = [x[i].numerator * (scale // x[i].denominator) - t for i, t in zip(indices, levels)]
+    below, running = {}, inf
+    for level, d in sorted(zip(levels, shifts)):
+        below.setdefault(level, running)
+        running = min(running, d)
+    for p, (level, d) in enumerate(zip(levels, shifts)):
+        if d >= below[level]:
+            o = next(o for o, (lo, do) in enumerate(zip(levels, shifts)) if lo < level and do <= d)
+            return p, o, d == shifts[o]
+    return None
 
 
 def point_mass_rule(
@@ -204,33 +212,24 @@ def point_mass_rule(
     Over point masses e_p and e_o the critical hyperplane through theta is
     x_p - x_o = theta_p - theta_o, so with d = x - theta a report beats the
     truth exactly when some pair has theta_p > theta_o and d_p >= d_o.  The
-    first such (preferred, other) pair, preferred in the outer and other in
-    the inner loop over the given order, is split at theta's own
-    indifference level theta_p - theta_o, boundary to the preferred side,
-    with theta pinned to the worse allocation and, when d_p == d_o, x to the
-    better: the rule ``oracle.search_beneficial_misreport`` returns, from an
-    O(m^2) scan of scalar comparisons in place of its O(m^3) scan of
-    allocation vectors.  None when x == theta or no pair qualifies.
+    first such (preferred, other) pair in the given order, found by one
+    O(m log m) pass over d grouped by theta's value levels, is split at
+    theta_p - theta_o, boundary to the preferred side, with theta pinned to
+    the worse allocation and, when d_p == d_o, x to the better: the rule
+    ``oracle.search_beneficial_misreport`` returns.
     """
+    indices = point_mass_indices(allocations, theta.dim)
     if x.dim != theta.dim:
         raise DimensionMismatch(f"type dims {theta.dim} vs {x.dim}")
-    if x == theta:
+    pair = None if x == theta else _beneficial_pair(theta, x, indices)
+    if pair is None:
         return None
-    scalars = []
-    for a in allocations:
-        coords = a.probs.coords
-        if a.dim != theta.dim or 1 not in coords:
-            raise MechanismError(f"expected point masses of dimension {theta.dim}; got {a.probs}")
-        i = coords.index(1)
-        scalars.append((a, theta[i], x[i] - theta[i]))
-    for preferred, level_p, d_p in scalars:
-        for other, level_o, d_o in scalars:
-            if level_p > level_o and d_p >= d_o:
-                overrides = {theta: other}
-                if d_p == d_o:
-                    overrides[x] = preferred
-                return SeparatingRule(preferred, other, level_p - level_o, TieSide.TO_I, overrides)
-    return None
+    p, o, on_boundary = pair
+    overrides = {theta: allocations[o]}
+    if on_boundary:
+        overrides[x] = allocations[p]
+    price = theta[indices[p]] - theta[indices[o]]
+    return SeparatingRule(allocations[p], allocations[o], price, TieSide.TO_I, overrides)
 
 
 def check_null_coordinate(*types: Vector) -> None:

@@ -165,10 +165,6 @@ class TaxationRule(Frozen):
                 raise MechanismError("taxation entries must have distinct allocations")
         self._init(entries)
 
-    @property
-    def dim(self) -> int:
-        return self.entries[0][0].dim
-
 
 def best_entry(rule: TaxationRule, x: Vector) -> tuple[Allocation, Fraction]:
     """The entry x self-selects: max allocation value minus price, ties to

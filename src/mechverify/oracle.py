@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import cache
 
 from .geometry import Frozen, Vector
 from .harmless import SimplexFamily, difference_projection, tie_harmless_contains
@@ -46,8 +47,10 @@ def search_beneficial_misreport(
     own indifference level whenever x sits weakly on the preferred side of
     that boundary: the rule hands theta the worse allocation (boundary
     override) and x the better one.  Returns the first such rule in pair
-    order, or None.  Every returned rule is re-validated by direct
-    evaluation.
+    order, or None.  Each allocation is valued to theta and to x at most
+    once per call, so a pair's boundary level and x's score on the normal
+    preferred - other are differences of those values.  Every returned rule
+    is re-validated by direct evaluation.
     """
     allocations = tuple(allocations)
     if len(allocations) < 2:
@@ -56,18 +59,19 @@ def search_beneficial_misreport(
         raise MechanismError(f"type dims {theta.dim} vs {x.dim}")
     if x == theta:
         return None
-    for preferred in allocations:
-        for other in allocations:
-            if preferred == other:
+    level = cache(lambda k: allocations[k].value_to(theta))
+    score = cache(lambda k: allocations[k].value_to(x))
+    for p, preferred in enumerate(allocations):
+        for o, other in enumerate(allocations):
+            # An allocation, or an equal one, is never strictly preferred.
+            if level(p) <= level(o):
                 continue
-            if preferred.value_to(theta) <= other.value_to(theta):
-                continue
-            normal = preferred.probs - other.probs
-            boundary_level = normal.dot(theta)
-            if normal.dot(x) < boundary_level:
+            boundary_level = level(p) - level(o)
+            gain = score(p) - score(o)  # x's score on the normal preferred - other
+            if gain < boundary_level:
                 continue
             overrides = {theta: other}
-            if normal.dot(x) == boundary_level:
+            if gain == boundary_level:
                 overrides[x] = preferred
             rule = SeparatingRule(
                 a_i=preferred,

@@ -25,7 +25,7 @@ from mechverify.cli import (
     serialize_witnesses,
     slice_region_vertices,
 )
-from mechverify.geometry import Sense, Vector, vec
+from mechverify.geometry import Sense, Vector, empty_region, region_contains, vec
 from mechverify.harmless import deterministic_harmless
 from mechverify.mechanisms import (
     MechanismError,
@@ -374,6 +374,21 @@ def test_run_second_price():
     }
 
 
+def test_second_price_threshold_above_the_report_leaves_nothing_to_check():
+    # With allocation_dependent the item never changes hands when the
+    # threshold is above the report, so no candidate is harmful and the
+    # region is the empty one.
+    text = (
+        "scenario s\nclass second_price\nreported 1\noption threshold 2\n"
+        "option allocation_dependent true\nquery 1/2\nquery 3\n"
+    )
+    document = run_scenario(parse_scenario(text))
+    assert [qr.member for qr in document.queries] == [False, False]
+    assert document.witnesses == ()
+    assert document.region == empty_region(1)
+    assert not any(region_contains(document.region, vec(c)) for c in (0, 1, 2, 3))
+
+
 def test_run_vcg():
     text = """\
 scenario two_items
@@ -667,6 +682,22 @@ CLASS_RULE_BREACHES = {
         "query 1 0\n",
         "line 4: option rule_tie: 'sideways' is not one of to_i, to_j",
     ),
+    "allocations-not-read": (
+        "scenario s\nclass vcg\ntheta 0 1 2\nallocation 1/2 1/2 0\nallocation 0 0 1\n",
+        "query 0 2 1\n",
+        "vcg scenarios read no allocation lines",
+    ),
+    "empty-price-interval": (
+        "scenario s\nclass price_family\ntheta 0 1 2\noption price_low 2 2\n"
+        "option price_high 1 1\noption rule_prices 0 0 0\n",
+        "query 0 2 1\n",
+        "line 5: option price_high: empty price interval [2, 1]",
+    ),
+    "unsorted-facilities": (
+        "scenario s\nclass facility_line\ntheta 1/2\noption benefit 2\noption facilities 2 0\n",
+        "query 1\n",
+        "line 5: option facilities: facility locations must be distinct and sorted",
+    ),
 }
 
 
@@ -842,6 +873,32 @@ query 0 1/2 3/2
     document = run_verify(parse_scenario(guarded))
     assert ("truthful", "true") in document.summary
     assert document.witnesses == ()
+
+
+def test_run_verify_no_overbid_on_received():
+    # The report (0, 1/2, 3/2) gains entry 2 but overstates its value, so it
+    # is caught; (-1, 1/4, 1) gains entry 1 and values it as theta does.
+    text = """\
+scenario s
+class deterministic
+theta 0 1/4 1
+option rule_prices 0 1/4 1
+query 0 1/2 3/2
+query -1 1/4 1
+option verification_kind no_overbid_on_received
+"""
+    document = run_verify(parse_scenario(text))
+    assert ("truthful", "false") in document.summary
+    assert ("verification", "no_overbid_on_received") in document.summary
+    (witness,) = document.witnesses
+    assert witness.query_index == 0
+    assert witness_field(witness, "true_type")[1] == vec(0, Fraction(1, 4), 1)
+    assert witness_field(witness, "beneficial_report")[1] == vec(-1, Fraction(1, 4), 1)
+    assert witness_field(witness, "gained")[1] == Fraction(1, 4)
+    assert witness_field(witness, "truthful")[1] == 0
+    unguarded = run_verify(parse_scenario(text.replace("no_overbid_on_received", "none")))
+    report = witness_field(unguarded.witnesses[0], "beneficial_report")[1]
+    assert report == vec(0, Fraction(1, 2), Fraction(3, 2))
 
 
 def test_run_verify_needs_exactly_one_rule():
@@ -1128,6 +1185,18 @@ def test_slice_region_vertices_worked_example():
     }
 
 
+def test_an_empty_four_coordinate_slice_has_no_vertices_and_no_polygon():
+    # The pair (2, 3) lies off the axes, and its strict halfspace has the
+    # anchor on its boundary, so the slice through the anchor is empty.
+    text = "scenario s\nclass deterministic\ntheta 0 1 2 3\n"
+    document = run_scenario(parse_scenario(text))
+    assert slice_region_vertices(document, axes=(0, 1)) == ()
+    svg = render_regions(document, axes=(0, 1))
+    assert "<polygon" not in svg
+    # The boundary lines of the pairs that meet the axes are still drawn.
+    assert svg.count("<line") == 7
+
+
 def test_render_regions_deterministic_bytes():
     document = run_scenario(parse_scenario(DETERMINISTIC_EXAMPLE))
     first = render_regions(document, axes=(1, 2))
@@ -1352,8 +1421,78 @@ def test_cli_error_paths(tmp_path, cli_env):
             "error: line 9: option verification: 'no_overbid' is not one of "
             "no_underbid_distance, direction_imposing\n",
         ),
+        ("harmless", "class deterministic\ntheta 0 1\n", "error: missing scenario line\n"),
+        ("harmless", "scenario s\ntheta 0 1\n", "error: missing class line\n"),
+        (
+            "harmless",
+            "scenario s\nclass deterministic\ntheta 0 1\noption\n",
+            "error: line 4: option needs a key\n",
+        ),
+        (
+            "harmless",
+            "scenario s\nclass deterministic\nassignments a\ntheta 0 1\n",
+            "error: line 3: need at least two assignment labels\n",
+        ),
+        (
+            "harmless",
+            "scenario s\nclass deterministic\nassignments a b\nnull_assignment c\ntheta 0 1\n",
+            "error: null_assignment 'c' not in assignments\n",
+        ),
+        (
+            "harmless",
+            "scenario s\nclass deterministic\nnull_assignment a\ntheta 0 1\n",
+            "error: null_assignment needs an assignments line\n",
+        ),
+        (
+            "harmless",
+            "scenario s\nclass truthful_in_expectation\nassignments a b\nnull_assignment b\n"
+            "theta 0 1\n",
+            "error: the null assignment must be listed first\n",
+        ),
+        (
+            "harmless",
+            "scenario s\nclass deterministic\ntheta 0 1\nspace_low 0 2\nspace_high 1 1\n",
+            "error: space_low 2 exceeds space_high 1\n",
+        ),
+        (
+            "harmless",
+            "scenario s\nclass deterministic\ntheta 0 1\nspace_low 0 2\n",
+            "error: anchor lies below the type-space box\n",
+        ),
+        (
+            "verify",
+            "scenario s\nclass deterministic\ntheta 0 1\noption rule_prices 0\n",
+            "error: rule_prices takes 2 values\n",
+        ),
+        (
+            "verify",
+            "scenario s\nclass deterministic\ntheta 0 1\noption rule_pair 0 2\n"
+            "option rule_price 1\n",
+            "error: rule_pair indices out of range\n",
+        ),
+        (
+            "verify",
+            "scenario s\nclass deterministic\ntheta 0 1\noption rule_pair 0 1\n",
+            "error: rule_pair needs option rule_price\n",
+        ),
     ],
-    ids=["harmless-on-reverse", "harmful-on-forward", "facility-no-overbid"],
+    ids=[
+        "harmless-on-reverse",
+        "harmful-on-forward",
+        "facility-no-overbid",
+        "missing-scenario",
+        "missing-class",
+        "option-without-key",
+        "one-assignment-label",
+        "null-not-listed",
+        "null-without-assignments",
+        "null-not-first",
+        "box-low-above-high",
+        "anchor-below-box",
+        "rule-prices-count",
+        "rule-pair-range",
+        "rule-pair-without-price",
+    ],
 )
 def test_cli_rejects_with_exact_messages(verb, text, message, tmp_path, capsys):
     scenario = tmp_path / "s.scn"
@@ -1361,6 +1500,17 @@ def test_cli_rejects_with_exact_messages(verb, text, message, tmp_path, capsys):
     assert main([verb, "--scenario", str(scenario)]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", message)
+
+
+def test_plot_refuses_a_bounds_box_without_area(tmp_path, capsys):
+    scenario = tmp_path / "s.scn"
+    scenario.write_text(DETERMINISTIC_EXAMPLE)
+    assert main(["plot", "--scenario", str(scenario), "--bounds", "1,1,0,1"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "",
+        "error: bounds box must have positive width and height\n",
+    )
 
 
 def test_cli_repeat_runs_are_byte_identical(tmp_path, cli_env):

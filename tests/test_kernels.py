@@ -214,7 +214,7 @@ def test_point_mass_pair_rejects_other_allocations():
     half = Allocation(vec(Fraction(1, 2), Fraction(1, 2)))
     with pytest.raises(MechanismError):
         point_mass_rule(theta, x, (point_mass(0, 2), half))
-    with pytest.raises(MechanismError):
+    with pytest.raises(DimensionMismatch):
         point_mass_rule(theta, x, point_masses(3))
     with pytest.raises(DimensionMismatch):
         point_mass_rule(theta, vec(0, 1, 0), point_masses(2))

@@ -225,4 +225,4 @@ def test_error_messages_name_values_not_addresses():
         assert all(fragment not in message for message in messages), messages
     assert "override point (1, 1/2) is off the boundary" in messages
     assert messages[1].endswith("point-mass allocations; got (1/2, 1/2)")
-    assert messages[2].endswith("dimension 2; got (1/2, 1/2)")
+    assert messages[2].endswith("point-mass allocations; got (1/2, 1/2)")
