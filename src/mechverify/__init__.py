@@ -43,17 +43,15 @@ from .mechanisms import (
     is_truthful_with_verification,
     point_mass,
     point_masses,
-    utility,
 )
 from .harmless import (
     HarmlessResult,
     SimplexFamily,
     SubspaceHypothesisError,
-    critical_hyperplane,
+    decisive_pair,
     deterministic_harmless,
     difference_projection,
     difference_span,
-    indifference_hyperplane,
     pairwise_harmless,
     point_mass_rule,
     single_rule_harmless_contains,
@@ -68,8 +66,6 @@ from .oracle import (
     search_beneficial_misreport,
 )
 from .reverse import (
-    harmful_intersection_contains,
-    harmful_single_contains,
     harmful_union_contains,
     pairwise_harmful_cases,
 )

@@ -39,7 +39,8 @@ Every class accepts the verify-verb options.  An unknown key, a repeated
 single line, a bad value and values that contradict each other are errors
 that name their line.  Every verb checks the class's type rule (dimension,
 a null coordinate 0 worth 0, nonnegative values, allocation lines only for
-the classes that read them, point masses) before it answers any query.
+the classes that read them, point masses, expectation allocations on one
+line) before it answers any query.
 
 Three budgets bound the work a file can ask for: at most ``MAX_DIMENSION``
 coordinates (or assignment labels) on a line, at most ``MAX_QUERIES``
@@ -85,6 +86,7 @@ from .geometry import (
 from .harmless import (
     SimplexFamily,
     check_null_coordinate,
+    decisive_pair,
     deterministic_harmless,
     point_mass_indices,
     point_mass_rule,
@@ -232,9 +234,10 @@ def _option_value(tokens: Sequence[str], spec: tuple) -> object:
 
 # The budgets.  A deterministic region prints m(m-1)/2 normals of m
 # coordinates, verify compares every pair of grid points, an explicit
-# allocation set is searched pair by pair and the vcg price sums over the
-# other agents' matchings, so work and output grow polynomially in every
-# size; the largest scenario they admit takes seconds, not minutes.
+# allocation set is checked per scenario, not per query, and the vcg
+# price sums over the other agents' matchings, so work and output grow
+# polynomially in every size; the largest scenario they admit takes
+# seconds, not minutes.
 MAX_DIMENSION = 64
 MAX_QUERIES = 128
 MAX_REPEATS = 64
@@ -549,9 +552,9 @@ def _setup_point_mass(scenario: Scenario, options: dict) -> Setup:
 def _setup_tie(scenario: Scenario, options: dict) -> Setup:
     theta = scenario.anchor
     if scenario.allocations:
-        # Explicit allocation sets satisfy the rank-one hypothesis, where
-        # the expectation class and the two-allocation search coincide.
-        allocations = scenario.allocations
+        # _checked has refused a set off the rank-one hypothesis; on the
+        # line the decisive pair answers every query as the whole set does.
+        allocations = decisive_pair(theta, scenario.allocations) or scenario.allocations[:2]
 
         def certify(q: Vector) -> Certificate | None:
             if tie_harmless_contains(theta, q, allocations):
@@ -729,9 +732,10 @@ _VERIFY_OPTIONS = {
 # Each class: the mode it runs in (None for both), its setup, its own option
 # keys, its type rule: the types' dimension (None for any, or a function of
 # the options) with the message naming it, then tags for a null coordinate 0
-# worth 0, nonnegative values, explicit allocations read (point masses or
-# any) and "positions" (a type is a position on a line, not a value vector),
-# and the library object, if any, that checks option values against each other.
+# worth 0, nonnegative values, explicit allocations read (point masses, or
+# any set whose differences span one line) and "positions" (a type is a
+# position on a line, not a value vector), and the library object, if any,
+# that checks option values against each other.
 _CLASSES = {
     "deterministic": (None, _setup_point_mass, {}, (None, "", "point_masses"), None),
     "universally_truthful": (None, _setup_point_mass, {}, (None, "", "point_masses"), None),
@@ -793,6 +797,8 @@ def _checked(scenario: Scenario) -> tuple[Callable[[Scenario, dict], Setup], dic
         raise ScenarioError(f"{cls} scenarios read no allocation lines")
     if "point_masses" in tags and scenario.allocations:
         point_mass_indices(scenario.allocations, anchor.dim)
+    if "allocations" in tags and scenario.allocations:
+        decisive_pair(anchor, scenario.allocations)
     return setup, options, tags
 
 

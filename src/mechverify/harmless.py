@@ -21,8 +21,10 @@ Three rule classes are characterised in closed form:
   where x is harmless iff its projection onto the difference span is a
   scaling of theta's by a factor at most one.  The projection is closed
   form, O(m): subtract the mean over the full simplex, keep the vector over
-  the subsimplex with a null assignment.  Only explicit allocation sets
-  solve a projection by elimination.
+  the subsimplex with a null assignment.  An explicit allocation set must
+  span one line, and then one pair of it (``decisive_pair``, found in
+  O(n m)) gives the same span and the same oracle certificates as the
+  whole set, so each query costs O(m).
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import inf, lcm
 
@@ -46,7 +47,6 @@ from .geometry import (
     _vector,
     ones_vector,
     project_onto_span,
-    rank,
     region_contains,
     unit_vector,
     whole_space,
@@ -99,22 +99,6 @@ class HarmlessResult(Frozen):
 
     def contains(self, x: Vector) -> bool:
         return self.membership(x)
-
-
-def indifference_hyperplane(a_i: Allocation, a_j: Allocation) -> Hyperplane:
-    """Types valuing a_i and a_j equally: normal a_i - a_j, offset 0."""
-    normal = a_i.probs - a_j.probs
-    if normal.is_zero():
-        raise MechanismError("indifference needs two distinct allocations")
-    return Hyperplane(normal, Fraction(0))
-
-
-def critical_hyperplane(theta: Vector, a_i: Allocation, a_j: Allocation) -> Hyperplane:
-    """The indifference-parallel hyperplane through theta."""
-    normal = a_i.probs - a_j.probs
-    if normal.is_zero():
-        raise MechanismError("critical hyperplane needs two distinct allocations")
-    return Hyperplane(normal, normal.dot(theta))
 
 
 def pairwise_harmless(theta: Vector, a_i: Allocation, a_j: Allocation) -> HarmlessResult:
@@ -266,7 +250,6 @@ def single_rule_harmless_contains(theta: Vector, rule: Rule, x: Vector) -> bool:
     return apply_rule(rule, x).value_to(theta) <= apply_rule(rule, theta).value_to(theta)
 
 
-@lru_cache(maxsize=16)
 def difference_span(theta: Vector, space: AllocationSpace) -> Span:
     """Span of scaled allocation differences over pairs theta is not
     indifferent between.
@@ -275,12 +258,10 @@ def difference_span(theta: Vector, space: AllocationSpace) -> Span:
     sum-zero hyperplane (when theta has two distinct coordinates), and the
     null-padded subsimplex gives all of R^m (when theta is nonzero) because
     mass can leak to the null assignment.  Degenerate types that are
-    indifferent between everything give the zero span.  Explicit allocation
-    sets are accepted only when the scaled differences really do form a
-    subspace, i.e. when all non-indifferent difference directions are
-    collinear; otherwise :class:`SubspaceHypothesisError` is raised.  The
-    span of n allocations takes O(n^2 m) to build, and a scenario asks for
-    it once per query, so the last 16 are kept.
+    indifferent between everything give the zero span.  An explicit
+    allocation set spans the line of its decisive pair, or nothing when
+    theta values every allocation alike; ``decisive_pair`` refuses a set
+    whose differences span more than one direction.
     """
     m = theta.dim
     if space is SimplexFamily.FULL_SIMPLEX:
@@ -293,16 +274,41 @@ def difference_span(theta: Vector, space: AllocationSpace) -> Span:
             return Span(())
         basis = tuple(unit_vector(i, m) for i in range(m))
         return Span(basis)
-    valued = [(a, a.value_to(theta)) for a in space]
-    differences = [
-        a_i.probs - a_j.probs for (a_i, v_i), (a_j, v_j) in combinations(valued, 2) if v_i != v_j
-    ]
-    if rank(differences) > 1:
+    pair = decisive_pair(theta, space)
+    return Span(() if pair is None else (pair[0].probs - pair[1].probs,))
+
+
+def decisive_pair(
+    theta: Vector, allocations: Sequence[Allocation]
+) -> tuple[Allocation, Allocation] | None:
+    """The pair (p, o) of an explicit allocation set that answers for all
+    of it: p the first allocation above theta's lowest value level, o the
+    first below p's.  None when theta values every allocation alike (the
+    span is zero and every report is harmless).
+
+    The scaled differences form a subspace only when they span one line,
+    that is when every a_k - a_0 is a multiple of a_p - a_o; otherwise
+    :class:`SubspaceHypothesisError` is raised.  Two allocations on one
+    level are collinear with any third on another, so this is the test over
+    the non-indifferent pairs.  On the line every pair theta ranks splits
+    the same reports, so the pair has the set's span and
+    ``oracle.search_beneficial_misreport`` returns the same rule over it as
+    over the set.  O(n m).
+    """
+    levels = [a.value_to(theta) for a in allocations]
+    lowest = min(levels, default=0)
+    p = next((k for k, level in enumerate(levels) if level > lowest), None)
+    if p is None:
+        return None
+    o = next(k for k, level in enumerate(levels) if level < levels[p])
+    line = allocations[p].probs - allocations[o].probs
+    first = allocations[0].probs
+    if any(_proportionality(a.probs - first, line) is None for a in allocations[1:]):
         raise SubspaceHypothesisError(
             "scaled differences span more than one direction; "
             "the closed-form characterisation does not apply"
         )
-    return Span(tuple(differences[:1]))  # rank one: the first spans them all
+    return allocations[p], allocations[o]
 
 
 def _proportionality(px: Vector, ptheta: Vector) -> Fraction | None:
@@ -323,7 +329,8 @@ def difference_projection(theta: Vector, space: AllocationSpace) -> Callable[[Ve
     sum-zero hyperplane, so a vector loses its mean; the null-padded
     subsimplex's span is all of R^m, so a vector is kept.  Both spans are
     zero for a type indifferent between everything (constant theta, or
-    theta = 0).  Explicit allocation sets project onto their span.
+    theta = 0).  Explicit allocation sets project onto their decisive
+    pair's line.
     """
     m = theta.dim
     if space is SimplexFamily.FULL_SIMPLEX:
@@ -335,7 +342,7 @@ def difference_projection(theta: Vector, space: AllocationSpace) -> Callable[[Ve
         if theta.is_zero():
             return lambda v: zero_vector(m)
         return lambda v: v
-    span = difference_span(theta, tuple(space))
+    span = difference_span(theta, space)
     return lambda v: project_onto_span(span, v)
 
 

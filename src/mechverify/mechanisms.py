@@ -173,12 +173,6 @@ def best_entry(rule: TaxationRule, x: Vector) -> tuple[Allocation, Fraction]:
     return rule.entries[utilities.index(max(utilities))]
 
 
-def utility(rule: TaxationRule, true_type: Vector, reported: Vector) -> Fraction:
-    """Value minus price of the entry the *report* selects, to the true type."""
-    allocation, price = best_entry(rule, reported)
-    return allocation.value_to(true_type) - price
-
-
 Rule = SeparatingRule | TaxationRule | Callable[[Vector], Allocation]
 
 

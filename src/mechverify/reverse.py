@@ -5,9 +5,6 @@ report under a rule when the report's allocation beats the candidate's own,
 valued by the candidate.  Against a whole family the union (some rule
 benefits) is what verification must rule out; by symmetry of the benefit
 relation it is decided through the forward harmless set of the candidate.
-The intersection (every rule benefits) only makes sense for an explicit
-finite rule list: over the full two-allocation family it is always empty,
-because rules placing both types on the same side never produce a benefit.
 """
 
 from __future__ import annotations
@@ -24,21 +21,7 @@ from .geometry import (
     empty_region,
 )
 from .harmless import deterministic_harmless
-from .mechanisms import (
-    Allocation,
-    MechanismError,
-    Rule,
-    SeparatingRule,
-    TieSide,
-    apply_rule,
-)
-
-
-def harmful_single_contains(reported: Vector, rule: Rule, candidate: Vector) -> bool:
-    """Does the report's allocation beat the candidate's own, per the candidate?"""
-    gained = apply_rule(rule, reported).value_to(candidate)
-    truthful = apply_rule(rule, candidate).value_to(candidate)
-    return gained > truthful
+from .mechanisms import Allocation, SeparatingRule, TieSide, apply_rule
 
 
 def harmful_union_contains(
@@ -48,22 +31,6 @@ def harmful_union_contains(
     beneficial for the candidate -- i.e. the report sits outside the
     candidate's forward harmless set."""
     return not deterministic_harmless(candidate, allocations).contains(reported)
-
-
-def harmful_intersection_contains(
-    reported: Vector, rules: Sequence[Rule], candidate: Vector
-) -> bool:
-    """True iff the report benefits the candidate under every listed rule.
-
-    Quantifying over an implicit full family is refused: the full-family
-    intersection is empty, so only explicit rule lists are meaningful.
-    """
-    rules = tuple(rules)
-    if not rules:
-        raise MechanismError(
-            "harmful intersection needs an explicit, non-empty rule list"
-        )
-    return all(harmful_single_contains(reported, rule, candidate) for rule in rules)
 
 
 def pairwise_harmful_cases(
@@ -82,7 +49,7 @@ def pairwise_harmful_cases(
     rule hands them ``other``: the intersection of the strict preference
     half-space with the rule's other-side half-space (boundary included
     exactly when the tie assignment sends it to ``other``).  Point overrides
-    are not folded into the region; use :func:`harmful_single_contains` for
+    are not folded into the region; compare ``apply_rule`` values for
     point-exact membership under rules with overrides.
 
     Ties in the preference comparison are classified by the received

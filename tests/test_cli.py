@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mechverify import cli, harmless, multiagent, scenarios
+from mechverify import cli, multiagent, scenarios
 from mechverify.cli import (
     MECHANISM_CLASSES,
     Scenario,
@@ -594,21 +594,33 @@ query 0 5 0
     assert len(calls) == 1
 
 
-def test_explicit_allocation_span_is_built_once():
-    # An explicit set's difference span takes O(n^2 m) to build; a scenario
-    # builds it once for all its queries, and keeps one generator of the line.
-    harmless.difference_span.cache_clear()
+def test_explicit_allocation_queries_see_only_the_decisive_pair(monkeypatch):
+    # The set is checked before any query; every query then asks membership
+    # and the oracle about the set's decisive pair alone.
+    seen = []
+    for name in ("tie_harmless_contains", "search_beneficial_misreport"):
+        original = getattr(cli, name)
+
+        def recorded(theta, q, allocations, original=original, name=name):
+            seen.append((name, allocations))
+            return original(theta, q, allocations)
+
+        monkeypatch.setattr(cli, name, recorded)
     text = (
         "scenario s\nclass truthful_in_expectation\ntheta 1 2 4\n"
         "allocation 1 0 0\nallocation 1/2 1/2 0\nallocation 0 1 0\n"
         "query 1/2 1 0\nquery 0 5 0\nquery 3 3 3\n"
     )
-    document = run_scenario(parse_scenario(text))
-    assert [qr.member for qr in document.queries] == [True, False, True]
-    info = harmless.difference_span.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
     scenario = parse_scenario(text)
-    assert len(harmless.difference_span(scenario.anchor, scenario.allocations).basis) == 1
+    document = run_scenario(scenario)
+    assert [qr.member for qr in document.queries] == [True, False, True]
+    pair = (scenario.allocations[1], scenario.allocations[0])
+    assert seen == [
+        ("tie_harmless_contains", pair),
+        ("tie_harmless_contains", pair),
+        ("search_beneficial_misreport", pair),
+        ("tie_harmless_contains", pair),
+    ]
 
 
 # Per class: the mode it runs in (None for both), an anchor, and the
@@ -681,6 +693,13 @@ CLASS_RULE_BREACHES = {
         "scenario s\nclass deterministic\ntheta 0 1\noption rule_tie sideways\n",
         "query 1 0\n",
         "line 4: option rule_tie: 'sideways' is not one of to_i, to_j",
+    ),
+    "two-direction-expectation-set": (
+        "scenario s\nclass truthful_in_expectation\ntheta 0 1 2\n"
+        "allocation 1 0 0\nallocation 0 1 0\nallocation 0 0 1\n",
+        "query 0 2 1\n",
+        "scaled differences span more than one direction; "
+        "the closed-form characterisation does not apply",
     ),
     "allocations-not-read": (
         "scenario s\nclass vcg\ntheta 0 1 2\nallocation 1/2 1/2 0\nallocation 0 0 1\n",

@@ -16,10 +16,8 @@ from mechverify.geometry import Sense, vec
 from mechverify.harmless import (
     SimplexFamily,
     SubspaceHypothesisError,
-    critical_hyperplane,
     deterministic_harmless,
     difference_span,
-    indifference_hyperplane,
     pairwise_harmless,
     single_rule_harmless_contains,
     tie_harmless_contains,
@@ -76,16 +74,6 @@ def beneficial_somewhere(theta, x, allocations):
             if gained > kept:
                 return True
     return False
-
-
-def test_indifference_and_critical_hyperplanes():
-    a1, a2 = point_masses(2)
-    ind = indifference_hyperplane(a1, a2)
-    assert ind.normal == vec(1, -1)
-    assert ind.offset == 0
-    crit = critical_hyperplane(vec(1, 3), a1, a2)
-    assert crit.normal == vec(1, -1)
-    assert crit.offset == -2
 
 
 def test_pairwise_harmless_shape_for_example_pair():

@@ -19,14 +19,18 @@ from mechverify.cli import parse_scenario, run_scenario
 from mechverify.geometry import (
     ConvexRegion,
     DimensionMismatch,
+    Span,
     Vector,
     ones_vector,
     project_onto_span,
+    rank,
     region_contains,
     vec,
 )
 from mechverify.harmless import (
     SimplexFamily,
+    SubspaceHypothesisError,
+    decisive_pair,
     deterministic_harmless,
     difference_projection,
     difference_span,
@@ -244,6 +248,83 @@ def test_tie_projection_matches_span_projection_on_explicit_sets(data):
     allocations = (point_mass(i, m), middle, point_mass(j, m))
     expected = project_onto_span(difference_span(theta, allocations), v)
     assert difference_projection(theta, allocations)(v) == expected
+
+
+# -- explicit expectation sets -----------------------------------------------
+
+
+@st.composite
+def explicit_cases(draw):
+    """theta, a report near it (a step along the first two allocations'
+    difference plus a common shift, which every allocation difference is
+    blind to, the shift alone, or a perturbation) and 2-6 allocations over
+    m <= 5 coordinates: points of one segment, as the class's hypothesis
+    asks, or arbitrary ones, which are often refused."""
+    m = draw(st.integers(min_value=2, max_value=5))
+    theta = draw(vectors(m, small))
+
+    allocation = (
+        st.lists(st.integers(0, 3), min_size=m, max_size=m)
+        .filter(any)
+        .map(lambda ws: Allocation(Vector(tuple(Fraction(w, sum(ws)) for w in ws))))
+    )
+    if draw(st.booleans()):
+        a, b = draw(st.lists(allocation, min_size=2, max_size=2, unique=True))
+        quarters = st.sampled_from([Fraction(k, 4) for k in range(5)])
+        ts = draw(st.permutations([Fraction(0), Fraction(1), *draw(st.lists(quarters, max_size=4))]))
+        allocations = tuple(Allocation(a.probs.scale(1 - t) + b.probs.scale(t)) for t in ts)
+    else:
+        allocations = tuple(draw(st.lists(allocation, min_size=2, max_size=6)))
+    shift = ones_vector(m).scale(draw(small))
+    shape = draw(st.sampled_from(["line", "shift", "perturbed"]))
+    if shape == "line":
+        step = (allocations[1].probs - allocations[0].probs).scale(draw(small))
+        return theta, theta + step + shift, allocations
+    if shape == "shift":
+        return theta, theta + shift, allocations
+    return theta, theta + draw(vectors(m)), allocations
+
+
+def all_pairs_refuse(theta, allocations):
+    """The generic hypothesis test: the differences of the pairs theta is
+    not indifferent between have rank above one."""
+    differences = [
+        a.probs - b.probs
+        for a, b in combinations(allocations, 2)
+        if a.value_to(theta) != b.value_to(theta)
+    ]
+    return rank(differences) > 1
+
+
+def span_member(theta, x, allocations):
+    """Harmless by projection onto the span of all allocation differences:
+    every report when theta values every allocation alike, and otherwise
+    exactly when x projects to a scaling of theta's projection by at most
+    one."""
+    span = Span(tuple(a.probs - b.probs for a, b in combinations(allocations, 2)))
+    ptheta, px = project_onto_span(span, theta), project_onto_span(span, x)
+    if ptheta.is_zero():
+        return True
+    lam = px.dot(ptheta) / ptheta.dot(ptheta)
+    return px == ptheta.scale(lam) and lam <= 1
+
+
+@given(explicit_cases())
+def test_decisive_pair_answers_for_the_whole_set(case):
+    theta, x, allocations = case
+    try:
+        pair = decisive_pair(theta, allocations) or allocations[:2]
+    except SubspaceHypothesisError:
+        assert all_pairs_refuse(theta, allocations)
+        return
+    assert not all_pairs_refuse(theta, allocations)
+    member = tie_harmless_contains(theta, x, pair)
+    assert member == span_member(theta, x, allocations)
+    expected = search_beneficial_misreport(theta, x, allocations)
+    rule = search_beneficial_misreport(theta, x, pair)
+    assert (rule is None) == (expected is None)
+    if not member:
+        assert rule_fields(rule) == rule_fields(expected)
 
 
 # -- metamorphic properties ---------------------------------------------------

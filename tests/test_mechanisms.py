@@ -20,7 +20,6 @@ from mechverify.mechanisms import (
     is_truthful_with_verification,
     point_mass,
     point_masses,
-    utility,
 )
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=10)
@@ -110,14 +109,6 @@ def test_taxation_rule_validation():
         TaxationRule(())
     with pytest.raises(MechanismError):
         TaxationRule(((point_mass(0, 2), Fraction(0)), (point_mass(0, 2), Fraction(1))))
-
-
-def test_utility_uses_report_for_selection_and_truth_for_value():
-    menu = TaxationRule(tuple(zip(point_masses(2), (Fraction(0), Fraction(1)))))
-    true_type = vec(0, 3)
-    assert utility(menu, true_type, true_type) == 2
-    # Reporting a low type selects the free null entry instead.
-    assert utility(menu, true_type, vec(0, "1/2")) == 0
 
 
 def test_apply_rule_accepts_callables():

@@ -8,25 +8,13 @@ harmless set of the candidate by symmetry of the benefit relation.
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from mechverify.geometry import region_contains, vec
 from mechverify.harmless import deterministic_harmless
-from mechverify.mechanisms import (
-    MechanismError,
-    SeparatingRule,
-    TaxationRule,
-    TieSide,
-    point_masses,
-)
-from mechverify.reverse import (
-    harmful_intersection_contains,
-    harmful_single_contains,
-    harmful_union_contains,
-    pairwise_harmful_cases,
-)
+from mechverify.mechanisms import SeparatingRule, TieSide, apply_rule, point_masses
+from mechverify.reverse import harmful_union_contains, pairwise_harmful_cases
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=8)
 
@@ -46,34 +34,6 @@ def separating_rules():
     )
 
 
-def test_harmful_single_direct_cases():
-    a1, a2 = point_masses(2)
-    rule = SeparatingRule(a1, a2, Fraction(1))
-    reported = vec(3, 1)  # scores above the threshold, receives a1
-    # A candidate who prefers a1 but scores below the threshold gains.
-    assert harmful_single_contains(reported, rule, vec("3/2", 1))
-    # A candidate already receiving a1 gains nothing.
-    assert not harmful_single_contains(reported, rule, vec(4, 1))
-    # A candidate preferring a2 loses by taking a1.
-    assert not harmful_single_contains(reported, rule, vec(0, 1))
-    # Indifferent candidates cannot strictly gain.
-    assert not harmful_single_contains(reported, rule, vec(2, 2))
-
-
-def test_harmful_single_taxation_rule():
-    menu = TaxationRule(
-        tuple(zip(point_masses(3), (Fraction(0), Fraction(1), Fraction(2))))
-    )
-    reported = vec(0, 0, 5)  # buys the expensive entry
-    # This candidate would only buy the middle entry on its own, yet values
-    # the expensive item more, so the report's purchase beats its own.
-    assert harmful_single_contains(reported, menu, vec(0, 2, Fraction(5, 2)))
-    # Buys the expensive entry itself: nothing to gain.
-    assert not harmful_single_contains(reported, menu, vec(0, 2, Fraction(7, 2)))
-    # Values the expensive item below its own purchase: the report hurts.
-    assert not harmful_single_contains(reported, menu, vec(0, 2, 1))
-
-
 @given(vectors(2), vectors(2))
 def test_union_is_dual_to_forward_harmless_dim2(reported, candidate):
     assert harmful_union_contains(reported, point_masses(2), candidate) == (
@@ -86,29 +46,6 @@ def test_union_is_dual_to_forward_harmless_dim3(reported, candidate):
     assert harmful_union_contains(reported, point_masses(3), candidate) == (
         not deterministic_harmless(candidate, point_masses(3)).contains(reported)
     )
-
-
-def test_intersection_requires_explicit_rules():
-    with pytest.raises(MechanismError):
-        harmful_intersection_contains(vec(1, 0), (), vec(0, 1))
-
-
-@given(vectors(2), vectors(2), st.lists(separating_rules(), min_size=1, max_size=4))
-def test_intersection_implies_union(reported, candidate, rules):
-    if harmful_intersection_contains(reported, rules, candidate):
-        assert harmful_union_contains(reported, point_masses(2), candidate)
-
-
-def test_intersection_two_rules():
-    a1, a2 = point_masses(2)
-    low = SeparatingRule(a1, a2, Fraction(1))
-    high = SeparatingRule(a1, a2, Fraction(2))
-    reported = vec(4, 0)  # above both thresholds
-    between = vec(Fraction(5, 2), 1)  # above low only
-    below = vec(Fraction(3, 2), 1)  # below both
-    assert harmful_intersection_contains(reported, (low, high), below)
-    assert not harmful_intersection_contains(reported, (low, high), between)
-    assert harmful_intersection_contains(reported, (high,), between)
 
 
 def test_pairwise_harmful_case1_region():
@@ -150,6 +87,6 @@ def test_pairwise_region_matches_predicate(reported, rule, candidate):
     # For override-free two-allocation rules the convex case region is the
     # exact harmful set.
     _, region = pairwise_harmful_cases(reported, rule)
-    assert region_contains(region, candidate) == harmful_single_contains(
-        reported, rule, candidate
-    )
+    gained = apply_rule(rule, reported).value_to(candidate)
+    truthful = apply_rule(rule, candidate).value_to(candidate)
+    assert region_contains(region, candidate) == (gained > truthful)
