@@ -51,7 +51,6 @@ from .harmless import (
     decisive_pair,
     deterministic_harmless,
     difference_projection,
-    difference_span,
     pairwise_harmless,
     point_mass_rule,
     single_rule_harmless_contains,

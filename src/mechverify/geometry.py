@@ -195,15 +195,6 @@ class Hyperplane(Frozen):
             raise ValueError("hyperplane normal must be nonzero")
         self._init(normal, offset)
 
-    def side(self, x: Vector) -> int:
-        """-1, 0, or +1 according to normal . x vs offset."""
-        s = self.normal.dot(x)
-        if s > self.offset:
-            return 1
-        if s < self.offset:
-            return -1
-        return 0
-
 
 class Halfspace(Frozen):
     """One side of a hyperplane; strict or closed per ``sense``."""

@@ -15,16 +15,17 @@ Three rule classes are characterised in closed form:
   them (up to m(m-1)/2), but one O(m log m) pass over d = x - theta,
   grouped by theta's value levels, answers both questions: is x harmless,
   and if not, which rule shows it (``point_mass_rule``: the oracle's pair).
-  ``point_mass_indices`` is the one check that the allocations are
-  distinct point masses;
+  Reverse membership (``reverse.harmful_union_contains``) is that pass
+  alone, with no region built.  ``point_mass_indices`` is the one check
+  that the allocations are distinct point masses;
 * all truthful-in-expectation rules over a simplex of randomized allocations,
   where x is harmless iff its projection onto the difference span is a
   scaling of theta's by a factor at most one.  The projection is closed
   form, O(m): subtract the mean over the full simplex, keep the vector over
   the subsimplex with a null assignment.  An explicit allocation set must
   span one line, and then one pair of it (``decisive_pair``, found in
-  O(n m)) gives the same span and the same oracle certificates as the
-  whole set, so each query costs O(m).
+  O(n m)) answers for the whole set: with d = p - o, x is harmless iff
+  d.x <= d.theta, one O(m) halfspace test per query.
 """
 
 from __future__ import annotations
@@ -42,13 +43,11 @@ from .geometry import (
     Halfspace,
     Hyperplane,
     Sense,
-    Span,
     Vector,
     _vector,
     ones_vector,
-    project_onto_span,
+    project_onto_span,  # unused here; perfbench/tracing.py wraps it under this module
     region_contains,
-    unit_vector,
     whole_space,
     zero_vector,
 )
@@ -250,34 +249,6 @@ def single_rule_harmless_contains(theta: Vector, rule: Rule, x: Vector) -> bool:
     return apply_rule(rule, x).value_to(theta) <= apply_rule(rule, theta).value_to(theta)
 
 
-def difference_span(theta: Vector, space: AllocationSpace) -> Span:
-    """Span of scaled allocation differences over pairs theta is not
-    indifferent between.
-
-    For the simplex families this is closed-form: the full simplex gives the
-    sum-zero hyperplane (when theta has two distinct coordinates), and the
-    null-padded subsimplex gives all of R^m (when theta is nonzero) because
-    mass can leak to the null assignment.  Degenerate types that are
-    indifferent between everything give the zero span.  An explicit
-    allocation set spans the line of its decisive pair, or nothing when
-    theta values every allocation alike; ``decisive_pair`` refuses a set
-    whose differences span more than one direction.
-    """
-    m = theta.dim
-    if space is SimplexFamily.FULL_SIMPLEX:
-        if len(set(theta.coords)) < 2:
-            return Span(())
-        basis = tuple(unit_vector(0, m) - unit_vector(j, m) for j in range(1, m))
-        return Span(basis)
-    if space is SimplexFamily.SUBSIMPLEX_WITH_NULL:
-        if theta.is_zero():
-            return Span(())
-        basis = tuple(unit_vector(i, m) for i in range(m))
-        return Span(basis)
-    pair = decisive_pair(theta, space)
-    return Span(() if pair is None else (pair[0].probs - pair[1].probs,))
-
-
 def decisive_pair(
     theta: Vector, allocations: Sequence[Allocation]
 ) -> tuple[Allocation, Allocation] | None:
@@ -322,15 +293,16 @@ def _proportionality(px: Vector, ptheta: Vector) -> Fraction | None:
     return None
 
 
-def difference_projection(theta: Vector, space: AllocationSpace) -> Callable[[Vector], Vector]:
-    """Orthogonal projection onto ``difference_span(theta, space)``.
+def difference_projection(theta: Vector, space: SimplexFamily) -> Callable[[Vector], Vector]:
+    """Orthogonal projection onto a simplex family's difference span.
 
-    Closed form for the simplex families: the full simplex's span is the
-    sum-zero hyperplane, so a vector loses its mean; the null-padded
-    subsimplex's span is all of R^m, so a vector is kept.  Both spans are
-    zero for a type indifferent between everything (constant theta, or
-    theta = 0).  Explicit allocation sets project onto their decisive
-    pair's line.
+    The full simplex's span is the sum-zero hyperplane (when theta has two
+    distinct coordinates), so a vector loses its mean; the null-padded
+    subsimplex's span is all of R^m (when theta is nonzero) because mass can
+    leak to the null assignment, so a vector is kept.  A type indifferent
+    between everything has the zero span.  Explicit allocation sets have no
+    projection here: ``tie_harmless_contains`` answers them by their
+    decisive pair.
     """
     m = theta.dim
     if space is SimplexFamily.FULL_SIMPLEX:
@@ -342,8 +314,7 @@ def difference_projection(theta: Vector, space: AllocationSpace) -> Callable[[Ve
         if theta.is_zero():
             return lambda v: zero_vector(m)
         return lambda v: v
-    span = difference_span(theta, space)
-    return lambda v: project_onto_span(span, v)
+    raise MechanismError(f"difference projection needs a simplex family; got {space!r}")
 
 
 def tie_harmless_contains(theta: Vector, x: Vector, space: AllocationSpace) -> bool:
@@ -353,9 +324,18 @@ def tie_harmless_contains(theta: Vector, x: Vector, space: AllocationSpace) -> b
     theta's projection by a factor at most one.  Reports that shift theta
     orthogonally to the span look identical to every rule in the class;
     scaling down never helps because it only dampens the preference signal.
+    An explicit set's span is the line of its decisive pair's difference d,
+    oriented so that d.theta > 0; the factor is d.x / d.theta, so x is
+    harmless iff d.x <= d.theta.  With no pair every report is harmless.
     """
     if theta.dim != x.dim:
         raise DimensionMismatch(f"type dims {theta.dim} vs {x.dim}")
+    if not isinstance(space, SimplexFamily):
+        pair = decisive_pair(theta, space)
+        if pair is None:
+            return True
+        d = pair[0].probs - pair[1].probs
+        return d.dot(x) <= d.dot(theta)
     project = difference_projection(theta, space)
     ptheta = project(theta)
     px = project(x)

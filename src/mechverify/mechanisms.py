@@ -67,9 +67,6 @@ class Allocation(Frozen):
     def dim(self) -> int:
         return self.probs.dim
 
-    def is_deterministic(self) -> bool:
-        return all(p in (0, 1) for p in self.probs)
-
     def value_to(self, theta: Vector) -> Fraction:
         """Expected value of this allocation to a type."""
         return self.probs.dot(theta)

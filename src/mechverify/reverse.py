@@ -4,7 +4,9 @@ This is the designer's ex-post view.  A candidate true type is harmful for a
 report under a rule when the report's allocation beats the candidate's own,
 valued by the candidate.  Against a whole family the union (some rule
 benefits) is what verification must rule out; by symmetry of the benefit
-relation it is decided through the forward harmless set of the candidate.
+relation the report is in it exactly when it lies outside the candidate's
+forward harmless set, which ``point_mass_rule``'s O(m log m) pass decides
+without building the set's region.
 """
 
 from __future__ import annotations
@@ -20,7 +22,10 @@ from .geometry import (
     Vector,
     empty_region,
 )
-from .harmless import deterministic_harmless
+from .harmless import (
+    deterministic_harmless,  # unused here; perfbench/tracing.py wraps it under this module
+    point_mass_rule,
+)
 from .mechanisms import Allocation, SeparatingRule, TieSide, apply_rule
 
 
@@ -29,8 +34,9 @@ def harmful_union_contains(
 ) -> bool:
     """True iff some deterministic rule over the allocations makes the report
     beneficial for the candidate -- i.e. the report sits outside the
-    candidate's forward harmless set."""
-    return not deterministic_harmless(candidate, allocations).contains(reported)
+    candidate's forward harmless set, so the candidate's closed-form
+    certificate exists."""
+    return point_mass_rule(candidate, reported, allocations) is not None
 
 
 def pairwise_harmful_cases(

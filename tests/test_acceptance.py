@@ -2,7 +2,8 @@
 
 Each test name carries its criterion number so a verbose run gives one
 pass/fail line per criterion. Randomness is seeded; every check is exact
-rational arithmetic with zero tolerance.
+rational arithmetic with zero tolerance. The last test is a timing gate on
+the slowest scenario at the input budgets.
 """
 
 import random
@@ -11,7 +12,14 @@ import sys
 import time
 from fractions import Fraction
 
-from mechverify.cli import parse_scenario, run_scenario, slice_region_vertices
+from mechverify import cli
+from mechverify.cli import (
+    parse_scenario,
+    run_scenario,
+    serialize_result,
+    serialize_witnesses,
+    slice_region_vertices,
+)
 from mechverify.geometry import Sense, ones_vector, vec
 from mechverify.harmless import (
     SimplexFamily,
@@ -324,3 +332,31 @@ def test_criterion_10_cli_determinism(tmp_path, cli_env):
     witness2 = run(["witness", "--scenario", "golden.scn"])
     assert witness1.returncode == witness2.returncode == 0
     assert witness1.stdout == witness2.stdout
+
+
+def test_reverse_deterministic_at_the_budgets_takes_under_two_seconds():
+    # Each candidate's membership is one O(m log m) pass: no candidate's
+    # m(m-1)/2 halfspaces are built.
+    rng = random.Random(1117)
+    m = cli.MAX_DIMENSION
+
+    def distinct_type():
+        return vec(*(Fraction(k, 12) for k in rng.sample(range(-600, 601), m)))
+
+    def tokens(v):
+        return " ".join(str(c) for c in v)
+
+    reported = distinct_type()
+    candidates = [reported] + [distinct_type() for _ in range(cli.MAX_QUERIES - 1)]
+    lines = ["scenario reverse_budget", "class deterministic", f"reported {tokens(reported)}"]
+    lines += [f"query {tokens(c)}" for c in candidates]
+    text = "\n".join(lines) + "\n"
+    start = time.monotonic()
+    document = run_scenario(parse_scenario(text))
+    serialize_result(document)
+    serialize_witnesses(document)
+    elapsed = time.monotonic() - start
+    members = [q.member for q in document.queries]
+    assert not members[0]
+    assert len(document.witnesses) == sum(members) > 0
+    assert elapsed < 2

@@ -80,13 +80,6 @@ def test_hyperplane_rejects_zero_normal():
         Hyperplane(zero_vector(2), Fraction(0))
 
 
-def test_hyperplane_side():
-    h = Hyperplane(vec(1, -1), Fraction(0))
-    assert h.side(vec(2, 1)) == 1
-    assert h.side(vec(1, 1)) == 0
-    assert h.side(vec(0, 1)) == -1
-
-
 def test_halfspace_strict_vs_closed_boundary():
     plane = Hyperplane(vec(1, 0), Fraction(1))
     strict = Halfspace(plane, Sense.STRICT_GREATER)

@@ -16,14 +16,13 @@ from mechverify.geometry import Sense, vec
 from mechverify.harmless import (
     SimplexFamily,
     SubspaceHypothesisError,
+    decisive_pair,
     deterministic_harmless,
-    difference_span,
     pairwise_harmless,
     single_rule_harmless_contains,
     tie_harmless_contains,
     universally_truthful_harmless,
 )
-from mechverify.geometry import span_rank
 from mechverify.mechanisms import (
     Allocation,
     MechanismError,
@@ -159,24 +158,14 @@ def test_single_rule_harmless_contains():
         assert single_rule_harmless_contains(happy, rule, x)
 
 
-def test_difference_span_shapes():
-    # Full simplex: rank m-1 when coordinates differ, empty when constant.
-    assert span_rank(difference_span(vec(1, 2, 4), SimplexFamily.FULL_SIMPLEX)) == 2
-    assert span_rank(difference_span(vec(3, 3, 3), SimplexFamily.FULL_SIMPLEX)) == 0
-    # Null assignment: full rank unless the type is identically zero.
-    assert span_rank(difference_span(vec(0, 1, 2), SimplexFamily.SUBSIMPLEX_WITH_NULL)) == 3
-    assert span_rank(difference_span(vec(0, 0, 0), SimplexFamily.SUBSIMPLEX_WITH_NULL)) == 0
-
-
-def test_difference_span_explicit_allocations():
+def test_decisive_pair_of_an_explicit_set():
     a1, a2 = point_masses(2)
-    span = difference_span(vec(1, 3), (a1, a2))
-    assert span_rank(span) == 1
+    assert decisive_pair(vec(1, 3), (a1, a2)) == (a2, a1)
     # Indifferent pairs contribute nothing.
-    assert span_rank(difference_span(vec(2, 2), (a1, a2))) == 0
-    # Rank above one violates the hypothesis behind the closed form.
+    assert decisive_pair(vec(2, 2), (a1, a2)) is None
+    # Two difference directions violate the hypothesis behind the closed form.
     with pytest.raises(SubspaceHypothesisError):
-        difference_span(vec(0, 1, 2), point_masses(3))
+        decisive_pair(vec(0, 1, 2), point_masses(3))
 
 
 def test_tie_full_simplex_closed_form():

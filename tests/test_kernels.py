@@ -25,6 +25,7 @@ from mechverify.geometry import (
     project_onto_span,
     rank,
     region_contains,
+    unit_vector,
     vec,
 )
 from mechverify.harmless import (
@@ -33,7 +34,6 @@ from mechverify.harmless import (
     decisive_pair,
     deterministic_harmless,
     difference_projection,
-    difference_span,
     pairwise_harmless,
     point_mass_rule,
     tie_harmless_contains,
@@ -227,27 +227,34 @@ def test_point_mass_pair_rejects_other_allocations():
 # -- expectation projection ---------------------------------------------------
 
 
+def simplex_span(theta, family):
+    """The difference span's generators, taken from the definition: over
+    the full simplex e_0 - e_j for every j (when theta has two distinct
+    coordinates), over the null-padded subsimplex every e_i (when theta is
+    nonzero), and nothing for a type indifferent between everything."""
+    m = theta.dim
+    if family is SimplexFamily.FULL_SIMPLEX:
+        if len(set(theta.coords)) < 2:
+            return Span(())
+        return Span(tuple(unit_vector(0, m) - unit_vector(j, m) for j in range(1, m)))
+    if theta.is_zero():
+        return Span(())
+    return Span(tuple(unit_vector(i, m) for i in range(m)))
+
+
 @given(st.data())
 def test_tie_projection_matches_span_projection(data):
     m = data.draw(dims)
     theta = data.draw(vectors(m, st.sampled_from([Fraction(0), Fraction(1), Fraction(-2)])))
     v = data.draw(vectors(m))
     for family in FAMILIES:
-        expected = project_onto_span(difference_span(theta, family), v)
+        expected = project_onto_span(simplex_span(theta, family), v)
         assert difference_projection(theta, family)(v) == expected
 
 
-@given(st.data())
-def test_tie_projection_matches_span_projection_on_explicit_sets(data):
-    m = data.draw(dims)
-    theta = data.draw(vectors(m, small))
-    v = data.draw(vectors(m))
-    i, j = data.draw(st.permutations(range(m)))[:2]
-    # Three allocations whose differences are all collinear with e_i - e_j.
-    middle = Allocation((point_mass(i, m).probs + point_mass(j, m).probs).scale(Fraction(1, 2)))
-    allocations = (point_mass(i, m), middle, point_mass(j, m))
-    expected = project_onto_span(difference_span(theta, allocations), v)
-    assert difference_projection(theta, allocations)(v) == expected
+def test_difference_projection_refuses_explicit_sets():
+    with pytest.raises(MechanismError):
+        difference_projection(vec(1, 3), point_masses(2))
 
 
 # -- explicit expectation sets -----------------------------------------------
@@ -394,3 +401,37 @@ def test_reverse_harmful_set_is_the_forward_complement(case, data):
         (w.kind, w.fields) for w in forward.witnesses
     ]
     assert len(reverse.witnesses) == int(reverse.queries[0].member)
+
+
+# -- closed forms without generic machinery ------------------------------------
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("generic machinery on a closed-form path")
+
+
+def test_closed_form_paths_build_no_region_and_no_span(monkeypatch):
+    # Reverse point-mass membership builds no pairwise halfspaces, and an
+    # explicit expectation set answers by d.x <= d.theta with no Gram-Schmidt.
+    monkeypatch.setattr("mechverify.harmless._pairwise_halfspaces", _refuse)
+    monkeypatch.setattr("mechverify.geometry._orthogonal_basis", _refuse)
+    reverse = run_scenario(
+        parse_scenario(
+            "scenario r\nclass deterministic\nreported 0 0 3\nquery 0 1 2\nquery 0 0 3\n"
+        )
+    )
+    assert [q.member for q in reverse.queries] == [True, False]
+    assert len(reverse.witnesses) == 1
+    explicit = run_scenario(
+        parse_scenario(
+            "scenario e\nclass truthful_in_expectation\ntheta 1 3\n"
+            "allocation 1 0\nallocation 1/2 1/2\nallocation 0 1\n"
+            "query 0 4\nquery 1 2\n"
+        )
+    )
+    assert [q.member for q in explicit.queries] == [False, True]
+    assert len(explicit.witnesses) == 1
+    # The forward class still builds the region it prints.
+    forward = parse_scenario("scenario f\nclass deterministic\ntheta 0 1 2\n")
+    with pytest.raises(AssertionError, match="generic machinery"):
+        run_scenario(forward)

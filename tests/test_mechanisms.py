@@ -45,11 +45,7 @@ def test_allocation_validation():
 
 
 def test_point_masses_are_deterministic():
-    for a in point_masses(3):
-        assert a.is_deterministic()
     assert point_mass(1, 3).probs == vec(0, 1, 0)
-    mixed = Allocation(vec("1/3", "2/3"))
-    assert not mixed.is_deterministic()
 
 
 def test_allocation_value_to_type():

@@ -3,7 +3,8 @@
 A candidate true type is harmful for a report under a rule when the report's
 allocation beats the candidate's own, valued by the candidate. Union
 membership over the whole two-allocation family must match the forward
-harmless set of the candidate by symmetry of the benefit relation.
+harmless set of the candidate by symmetry of the benefit relation, and the
+oracle's brute-force search for a rule that benefits the candidate.
 """
 
 from fractions import Fraction
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from mechverify.geometry import region_contains, vec
 from mechverify.harmless import deterministic_harmless
 from mechverify.mechanisms import SeparatingRule, TieSide, apply_rule, point_masses
+from mechverify.oracle import search_beneficial_misreport
 from mechverify.reverse import harmful_union_contains, pairwise_harmful_cases
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=8)
@@ -36,16 +38,16 @@ def separating_rules():
 
 @given(vectors(2), vectors(2))
 def test_union_is_dual_to_forward_harmless_dim2(reported, candidate):
-    assert harmful_union_contains(reported, point_masses(2), candidate) == (
-        not deterministic_harmless(candidate, point_masses(2)).contains(reported)
-    )
+    union = harmful_union_contains(reported, point_masses(2), candidate)
+    assert union == (not deterministic_harmless(candidate, point_masses(2)).contains(reported))
+    assert union == (search_beneficial_misreport(candidate, reported, point_masses(2)) is not None)
 
 
 @given(vectors(3), vectors(3))
 def test_union_is_dual_to_forward_harmless_dim3(reported, candidate):
-    assert harmful_union_contains(reported, point_masses(3), candidate) == (
-        not deterministic_harmless(candidate, point_masses(3)).contains(reported)
-    )
+    union = harmful_union_contains(reported, point_masses(3), candidate)
+    assert union == (not deterministic_harmless(candidate, point_masses(3)).contains(reported))
+    assert union == (search_beneficial_misreport(candidate, reported, point_masses(3)) is not None)
 
 
 def test_pairwise_harmful_case1_region():
