@@ -72,6 +72,7 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 from .geometry import (
+    ZERO,
     ConvexRegion,
     DimensionMismatch,
     Frozen,
@@ -85,6 +86,7 @@ from .geometry import (
 )
 from .harmless import (
     SimplexFamily,
+    _point_mass_rule,
     check_null_coordinate,
     decisive_pair,
     deterministic_harmless,
@@ -515,8 +517,9 @@ def _forward_point_mass(
     summary: tuple[tuple[str, str], ...],
 ) -> Setup:
     """Every forward point-mass class: the class's harmless set, built once
-    per scenario, decides each query and gives the region; each harmful
-    query is certified in closed form."""
+    per scenario (the one point-mass check), decides each query and gives
+    the region; each harmful query is certified in closed form by the
+    set's own ``rule``."""
     theta = scenario.anchor
     if scenario.mechanism_class == "universally_truthful":
         result = universally_truthful_harmless(theta, allocations)
@@ -526,7 +529,7 @@ def _forward_point_mass(
     def certify(q: Vector) -> Certificate | None:
         if result.contains(q):
             return None
-        return "separating", _separating(point_mass_rule(theta, q, allocations), theta, q)
+        return "separating", _separating(result.rule(q), theta, q)
 
     return operation, certify, result.region, summary
 
@@ -807,7 +810,8 @@ def run_scenario(source: Scenario | str | os.PathLike[str]) -> ResultDocument:
     scenario = source if isinstance(source, Scenario) else load_scenario(source)
     setup, options, _ = _checked(scenario)
     operation, certify, region, summary = setup(scenario, options)
-    if region is not None:
+    boxed = scenario.space_low is not None or scenario.space_high is not None
+    if region is not None and boxed:
         box = box_region(scenario.space_low, scenario.space_high)
         region = ConvexRegion(region.halfspaces + box.halfspaces, region.extra_points)
     mode = scenario.mode
@@ -861,7 +865,8 @@ def _verification(token: str, rule: Rule, dim: int) -> Callable[[Vector, Vector]
 
     ``harmless_complement`` catches the reports outside the true type's
     deterministic harmless set over the point masses, which are exactly
-    the reports with a ``point_mass_rule`` certificate.
+    the reports with a ``point_mass_rule`` certificate.  The point masses
+    are checked once, not once per grid pair.
     """
     if token == "none":
         return lambda true, reported: False
@@ -875,7 +880,10 @@ def _verification(token: str, rule: Rule, dim: int) -> Callable[[Vector, Vector]
 
         return overstates_received
     allocations = point_masses(dim)  # harmless_complement
-    return lambda true, reported: point_mass_rule(true, reported, allocations) is not None
+    indices = point_mass_indices(allocations, dim)
+    return lambda true, reported: (
+        _point_mass_rule(true, reported, allocations, indices) is not None
+    )
 
 
 def run_verify(source: Scenario | str | os.PathLike[str]) -> ResultDocument:
@@ -936,7 +944,8 @@ def run_verify(source: Scenario | str | os.PathLike[str]) -> ResultDocument:
 
 
 def _vector_token(v: Vector) -> str:
-    return ",".join(str(c) for c in v)
+    # A coordinate that is the shared ZERO object is 0: it needs no formatting.
+    return ",".join(["0" if c is ZERO else str(c) for c in v.coords])
 
 
 def _field_token(name: str, code: str, value: FieldValue) -> str:

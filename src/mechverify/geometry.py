@@ -19,6 +19,13 @@ from fractions import Fraction
 RationalLike = Fraction | int | str
 
 
+# Shared exact constants.  Unit and zero vectors hold these very objects, so
+# a serializer may print a coordinate that *is* ZERO without formatting it.
+ZERO = Fraction(0)
+ONE = Fraction(1)
+MINUS_ONE = Fraction(-1)
+
+
 class DimensionMismatch(ValueError):
     """Operands live in different coordinate dimensions."""
 
@@ -151,19 +158,19 @@ def vec(*coords: RationalLike) -> Vector:
 
 
 def zero_vector(dim: int) -> Vector:
-    return _constant_vector(Fraction(0), dim)
+    return _constant_vector(ZERO, dim)
 
 
 def unit_vector(index: int, dim: int) -> Vector:
     if not 0 <= index < dim:
         raise ValueError(f"unit index {index} out of range for dimension {dim}")
-    coords = [Fraction(0)] * dim
-    coords[index] = Fraction(1)
+    coords = [ZERO] * dim
+    coords[index] = ONE
     return _vector(tuple(coords))
 
 
 def ones_vector(dim: int) -> Vector:
-    return _constant_vector(Fraction(1), dim)
+    return _constant_vector(ONE, dim)
 
 
 def _constant_vector(value: Fraction, dim: int) -> Vector:
@@ -203,6 +210,25 @@ class Halfspace(Frozen):
 
     def __init__(self, hyperplane: Hyperplane, sense: Sense = Sense.STRICT_GREATER) -> None:
         self._init(hyperplane, sense)
+
+
+_set_normal = Hyperplane.normal.__set__
+_set_offset = Hyperplane.offset.__set__
+_set_hyperplane = Halfspace.hyperplane.__set__
+_set_sense = Halfspace.sense.__set__
+
+
+def _halfspace(normal: Vector, offset: Fraction, sense: Sense) -> Halfspace:
+    """A Halfspace over a nonzero normal and a Fraction offset, taken as they
+    are, in the style of ``_vector``: a caller that knows the normal is
+    nonzero skips the public constructors' coercion and zero scan."""
+    plane = object.__new__(Hyperplane)
+    _set_normal(plane, normal)
+    _set_offset(plane, offset)
+    half = object.__new__(Halfspace)
+    _set_hyperplane(half, plane)
+    _set_sense(half, sense)
+    return half
 
 
 def halfspace_contains(h: Halfspace, x: Vector) -> bool:

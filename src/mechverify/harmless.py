@@ -12,12 +12,15 @@ Three rule classes are characterised in closed form:
   set of point-mass allocations -- an intersection of one strict half-space
   x_o - x_p > theta_o - theta_p per pair with theta_p > theta_o, each
   carrying the true type as a boundary member.  The region lists all of
-  them (up to m(m-1)/2), but one O(m log m) pass over d = x - theta,
-  grouped by theta's value levels, answers both questions: is x harmless,
-  and if not, which rule shows it (``point_mass_rule``: the oracle's pair).
-  Reverse membership (``reverse.harmful_union_contains``) is that pass
-  alone, with no region built.  ``point_mass_indices`` is the one check
-  that the allocations are distinct point masses;
+  them (up to m(m-1)/2), built from theta's values as integers over one
+  common denominator, with each normal e_o - e_p made of shared unit
+  constants.  One O(m log m) pass over d = x - theta, grouped by theta's
+  value levels, answers both questions: is x harmless, and if not, which
+  rule shows it (``point_mass_rule``: the oracle's pair).  Reverse
+  membership (``reverse.harmful_union_contains``) is that pass alone, with
+  no region built.  ``point_mass_indices`` is the one check that the
+  allocations are distinct point masses; ``deterministic_harmless`` runs it
+  once, and its ``rule`` certifies every report from those indices;
 * all truthful-in-expectation rules over a simplex of randomized allocations,
   where x is harmless iff its projection onto the difference span is a
   scaling of theta's by a factor at most one.  The projection is closed
@@ -37,6 +40,9 @@ from itertools import combinations
 from math import inf, lcm
 
 from .geometry import (
+    MINUS_ONE,
+    ONE,
+    ZERO,
     ConvexRegion,
     DimensionMismatch,
     Frozen,
@@ -44,6 +50,7 @@ from .geometry import (
     Hyperplane,
     Sense,
     Vector,
+    _halfspace,
     _vector,
     ones_vector,
     project_onto_span,  # unused here; perfbench/tracing.py wraps it under this module
@@ -89,12 +96,19 @@ AllocationSpace = SimplexFamily | tuple[Allocation, ...]
 
 class HarmlessResult(Frozen):
     """Outcome of a harmless-set computation: one convex region plus extra
-    points, and a ``membership`` test that decides it exactly."""
+    points, and a ``membership`` test that decides it exactly.  A class
+    with a closed-form certificate also gives ``rule``: the rule under
+    which reporting a non-member beats the truth, or None for a member."""
 
-    __slots__ = ("membership", "region")
+    __slots__ = ("membership", "region", "rule")
 
-    def __init__(self, membership: Callable[[Vector], bool], region: ConvexRegion) -> None:
-        self._init(membership, region)
+    def __init__(
+        self,
+        membership: Callable[[Vector], bool],
+        region: ConvexRegion,
+        rule: Callable[[Vector], SeparatingRule | None] | None = None,
+    ) -> None:
+        self._init(membership, region, rule)
 
     def contains(self, x: Vector) -> bool:
         return self.membership(x)
@@ -135,7 +149,9 @@ def deterministic_harmless(theta: Vector, allocations: Sequence[Allocation]) -> 
     half-space per pair theta is not indifferent between, in pair order,
     with theta itself as the single extra point.  Membership is
     ``point_mass_rule``'s pass on the indices validated here: x is harmless
-    iff x == theta or no pair of allocations is split in x's favour.
+    iff x == theta or no pair of allocations is split in x's favour.  The
+    allocations are validated once, here, and ``rule`` certifies from the
+    same indices.
     """
     indices = point_mass_indices(allocations, theta.dim)
     region = ConvexRegion(tuple(_pairwise_halfspaces(theta, indices)), frozenset({theta}))
@@ -145,7 +161,10 @@ def deterministic_harmless(theta: Vector, allocations: Sequence[Allocation]) -> 
             raise DimensionMismatch(f"type dims {theta.dim} vs {x.dim}")
         return x == theta or _beneficial_pair(theta, x, indices) is None
 
-    return HarmlessResult(contains, region)
+    def rule(x: Vector) -> SeparatingRule | None:
+        return _point_mass_rule(theta, x, allocations, indices)
+
+    return HarmlessResult(contains, region, rule)
 
 
 def point_mass_indices(allocations: Sequence[Allocation], dim: int) -> tuple[int, ...]:
@@ -201,7 +220,13 @@ def point_mass_rule(
     the worse allocation and, when d_p == d_o, x to the better: the rule
     ``oracle.search_beneficial_misreport`` returns.
     """
-    indices = point_mass_indices(allocations, theta.dim)
+    return _point_mass_rule(theta, x, allocations, point_mass_indices(allocations, theta.dim))
+
+
+def _point_mass_rule(
+    theta: Vector, x: Vector, allocations: Sequence[Allocation], indices: Sequence[int]
+) -> SeparatingRule | None:
+    """``point_mass_rule`` on indices ``point_mass_indices`` has returned."""
     if x.dim != theta.dim:
         raise DimensionMismatch(f"type dims {theta.dim} vs {x.dim}")
     pair = None if x == theta else _beneficial_pair(theta, x, indices)
@@ -223,17 +248,27 @@ def check_null_coordinate(*types: Vector) -> None:
 
 def _pairwise_halfspaces(theta: Vector, indices: Sequence[int]):
     """x_o - x_p > theta_o - theta_p for each pair of point-mass coordinates
-    (in combination order) with theta_p > theta_o."""
-    zeros = [Fraction(0)] * theta.dim
-    for i, j in combinations(indices, 2):
-        if theta[i] == theta[j]:
+    (in combination order) with theta_p > theta_o.  theta's values are
+    compared as integers over one common denominator, each offset is built
+    once per level gap, and each normal e_o - e_p holds the shared unit
+    constants.  o != p, as ``point_mass_indices`` has checked, so no normal
+    is zero."""
+    scale = lcm(*[theta[i].denominator for i in indices])
+    levels = [theta[i].numerator * (scale // theta[i].denominator) for i in indices]
+    zeros = [ZERO] * theta.dim
+    offsets: dict[int, Fraction] = {}
+    for (i, level_i), (j, level_j) in combinations(zip(indices, levels), 2):
+        if level_i == level_j:
             continue
-        preferred, other = (i, j) if theta[i] > theta[j] else (j, i)
-        normal = list(zeros)
-        normal[other] = Fraction(1)
-        normal[preferred] = Fraction(-1)
-        offset = theta[other] - theta[preferred]
-        yield Halfspace(Hyperplane(_vector(tuple(normal)), offset), Sense.STRICT_GREATER)
+        preferred, other = (i, j) if level_i > level_j else (j, i)
+        gap = abs(level_i - level_j)
+        offset = offsets.get(gap)
+        if offset is None:
+            offset = offsets[gap] = Fraction(-gap, scale)
+        normal = zeros.copy()
+        normal[other] = ONE
+        normal[preferred] = MINUS_ONE
+        yield _halfspace(_vector(tuple(normal)), offset, Sense.STRICT_GREATER)
 
 
 def universally_truthful_harmless(

@@ -118,12 +118,13 @@ class SeparatingRule(Frozen):
             raise MechanismError("separating rule needs two distinct allocations")
         overrides = {} if overrides is None else dict(overrides)
         self._init(a_i, a_j, relative_price, tie_assignment, overrides)
-        n = self.normal
-        for point, target in overrides.items():
-            if n.dot(point) != relative_price:
-                raise MechanismError(f"override point {point} is off the boundary")
-            if target not in (a_i, a_j):
-                raise MechanismError("override target must be one of the rule's pair")
+        if overrides:
+            n = self.normal
+            for point, target in overrides.items():
+                if n.dot(point) != relative_price:
+                    raise MechanismError(f"override point {point} is off the boundary")
+                if target not in (a_i, a_j):
+                    raise MechanismError("override target must be one of the rule's pair")
 
     @property
     def normal(self) -> Vector:
@@ -131,7 +132,12 @@ class SeparatingRule(Frozen):
 
 
 def allocate_separating(rule: SeparatingRule, x: Vector) -> Allocation:
-    s = rule.normal.dot(x)
+    return allocate_scored(rule, x, rule.normal.dot(x))
+
+
+def allocate_scored(rule: SeparatingRule, x: Vector, s: Fraction) -> Allocation:
+    """``allocate_separating`` for a caller that already has x's score
+    s = rule.normal . x."""
     if s > rule.relative_price:
         return rule.a_i
     if s < rule.relative_price:

@@ -20,12 +20,17 @@ from fractions import Fraction
 from functools import cache
 
 from .geometry import Frozen, Vector
-from .harmless import SimplexFamily, difference_projection, tie_harmless_contains
+from .harmless import (
+    SimplexFamily,
+    difference_projection,
+    tie_harmless_contains,  # unused here; perfbench/tracing.py wraps it under this module
+)
 from .mechanisms import (
     Allocation,
     MechanismError,
     SeparatingRule,
     TieSide,
+    allocate_scored,
     allocate_separating,
 )
 
@@ -157,13 +162,23 @@ def construct_tie_witness(
     theta's projection plus a residual, and tilt the residual toward theta's
     projection by epsilon = 2^-k (k minimal) until the report scores strictly
     higher than theta while theta still strictly prefers the high allocation.
-    Returns None when x is harmless.
+    Returns None when x is harmless: the projections, taken once, decide it
+    as ``tie_harmless_contains`` does, since px is a scaling of ptheta
+    exactly when the residual is zero, and then by the factor ``along``.
     """
     if space not in (SimplexFamily.FULL_SIMPLEX, SimplexFamily.SUBSIMPLEX_WITH_NULL):
         raise MechanismError("witness construction needs a simplex family")
     if theta.dim != x.dim:
         raise MechanismError(f"type dims {theta.dim} vs {x.dim}")
-    if tie_harmless_contains(theta, x, space):
+    project = difference_projection(theta, space)
+    ptheta = project(theta)
+    if ptheta.is_zero():
+        return None  # the zero span: every report projects to zero, harmless
+    px = project(x)
+    norm_sq = ptheta.dot(ptheta)
+    along = px.dot(ptheta) / norm_sq
+    residual = px - ptheta.scale(along)
+    if residual.is_zero() and along <= 1:
         return None
 
     if space is SimplexFamily.SUBSIMPLEX_WITH_NULL:
@@ -173,16 +188,6 @@ def construct_tie_witness(
             )
         if theta.dim < 2:
             raise MechanismError("need at least one non-null assignment")
-    project = difference_projection(theta, space)
-    ptheta = project(theta)
-    px = project(x)
-
-    # Not harmless, so ptheta != 0 (a zero projection makes everything harmless).
-    if ptheta.is_zero():
-        raise AssertionError("membership said harmful but theta projects to zero")
-    norm_sq = ptheta.dot(ptheta)
-    along = px.dot(ptheta) / norm_sq
-    residual = px - ptheta.scale(along)
 
     if residual.is_zero():
         # Pure upscaling: px = along * ptheta with along > 1.
@@ -206,6 +211,7 @@ def construct_tie_witness(
     else:
         low, high = _full_simplex_pair(direction)
 
+    # The rule's normal is taken once; both reports are allocated on it.
     normal = high.probs - low.probs
     rule = SeparatingRule(
         a_i=high,
@@ -213,9 +219,10 @@ def construct_tie_witness(
         relative_price=normal.dot(theta),
         tie_assignment=TieSide.TO_J,
     )
-    gained = allocate_separating(rule, x).value_to(theta)
-    truthful = allocate_separating(rule, theta).value_to(theta)
-    if not (gained > truthful and allocate_separating(rule, x) == high):
+    received = allocate_scored(rule, x, normal.dot(x))
+    gained = received.value_to(theta)
+    truthful = allocate_scored(rule, theta, rule.relative_price).value_to(theta)
+    if not (gained > truthful and received == high):
         raise AssertionError("tie witness failed validation")
     return TieWitness(
         low=low,

@@ -15,12 +15,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mechverify.cli import parse_scenario, run_scenario
+from mechverify import harmless
+from mechverify.cli import _vector_token, parse_scenario, run_scenario
 from mechverify.geometry import (
+    MINUS_ONE,
+    ONE,
+    ZERO,
     ConvexRegion,
     DimensionMismatch,
+    Hyperplane,
     Span,
     Vector,
+    _vector,
     ones_vector,
     project_onto_span,
     rank,
@@ -135,6 +141,40 @@ def test_deterministic_membership_matches_pairwise_region(pair, data):
     result = deterministic_harmless(theta, allocations)
     assert result.region == reference
     assert result.contains(x) == region_contains(reference, x)
+
+
+# Levels over denominators 1, 2, 3, 4 and 6, so the common denominator of
+# theta's values is often neither 1 nor one of them.
+mixed = st.sampled_from([Fraction(v, d) for v in range(-4, 5) for d in (1, 2, 3, 4, 6)])
+
+
+@given(st.data())
+def test_deterministic_region_over_mixed_denominators(data):
+    # The region built from integer levels and shared unit constants is the
+    # intersection of the pairwise regions, and stays all Fractions.
+    m = data.draw(dims)
+    theta = data.draw(vectors(m, mixed))
+    allocations = data.draw(point_mass_subsets(m))
+    region = deterministic_harmless(theta, allocations).region
+    assert region == reference_region(theta, allocations)
+    for h in region.halfspaces:
+        assert type(h.hyperplane.offset) is Fraction
+        assert all(type(c) is Fraction for c in h.hyperplane.normal)
+
+
+# Zeros that are the shared ZERO, zeros that are other objects (as parsed,
+# or built with another denominator), and nonzero values of every sign.
+token_coords = st.sampled_from(
+    [ZERO, Fraction("0"), Fraction(0, 7), ONE, MINUS_ONE]
+    + [Fraction(-3, 4), Fraction(5, 2), Fraction(-7)]
+)
+
+
+@given(st.lists(token_coords, min_size=1, max_size=12))
+def test_vector_token_matches_the_formatted_coordinates(coords):
+    assert Fraction(0, 7) is not ZERO and Fraction("0") is not ZERO
+    v = _vector(tuple(coords))
+    assert _vector_token(v) == ",".join(str(c) for c in v)
 
 
 @given(st.data())
@@ -435,3 +475,29 @@ def test_closed_form_paths_build_no_region_and_no_span(monkeypatch):
     forward = parse_scenario("scenario f\nclass deterministic\ntheta 0 1 2\n")
     with pytest.raises(AssertionError, match="generic machinery"):
         run_scenario(forward)
+
+
+def test_forward_point_masses_are_checked_once_and_build_no_public_hyperplane(monkeypatch):
+    # One point-mass check serves the region and every harmful query's
+    # certificate, and the region's halfspaces skip the public constructor.
+    calls = []
+    check = harmless.point_mass_indices
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr("mechverify.harmless.point_mass_indices", counted)
+    monkeypatch.setattr("mechverify.cli.point_mass_indices", counted)
+    monkeypatch.setattr(Hyperplane, "__init__", _refuse)
+    document = run_scenario(
+        parse_scenario(
+            "scenario f\nclass deterministic\ntheta 0 1 2 3\n"
+            "query 0 2 2 3\nquery 1 1 2 3\nquery 0 1 4 3\nquery 0 1 2 4\n"
+            "query 3 2 1 0\nquery 0 1/2 1 3/2\n"
+        )
+    )
+    assert [q.member for q in document.queries] == [False] * 4 + [True] * 2
+    assert len(document.witnesses) == 4
+    assert len(document.region.halfspaces) == 6
+    assert len(calls) == 1
