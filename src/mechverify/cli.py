@@ -540,11 +540,15 @@ def _setup_point_mass(scenario: Scenario, options: dict) -> Setup:
     allocations = scenario.allocations or point_masses(anchor.dim)
     summary = (("allocations", str(len(allocations))),)
     if scenario.mode == "reverse":
+        # The point masses are checked once here; each harmful candidate is
+        # certified from these indices.
+        indices = point_mass_indices(allocations, anchor.dim)
 
         def certify(q: Vector) -> Certificate | None:
             if not harmful_union_contains(anchor, allocations, q):
                 return None
-            return "separating", _separating(point_mass_rule(q, anchor, allocations), q, anchor)
+            rule = _point_mass_rule(q, anchor, allocations, indices)
+            return "separating", _separating(rule, q, anchor)
 
         return "harmful_union_contains", certify, None, summary
     return _forward_point_mass(

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 
 RationalLike = Fraction | int | str
 
@@ -107,8 +108,25 @@ class Vector(Frozen):
     # sums give, without a Fraction operation per zero coordinate.
 
     def dot(self, other: "Vector") -> Fraction:
+        """The exact sum of coordinate products, as one Fraction: the nonzero
+        products' integer numerators are summed over the lcm of their
+        denominators, with no Fraction addition per term.  A zero in self
+        costs one numerator read, so a point mass is cheap on the left."""
         _check_dim(self, other)
-        return sum((a * b for a, b in zip(self.coords, other.coords) if a and b), Fraction(0))
+        numerators, denominators = [], []
+        for a, b in zip(self.coords, other.coords):
+            n = a.numerator
+            if n:
+                n *= b.numerator
+                if n:
+                    numerators.append(n)
+                    denominators.append(a.denominator * b.denominator)
+        if not numerators:
+            return Fraction(0)
+        scale = lcm(*denominators)
+        return Fraction(
+            sum([n * (scale // d) for n, d in zip(numerators, denominators)]), scale
+        )
 
     def is_zero(self) -> bool:
         return not any(self.coords)

@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .geometry import DimensionMismatch, Frozen, RationalLike, Vector, frac, unit_vector
+from .geometry import DimensionMismatch, Frozen, RationalLike, Vector, _vector, frac, unit_vector
 
 
 class MechanismError(ValueError):
@@ -70,6 +70,29 @@ class Allocation(Frozen):
     def value_to(self, theta: Vector) -> Fraction:
         """Expected value of this allocation to a type."""
         return self.probs.dot(theta)
+
+
+_set_probs = Allocation.probs.__set__
+
+
+def _allocation(numerators: Sequence[int], denominator: int) -> Allocation:
+    """The Allocation with probabilities numerators[i] / denominator (> 0),
+    checked as ``Allocation`` checks its probabilities, each in [0, 1] and
+    summing to 1, but over the integers: no Fraction comparison or addition
+    per coordinate."""
+    for n in numerators:
+        if n < 0 or n > denominator:
+            raise MechanismError(
+                f"allocation probability {Fraction(n, denominator)} outside [0, 1]"
+            )
+    total = sum(numerators)
+    if total != denominator:
+        raise MechanismError(
+            f"allocation probabilities sum to {Fraction(total, denominator)}, not 1"
+        )
+    allocation = object.__new__(Allocation)
+    _set_probs(allocation, _vector(tuple([Fraction(n, denominator) for n in numerators])))
+    return allocation
 
 
 def point_mass(index: int, dim: int) -> Allocation:

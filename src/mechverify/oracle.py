@@ -7,9 +7,10 @@ and every certificate is validated by direct evaluation before it is
 returned.
 
 Witness selection is deterministic: the lowest allocation pair index wins,
-and the scaling parameter in the expectation construction is halved from 1
-until the strict inequalities hold, so identical inputs yield identical
-witnesses.
+and the expectation construction tilts by epsilon = 2^-k with the least
+k >= 0 for which the strict inequalities hold, so identical inputs yield
+identical witnesses.  That k is found in closed form, over integers, with
+the value a halving loop from epsilon = 1 would reach.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
+from operator import mul
 
 from .geometry import Frozen, Vector
 from .harmless import (
     SimplexFamily,
-    difference_projection,
     tie_harmless_contains,  # unused here; perfbench/tracing.py wraps it under this module
 )
 from .mechanisms import (
@@ -30,6 +31,7 @@ from .mechanisms import (
     MechanismError,
     SeparatingRule,
     TieSide,
+    _allocation,
     allocate_scored,
     allocate_separating,
 )
@@ -115,41 +117,8 @@ class TieWitness(Frozen):
         self._init(low, high, rule, gained_value, truthful_value)
 
 
-def _positive_negative_parts(direction: Vector) -> tuple[list[Fraction], list[Fraction]]:
-    pos = [c if c > 0 else Fraction(0) for c in direction.coords]
-    neg = [-c if c < 0 else Fraction(0) for c in direction.coords]
-    return pos, neg
-
-
-def _full_simplex_pair(direction: Vector) -> tuple[Allocation, Allocation]:
-    """Two distributions on the full simplex whose difference scales ``direction``.
-
-    ``direction`` must be nonzero with coordinates summing to zero; both
-    distributions stay near the barycenter so every coordinate is in [0, 1].
-    """
-    m = direction.dim
-    peak = max(abs(c) for c in direction.coords)
-    beta = Fraction(1, m) / peak
-    center = Vector((Fraction(1, m),) * m)
-    half = direction.scale(beta / 2)
-    low = Allocation(center - half)
-    high = Allocation(center + half)
-    return low, high
-
-
-def _subsimplex_pair(direction: Vector) -> tuple[Allocation, Allocation]:
-    """Two distributions that may park mass on the null coordinate (index 0),
-    with non-null difference proportional to ``direction``'s non-null part."""
-    m = direction.dim
-    nonnull = direction.coords[1:]
-    peak = max(abs(c) for c in nonnull)
-    beta = Fraction(1, 2 * (m - 1)) / peak
-    pos, neg = _positive_negative_parts(Vector(nonnull))
-    low_tail = [beta * c for c in neg]
-    high_tail = [beta * c for c in pos]
-    low = Allocation(Vector((1 - sum(low_tail),) + tuple(low_tail)))
-    high = Allocation(Vector((1 - sum(high_tail),) + tuple(high_tail)))
-    return low, high
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
 
 
 def construct_tie_witness(
@@ -160,56 +129,74 @@ def construct_tie_witness(
     Follows the separation argument behind the closed form: project theta and
     x onto the difference span, peel x's projection into a component along
     theta's projection plus a residual, and tilt the residual toward theta's
-    projection by epsilon = 2^-k (k minimal) until the report scores strictly
-    higher than theta while theta still strictly prefers the high allocation.
-    Returns None when x is harmless: the projections, taken once, decide it
-    as ``tie_harmless_contains`` does, since px is a scaling of ptheta
-    exactly when the residual is zero, and then by the factor ``along``.
+    projection by epsilon = 2^-k, k >= 0 minimal, so that the report scores
+    strictly higher than theta while theta still strictly prefers the high
+    allocation.  Returns None when x is harmless, as
+    ``tie_harmless_contains`` decides: the residual is zero, so px is a
+    scaling of ptheta, and the factor is at most one.
+
+    Everything up to the two allocations runs on integers.  theta and x are
+    scaled to integer numerators T and X over their lcm, and the
+    projections become A = m T - sum(T), B = m X - sum(X) over the full
+    simplex, A = T, B = X over the subsimplex: one positive multiple of
+    ptheta and px.  With N = A.A and BA = A.B the residual is
+    R = N B - BA A, and x is harmless iff R = 0 and BA <= N.  R is
+    orthogonal to A, so the tilted direction scores x above theta exactly
+    when 2^k |R|^2 > N^2 (N - BA); the least such k is found in closed form
+    and is the one the halving loop from epsilon = 1 stops at.  The
+    direction D = 2^k R + N A (A when R = 0) is a positive multiple of
+    residual + epsilon ptheta, and the pair is (2M -+ D_i) / (2 m M) with
+    M = max |D_i| over the full simplex, the same form over D[1:] with the
+    rest of the mass on the null coordinate over the subsimplex.  Both
+    allocations pass the range and sum check, and the rule is evaluated
+    directly before the witness is returned.
     """
     if space not in (SimplexFamily.FULL_SIMPLEX, SimplexFamily.SUBSIMPLEX_WITH_NULL):
         raise MechanismError("witness construction needs a simplex family")
     if theta.dim != x.dim:
         raise MechanismError(f"type dims {theta.dim} vs {x.dim}")
-    project = difference_projection(theta, space)
-    ptheta = project(theta)
-    if ptheta.is_zero():
+    m = theta.dim
+    scale = math.lcm(*[c.denominator for v in (theta, x) for c in v.coords])
+    a = [c.numerator * (scale // c.denominator) for c in theta.coords]
+    b = [c.numerator * (scale // c.denominator) for c in x.coords]
+    full = space is SimplexFamily.FULL_SIMPLEX
+    if full:
+        total_a, total_b = sum(a), sum(b)
+        a = [m * c - total_a for c in a]
+        b = [m * c - total_b for c in b]
+    norm_sq = _dot(a, a)
+    if not norm_sq:
         return None  # the zero span: every report projects to zero, harmless
-    px = project(x)
-    norm_sq = ptheta.dot(ptheta)
-    along = px.dot(ptheta) / norm_sq
-    residual = px - ptheta.scale(along)
-    if residual.is_zero() and along <= 1:
+    cross = _dot(a, b)  # N times px's factor along ptheta
+    residual = [norm_sq * bi - cross * ai for ai, bi in zip(a, b)]
+    tilted = any(residual)
+    if not tilted and cross <= norm_sq:
         return None
 
-    if space is SimplexFamily.SUBSIMPLEX_WITH_NULL:
-        if theta[0] != 0 or x[0] != 0:
-            raise MechanismError(
-                "subsimplex types put value 0 on the null coordinate (index 0)"
-            )
-        if theta.dim < 2:
-            raise MechanismError("need at least one non-null assignment")
+    # A one-coordinate subsimplex type is either refused here or the zero
+    # type, answered above, so the tail D[1:] below is never empty.
+    if not full and (theta[0] != 0 or x[0] != 0):
+        raise MechanismError("subsimplex types put value 0 on the null coordinate (index 0)")
 
-    if residual.is_zero():
-        # Pure upscaling: px = along * ptheta with along > 1.
-        direction = ptheta
+    if tilted:
+        gap = norm_sq * norm_sq * (norm_sq - cross)
+        k = (gap // _dot(residual, residual)).bit_length() if gap > 0 else 0
+        direction = [(r << k) + norm_sq * ai for r, ai in zip(residual, a)]
     else:
-        # direction = residual + eps * ptheta scores x above theta exactly when
-        # |residual|^2 > eps * (1 - along) * |ptheta|^2, so halving eps from 1
-        # terminates; the first eps = 2^-k that works is kept.
-        epsilon = Fraction(1)
-        while True:
-            candidate = residual + ptheta.scale(epsilon)
-            if candidate.dot(px) > candidate.dot(ptheta) and candidate.dot(ptheta) > 0:
-                direction = candidate
-                break
-            if along >= 1:
-                raise AssertionError("separation must succeed at epsilon = 1")
-            epsilon /= 2
+        direction = a  # pure upscaling: B = (cross / N) A with cross > N
 
-    if space is SimplexFamily.SUBSIMPLEX_WITH_NULL:
-        low, high = _subsimplex_pair(direction)
+    if full:
+        peak = max(map(abs, direction))
+        denominator = 2 * m * peak
+        low = _allocation([2 * peak - d for d in direction], denominator)
+        high = _allocation([2 * peak + d for d in direction], denominator)
     else:
-        low, high = _full_simplex_pair(direction)
+        tail = direction[1:]
+        denominator = 2 * (m - 1) * max(map(abs, tail))
+        low_tail = [-d if d < 0 else 0 for d in tail]
+        high_tail = [d if d > 0 else 0 for d in tail]
+        low = _allocation([denominator - sum(low_tail), *low_tail], denominator)
+        high = _allocation([denominator - sum(high_tail), *high_tail], denominator)
 
     # The rule's normal is taken once; both reports are allocated on it.
     normal = high.probs - low.probs

@@ -2,8 +2,9 @@
 
 Each test name carries its criterion number so a verbose run gives one
 pass/fail line per criterion. Randomness is seeded; every check is exact
-rational arithmetic with zero tolerance. The last test is a timing gate on
-the slowest scenario at the input budgets.
+rational arithmetic with zero tolerance. The last two tests are timing
+gates at the input budgets: a reverse deterministic scenario, and a
+full-simplex expectation scenario whose queries all ship a witness.
 """
 
 import random
@@ -334,29 +335,48 @@ def test_criterion_10_cli_determinism(tmp_path, cli_env):
     assert witness1.stdout == witness2.stdout
 
 
-def test_reverse_deterministic_at_the_budgets_takes_under_two_seconds():
-    # Each candidate's membership is one O(m log m) pass: no candidate's
-    # m(m-1)/2 halfspaces are built.
-    rng = random.Random(1117)
-    m = cli.MAX_DIMENSION
+def budget_type(rng):
+    """A type at the dimension budget with distinct coordinates."""
+    return vec(*(Fraction(k, 12) for k in rng.sample(range(-600, 601), cli.MAX_DIMENSION)))
 
-    def distinct_type():
-        return vec(*(Fraction(k, 12) for k in rng.sample(range(-600, 601), m)))
 
-    def tokens(v):
-        return " ".join(str(c) for c in v)
+def tokens(v):
+    return " ".join(str(c) for c in v)
 
-    reported = distinct_type()
-    candidates = [reported] + [distinct_type() for _ in range(cli.MAX_QUERIES - 1)]
-    lines = ["scenario reverse_budget", "class deterministic", f"reported {tokens(reported)}"]
-    lines += [f"query {tokens(c)}" for c in candidates]
-    text = "\n".join(lines) + "\n"
+
+def timed_run(text):
+    """(document, seconds) for parse, run and serialize in this process."""
     start = time.monotonic()
     document = run_scenario(parse_scenario(text))
     serialize_result(document)
     serialize_witnesses(document)
-    elapsed = time.monotonic() - start
+    return document, time.monotonic() - start
+
+
+def test_reverse_deterministic_at_the_budgets_takes_under_two_seconds():
+    # Each candidate's membership is one O(m log m) pass: no candidate's
+    # m(m-1)/2 halfspaces are built.
+    rng = random.Random(1117)
+    reported = budget_type(rng)
+    candidates = [reported] + [budget_type(rng) for _ in range(cli.MAX_QUERIES - 1)]
+    lines = ["scenario reverse_budget", "class deterministic", f"reported {tokens(reported)}"]
+    lines += [f"query {tokens(c)}" for c in candidates]
+    document, elapsed = timed_run("\n".join(lines) + "\n")
     members = [q.member for q in document.queries]
     assert not members[0]
     assert len(document.witnesses) == sum(members) > 0
     assert elapsed < 2
+
+
+def test_full_simplex_expectation_at_the_budgets_takes_under_one_second():
+    # Every query is harmful, so each ships a randomized-pair witness, built
+    # on integers over one common denominator with epsilon in closed form.
+    rng = random.Random(1117)
+    theta = budget_type(rng)
+    lines = ["scenario expectation_budget", "class truthful_in_expectation", f"theta {tokens(theta)}"]
+    lines += [f"query {tokens(budget_type(rng))}" for _ in range(cli.MAX_QUERIES)]
+    document, elapsed = timed_run("\n".join(lines) + "\n")
+    assert not any(q.member for q in document.queries)
+    assert len(document.witnesses) == cli.MAX_QUERIES
+    assert {w.kind for w in document.witnesses} == {"randomized_pair"}
+    assert elapsed < 1

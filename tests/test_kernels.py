@@ -130,6 +130,28 @@ def test_vector_arithmetic_matches_dense_sums(data):
         assert type(c) is Fraction
 
 
+# Zeros, small mixed denominators and denominators above 10^6.
+dot_coords = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.builds(Fraction, st.integers(-(10**9), 10**9), st.integers(10**6 + 1, 10**9)),
+)
+
+
+@given(st.data())
+def test_dot_over_integer_numerators_matches_the_naive_sum(data):
+    m = data.draw(st.integers(min_value=1, max_value=12))
+    u = data.draw(vectors(m, dot_coords))
+    v = data.draw(vectors(m, dot_coords))
+    # Every product is zero where u keeps only v's zero coordinates.
+    disjoint = Vector(tuple(a if not b else Fraction(0) for a, b in zip(u, v)))
+    for w in (u, disjoint, Vector((Fraction(0),) * m)):
+        product = w.dot(v)
+        assert type(product) is Fraction
+        assert product == sum([a * b for a, b in zip(w, v)], Fraction(0))
+    assert disjoint.dot(v) == 0
+
+
 # -- deterministic membership -------------------------------------------------
 
 
@@ -501,3 +523,27 @@ def test_forward_point_masses_are_checked_once_and_build_no_public_hyperplane(mo
     assert len(document.witnesses) == 4
     assert len(document.region.halfspaces) == 6
     assert len(calls) == 1
+
+
+def test_reverse_point_masses_are_checked_once_per_scenario(monkeypatch):
+    # One check in the setup serves every harmful candidate's certificate;
+    # harmful_union_contains stays on the path and checks once per query.
+    calls = []
+    check = harmless.point_mass_indices
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr("mechverify.harmless.point_mass_indices", counted)
+    monkeypatch.setattr("mechverify.cli.point_mass_indices", counted)
+    document = run_scenario(
+        parse_scenario(
+            "scenario r\nclass deterministic\nreported 0 1 2 3\n"
+            "query 0 2 2 3\nquery 1 1 2 3\nquery 0 1 4 3\nquery 0 1 2 4\n"
+            "query 1 0 2 3\nquery 0 1 2 3\n"
+        )
+    )
+    assert [q.member for q in document.queries] == [True] * 5 + [False]
+    assert len(document.witnesses) == 5
+    assert len(calls) <= 7

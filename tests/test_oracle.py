@@ -8,7 +8,7 @@ the truthful type strictly more value under the misreport.
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from mechverify.geometry import vec
@@ -137,6 +137,147 @@ def test_tie_witness_indifferent_type_has_none():
     theta = vec(2, 2, 2)
     for x in (vec(0, 1, 5), vec(-1, 0, 0), theta):
         assert construct_tie_witness(theta, x, SimplexFamily.FULL_SIMPLEX) is None
+
+
+def reference_tie_witness(theta, x, space):
+    """The witness construction in Fractions, with epsilon halved from 1
+    until the strict inequalities hold: (low, high, relative_price, tie,
+    gained, truthful) or None, and the branch taken."""
+    t, v, m = list(theta), list(x), theta.dim
+
+    def dot(u, w):
+        return sum([a * b for a, b in zip(u, w)], Fraction(0))
+
+    if space is SimplexFamily.FULL_SIMPLEX:
+        if len(set(t)) < 2:
+            return None, "zero span"
+        pt = [c - sum(t) / m for c in t]
+        pv = [c - sum(v) / m for c in v]
+    else:
+        if not any(t):
+            return None, "zero span"
+        pt, pv = t, v
+    along = dot(pv, pt) / dot(pt, pt)
+    residual = [a - along * b for a, b in zip(pv, pt)]
+    if not any(residual) and along <= 1:
+        return None, "harmless"
+    if space is SimplexFamily.SUBSIMPLEX_WITH_NULL and (t[0] != 0 or v[0] != 0):
+        raise MechanismError("subsimplex types put value 0 on the null coordinate (index 0)")
+    if not any(residual):
+        direction, branch = pt, "upscaling"
+    else:
+        epsilon, branch = Fraction(1), "epsilon 1" if along < 1 else "epsilon 1, along >= 1"
+        while True:
+            direction = [r + epsilon * p for r, p in zip(residual, pt)]
+            if dot(direction, pv) > dot(direction, pt) > 0:
+                break
+            epsilon, branch = epsilon / 2, "halved"
+    if space is SimplexFamily.FULL_SIMPLEX:
+        beta = Fraction(1, m) / max(abs(d) for d in direction)
+        low = [Fraction(1, m) - beta * d / 2 for d in direction]
+        high = [Fraction(1, m) + beta * d / 2 for d in direction]
+    else:
+        beta = Fraction(1, 2 * (m - 1)) / max(abs(d) for d in direction[1:])
+        low = [beta * -d if d < 0 else Fraction(0) for d in direction[1:]]
+        high = [beta * d if d > 0 else Fraction(0) for d in direction[1:]]
+        low, high = [1 - sum(low), *low], [1 - sum(high), *high]
+    price = dot([h - lo for h, lo in zip(high, low)], t)
+    return (tuple(low), tuple(high), price, "to_j", dot(high, t), dot(low, t)), branch
+
+
+def witness_fields(witness):
+    if witness is None:
+        return None
+    return (
+        witness.low.probs.coords,
+        witness.high.probs.coords,
+        witness.rule.relative_price,
+        witness.rule.tie_assignment.value,
+        witness.gained_value,
+        witness.truthful_value,
+    )
+
+
+coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def fractions_from(*values):
+    return st.sampled_from([Fraction(v) for v in values])
+
+
+# The factor along theta's projection and the weight of a direction
+# orthogonal to it that steer each case into one branch of the construction.
+BRANCH_STEERING = {
+    "zero span": (fractions_from(0, 1, 2), fractions_from(0, 1)),
+    "harmless": (fractions_from(-2, "-1/2", 0, "1/3", "3/4", 1), fractions_from(0)),
+    "upscaling": (fractions_from("5/4", "3/2", 2, 3), fractions_from(0)),
+    "epsilon 1, along >= 1": (fractions_from(1, "5/4", 2), fractions_from(-2, "-1/3", "1/2", 3)),
+    "epsilon 1": (fractions_from(-1, 0, "1/2", "3/4"), fractions_from(-8, -3, 3, 8)),
+    "halved": (fractions_from(0, "1/4", "1/2"), fractions_from("-1/8", "1/32", "-1/128")),
+}
+
+
+@st.composite
+def tie_cases(draw, space, branch):
+    """theta over 2 to 5 coordinates and x = lam * theta + mu * w + c * 1,
+    with w orthogonal to theta's projection, the shift c only over the full
+    simplex and coordinate 0 held at 0 over the subsimplex."""
+    m = draw(st.integers(min_value=2, max_value=5))
+    null = space is SimplexFamily.SUBSIMPLEX_WITH_NULL
+
+    def projected():
+        coords = draw(st.lists(coefficients, min_size=m, max_size=m))
+        if null:
+            return [Fraction(0), *coords[1:]]
+        return [c - sum(coords) / m for c in coords]
+
+    theta, w = projected(), projected()
+    if branch == "zero span":
+        theta = [Fraction(0)] * m
+    norm_sq = sum([t * t for t in theta])
+    if norm_sq:
+        along = sum([t * u for t, u in zip(theta, w)]) / norm_sq
+        w = [u - along * t for t, u in zip(theta, w)]
+    lam_strategy, mu_strategy = BRANCH_STEERING[branch]
+    lam, mu = draw(lam_strategy), draw(mu_strategy)
+    shift = Fraction(0) if null else draw(coefficients)
+    theta = [t + shift for t in theta] if not null else theta
+    x = [lam * t + mu * u + shift for t, u in zip(theta, w)]
+    return vec(*theta), vec(*x)
+
+
+@pytest.mark.parametrize("branch", sorted(BRANCH_STEERING))
+@pytest.mark.parametrize("space", [SimplexFamily.FULL_SIMPLEX, SimplexFamily.SUBSIMPLEX_WITH_NULL])
+@given(data=st.data())
+def test_tie_witness_matches_the_fraction_reference(space, branch, data):
+    theta, x = data.draw(tie_cases(space, branch))
+    expected, taken = reference_tie_witness(theta, x, space)
+    assume(taken == branch)
+    assert witness_fields(construct_tie_witness(theta, x, space)) == expected
+
+
+@given(vectors(3), vectors(3))
+@example(vec(1, 2, 4), vec(0, 2, 4))  # harmful, nonzero null values
+@example(vec(1, 2, 4), vec(1, 2, 3))
+@example(vec(1, 2, 4), vec(Fraction(1, 2), 1, 2))  # harmless: None, no refusal
+@example(vec(0, 2, 4), vec(1, 3, 5))  # x alone off the null value
+def test_tie_witness_subsimplex_refuses_after_membership(theta, x):
+    space = SimplexFamily.SUBSIMPLEX_WITH_NULL
+    try:
+        expected, _ = reference_tie_witness(theta, x, space)
+    except MechanismError:
+        with pytest.raises(MechanismError, match="null coordinate"):
+            construct_tie_witness(theta, x, space)
+        return
+    assert witness_fields(construct_tie_witness(theta, x, space)) == expected
+
+
+def test_tie_witness_refuses_other_families_and_dimensions():
+    theta = vec(1, 2, 4)
+    with pytest.raises(MechanismError, match="simplex family"):
+        construct_tie_witness(theta, theta, point_masses(3))
+    with pytest.raises(MechanismError, match="type dims"):
+        construct_tie_witness(theta, vec(1, 2), SimplexFamily.FULL_SIMPLEX)
 
 
 @given(vectors(2), vectors(2))
