@@ -50,7 +50,6 @@ from .harmless import (
     SubspaceHypothesisError,
     decisive_pair,
     deterministic_harmless,
-    difference_projection,
     pairwise_harmless,
     point_mass_rule,
     single_rule_harmless_contains,

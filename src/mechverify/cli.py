@@ -572,9 +572,7 @@ def _setup_tie(scenario: Scenario, options: dict) -> Setup:
         return "tie_harmless_contains", certify, None, (("family", "explicit"),)
     family = SimplexFamily.FULL_SIMPLEX
     if scenario.assignments is not None and scenario.assignments.null_index is not None:
-        if scenario.assignments.null_index != 0:
-            raise ScenarioError("the null assignment must be listed first")
-        family = SimplexFamily.SUBSIMPLEX_WITH_NULL
+        family = SimplexFamily.SUBSIMPLEX_WITH_NULL  # null first, as _checked has seen
 
     def certify(q: Vector) -> Certificate | None:
         # The witness construction decides membership itself: None is harmless.
@@ -796,6 +794,12 @@ def _checked(scenario: Scenario) -> tuple[Callable[[Scenario, dict], Setup], dic
     if dim is not None and anchor.dim != dim:
         raise ScenarioError(message.format(dim=dim, **options))
     types = (anchor, *scenario.queries)
+    null_index = scenario.assignments.null_index if scenario.assignments else None
+    if "allocations" in tags and not scenario.allocations and null_index is not None:
+        # The subsimplex with a null assignment: coordinate 0 is the null.
+        if null_index != 0:
+            raise ScenarioError("the null assignment must be listed first")
+        tags.append("null")
     if "null" in tags:
         check_null_coordinate(*types)
     if "nonnegative" in tags and any(c < 0 for t in types for c in t):
@@ -864,34 +868,30 @@ def _verify_rule(dim: int, options: dict) -> Rule:
     return SeparatingRule(point_mass(i, dim), point_mass(j, dim), options["rule_price"], tie)
 
 
-def _verification(token: str, rule: Rule, dim: int) -> Callable[[Vector, Vector], bool]:
-    """The verification_kind's predicate: is (true type, report) caught?
-
-    ``harmless_complement`` catches the reports outside the true type's
-    deterministic harmless set over the point masses, which are exactly
-    the reports with a ``point_mass_rule`` certificate.  The point masses
-    are checked once, not once per grid pair.
-    """
+def _verification(token: str, rule: Rule) -> Callable[[Vector, Vector], bool]:
+    """The predicate of a verification_kind other than ``harmless_complement``
+    (which ``run_verify`` answers by the theorem): is (true type, report)
+    caught?"""
     if token == "none":
         return lambda true, reported: False
     if token == "no_overbid":
         return lambda true, reported: any(r > t for t, r in zip(true, reported))
-    if token == "no_overbid_on_received":
 
-        def overstates_received(true: Vector, reported: Vector) -> bool:
-            received = apply_rule(rule, reported)
-            return received.value_to(reported) > received.value_to(true)
+    def overstates_received(true: Vector, reported: Vector) -> bool:  # no_overbid_on_received
+        received = apply_rule(rule, reported)
+        return received.value_to(reported) > received.value_to(true)
 
-        return overstates_received
-    allocations = point_masses(dim)  # harmless_complement
-    indices = point_mass_indices(allocations, dim)
-    return lambda true, reported: (
-        _point_mass_rule(true, reported, allocations, indices) is not None
-    )
+    return overstates_received
 
 
 def run_verify(source: Scenario | str | os.PathLike[str]) -> ResultDocument:
-    """Check a declared rule for truthfulness on the scenario's type grid."""
+    """Check a declared rule for truthfulness on the scenario's type grid.
+
+    Every rule declared here is deterministic over the point masses, so a
+    report it rewards lies outside the true type's deterministic harmless
+    set: verifying that set's complement (``harmless_complement``) makes
+    the rule truthful over the whole type space, with no grid search.
+    """
     scenario = source if isinstance(source, Scenario) else load_scenario(source)
     if scenario.mode != "forward":
         raise ScenarioError("verify needs a forward-mode scenario")
@@ -902,9 +902,14 @@ def run_verify(source: Scenario | str | os.PathLike[str]) -> ResultDocument:
     theta = scenario.anchor
     rule = _verify_rule(theta.dim, options)
     token = options.get("verification_kind", "none")
-    verification = _verification(token, rule, theta.dim)
     grid = list(dict.fromkeys((theta, *scenario.queries)))
-    truthful, violation = is_truthful_with_verification(rule, verification, grid)
+    if token == "harmless_complement":
+        if theta.dim < 2:
+            raise MechanismError("need at least two allocations")
+        truthful, violation = True, None
+    else:
+        verification = _verification(token, rule)
+        truthful, violation = is_truthful_with_verification(rule, verification, grid)
     operation = "is_truthful_with_verification"
     witnesses: tuple[WitnessRecord, ...] = ()
     summary = [

@@ -23,12 +23,14 @@ Three rule classes are characterised in closed form:
   once, and its ``rule`` certifies every report from those indices;
 * all truthful-in-expectation rules over a simplex of randomized allocations,
   where x is harmless iff its projection onto the difference span is a
-  scaling of theta's by a factor at most one.  The projection is closed
-  form, O(m): subtract the mean over the full simplex, keep the vector over
-  the subsimplex with a null assignment.  An explicit allocation set must
-  span one line, and then one pair of it (``decisive_pair``, found in
-  O(n m)) answers for the whole set: with d = p - o, x is harmless iff
-  d.x <= d.theta, one O(m) halfspace test per query.
+  scaling of theta's by a factor at most one.  Over the two simplex
+  families one O(m) integer pass decides it (``_simplex_projection``,
+  shared with ``oracle.construct_tie_witness``): is the residual of x's
+  projection against theta's zero, and the factor at most one?  An explicit
+  allocation set must span one line, and then one pair of it
+  (``decisive_pair``, found in O(n m)) answers for the whole set: with
+  d = p - o, x is harmless iff d.x <= d.theta, one O(m) halfspace test per
+  query.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from math import inf, lcm
+from operator import mul
 
 from .geometry import (
     MINUS_ONE,
@@ -52,11 +55,9 @@ from .geometry import (
     Vector,
     _halfspace,
     _vector,
-    ones_vector,
     project_onto_span,  # unused here; perfbench/tracing.py wraps it under this module
     region_contains,
     whole_space,
-    zero_vector,
 )
 from .mechanisms import (
     Allocation,
@@ -308,8 +309,10 @@ def decisive_pair(
         return None
     o = next(k for k, level in enumerate(levels) if level < levels[p])
     line = allocations[p].probs - allocations[o].probs
-    first = allocations[0].probs
-    if any(_proportionality(a.probs - first, line) is None for a in allocations[1:]):
+    line_sq = line.dot(line)  # nonzero: theta values p and o apart
+    # a - a_0 is on the line iff Cauchy-Schwarz holds with equality.
+    differences = (a.probs - allocations[0].probs for a in allocations[1:])
+    if any(u.dot(line) ** 2 != u.dot(u) * line_sq for u in differences):
         raise SubspaceHypothesisError(
             "scaled differences span more than one direction; "
             "the closed-form characterisation does not apply"
@@ -317,39 +320,37 @@ def decisive_pair(
     return allocations[p], allocations[o]
 
 
-def _proportionality(px: Vector, ptheta: Vector) -> Fraction | None:
-    """The scalar lam with px == lam * ptheta, if one exists (ptheta != 0)."""
-    pivot = next((i for i in range(ptheta.dim) if ptheta[i] != 0), None)
-    if pivot is None:
-        raise ValueError("ptheta must be nonzero")
-    lam = px[pivot] / ptheta[pivot]
-    if px == ptheta.scale(lam):
-        return lam
-    return None
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
 
 
-def difference_projection(theta: Vector, space: SimplexFamily) -> Callable[[Vector], Vector]:
-    """Orthogonal projection onto a simplex family's difference span.
+def _simplex_projection(
+    theta: Vector, x: Vector, space: SimplexFamily
+) -> tuple[list[int], int, int, list[int]]:
+    """(A, N, BA, R): theta's and x's projections onto a simplex family's
+    difference span as integer vectors A and B, one positive multiple of
+    each, with N = A.A, BA = A.B and the residual R = N B - BA A.
 
+    theta and x are scaled to integer numerators T and X over their lcm.
     The full simplex's span is the sum-zero hyperplane (when theta has two
-    distinct coordinates), so a vector loses its mean; the null-padded
-    subsimplex's span is all of R^m (when theta is nonzero) because mass can
-    leak to the null assignment, so a vector is kept.  A type indifferent
-    between everything has the zero span.  Explicit allocation sets have no
-    projection here: ``tie_harmless_contains`` answers them by their
-    decisive pair.
+    distinct coordinates), so A = m T - sum(T) and B = m X - sum(X); the
+    null-padded subsimplex's span is all of R^m (when theta is nonzero)
+    because mass can leak to the null assignment, so A = T and B = X.  A
+    type indifferent between everything has A = 0, the zero span, and then
+    N = BA = 0 and R = 0.  Otherwise R is zero exactly when B is a scaling
+    of A, by the factor BA / N.
     """
     m = theta.dim
+    scale = lcm(*[c.denominator for v in (theta, x) for c in v.coords])
+    a = [c.numerator * (scale // c.denominator) for c in theta.coords]
+    b = [c.numerator * (scale // c.denominator) for c in x.coords]
     if space is SimplexFamily.FULL_SIMPLEX:
-        if len(set(theta.coords)) < 2:
-            return lambda v: zero_vector(m)
-        ones = ones_vector(m)
-        return lambda v: v - ones.scale(sum(v.coords, Fraction(0)) / m)
-    if space is SimplexFamily.SUBSIMPLEX_WITH_NULL:
-        if theta.is_zero():
-            return lambda v: zero_vector(m)
-        return lambda v: v
-    raise MechanismError(f"difference projection needs a simplex family; got {space!r}")
+        total_a, total_b = sum(a), sum(b)
+        a = [m * c - total_a for c in a]
+        b = [m * c - total_b for c in b]
+    norm_sq = _dot(a, a)
+    cross = _dot(a, b)
+    return a, norm_sq, cross, [norm_sq * bi - cross * ai for ai, bi in zip(a, b)]
 
 
 def tie_harmless_contains(theta: Vector, x: Vector, space: AllocationSpace) -> bool:
@@ -359,9 +360,12 @@ def tie_harmless_contains(theta: Vector, x: Vector, space: AllocationSpace) -> b
     theta's projection by a factor at most one.  Reports that shift theta
     orthogonally to the span look identical to every rule in the class;
     scaling down never helps because it only dampens the preference signal.
-    An explicit set's span is the line of its decisive pair's difference d,
-    oriented so that d.theta > 0; the factor is d.x / d.theta, so x is
-    harmless iff d.x <= d.theta.  With no pair every report is harmless.
+    Over a simplex family that is ``_simplex_projection``'s test: the
+    residual R is zero and the factor BA / N is at most one (a zero span
+    makes every report harmless).  An explicit set's span is the line of its
+    decisive pair's difference d, oriented so that d.theta > 0; the factor
+    is d.x / d.theta, so x is harmless iff d.x <= d.theta.  With no pair
+    every report is harmless.
     """
     if theta.dim != x.dim:
         raise DimensionMismatch(f"type dims {theta.dim} vs {x.dim}")
@@ -371,10 +375,5 @@ def tie_harmless_contains(theta: Vector, x: Vector, space: AllocationSpace) -> b
             return True
         d = pair[0].probs - pair[1].probs
         return d.dot(x) <= d.dot(theta)
-    project = difference_projection(theta, space)
-    ptheta = project(theta)
-    px = project(x)
-    if ptheta.is_zero():
-        return px.is_zero()
-    lam = _proportionality(px, ptheta)
-    return lam is not None and lam <= 1
+    _, norm_sq, cross, residual = _simplex_projection(theta, x, space)
+    return not any(residual) and cross <= norm_sq

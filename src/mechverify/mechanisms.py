@@ -165,7 +165,7 @@ def allocate_scored(rule: SeparatingRule, x: Vector, s: Fraction) -> Allocation:
         return rule.a_i
     if s < rule.relative_price:
         return rule.a_j
-    if x in rule.overrides:
+    if rule.overrides and x in rule.overrides:  # hashing x costs O(m)
         return rule.overrides[x]
     return rule.a_i if rule.tie_assignment is TieSide.TO_I else rule.a_j
 

@@ -10,7 +10,10 @@ Witness selection is deterministic: the lowest allocation pair index wins,
 and the expectation construction tilts by epsilon = 2^-k with the least
 k >= 0 for which the strict inequalities hold, so identical inputs yield
 identical witnesses.  That k is found in closed form, over integers, with
-the value a halving loop from epsilon = 1 would reach.
+the value a halving loop from epsilon = 1 would reach.  The expectation
+witness decides membership first with the same integer pass as
+``harmless.tie_harmless_contains`` and builds its tilt from that pass's
+values, so the two never disagree on which reports need a witness.
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
-from operator import mul
 
 from .geometry import Frozen, Vector
 from .harmless import (
     SimplexFamily,
+    _dot,
+    _simplex_projection,
     tie_harmless_contains,  # unused here; perfbench/tracing.py wraps it under this module
 )
 from .mechanisms import (
@@ -117,10 +121,6 @@ class TieWitness(Frozen):
         self._init(low, high, rule, gained_value, truthful_value)
 
 
-def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(map(mul, u, v))
-
-
 def construct_tie_witness(
     theta: Vector, x: Vector, space: SimplexFamily
 ) -> TieWitness | None:
@@ -135,12 +135,10 @@ def construct_tie_witness(
     ``tie_harmless_contains`` decides: the residual is zero, so px is a
     scaling of ptheta, and the factor is at most one.
 
-    Everything up to the two allocations runs on integers.  theta and x are
-    scaled to integer numerators T and X over their lcm, and the
-    projections become A = m T - sum(T), B = m X - sum(X) over the full
-    simplex, A = T, B = X over the subsimplex: one positive multiple of
-    ptheta and px.  With N = A.A and BA = A.B the residual is
-    R = N B - BA A, and x is harmless iff R = 0 and BA <= N.  R is
+    Everything up to the two allocations runs on integers, from the pass
+    ``tie_harmless_contains`` runs (``harmless._simplex_projection``): A and
+    B, one positive multiple of ptheta and px, N = A.A, BA = A.B and the
+    residual R = N B - BA A; x is harmless iff R = 0 and BA <= N.  R is
     orthogonal to A, so the tilted direction scores x above theta exactly
     when 2^k |R|^2 > N^2 (N - BA); the least such k is found in closed form
     and is the one the halving loop from epsilon = 1 stops at.  The
@@ -155,27 +153,16 @@ def construct_tie_witness(
         raise MechanismError("witness construction needs a simplex family")
     if theta.dim != x.dim:
         raise MechanismError(f"type dims {theta.dim} vs {x.dim}")
-    m = theta.dim
-    scale = math.lcm(*[c.denominator for v in (theta, x) for c in v.coords])
-    a = [c.numerator * (scale // c.denominator) for c in theta.coords]
-    b = [c.numerator * (scale // c.denominator) for c in x.coords]
-    full = space is SimplexFamily.FULL_SIMPLEX
-    if full:
-        total_a, total_b = sum(a), sum(b)
-        a = [m * c - total_a for c in a]
-        b = [m * c - total_b for c in b]
-    norm_sq = _dot(a, a)
+    a, norm_sq, cross, residual = _simplex_projection(theta, x, space)
     if not norm_sq:
         return None  # the zero span: every report projects to zero, harmless
-    cross = _dot(a, b)  # N times px's factor along ptheta
-    residual = [norm_sq * bi - cross * ai for ai, bi in zip(a, b)]
     tilted = any(residual)
     if not tilted and cross <= norm_sq:
         return None
 
     # A one-coordinate subsimplex type is either refused here or the zero
     # type, answered above, so the tail D[1:] below is never empty.
-    if not full and (theta[0] != 0 or x[0] != 0):
+    if space is SimplexFamily.SUBSIMPLEX_WITH_NULL and (theta[0] != 0 or x[0] != 0):
         raise MechanismError("subsimplex types put value 0 on the null coordinate (index 0)")
 
     if tilted:
@@ -185,7 +172,8 @@ def construct_tie_witness(
     else:
         direction = a  # pure upscaling: B = (cross / N) A with cross > N
 
-    if full:
+    m = theta.dim
+    if space is SimplexFamily.FULL_SIMPLEX:
         peak = max(map(abs, direction))
         denominator = 2 * m * peak
         low = _allocation([2 * peak - d for d in direction], denominator)

@@ -934,9 +934,27 @@ query 1 0
         run_verify(parse_scenario(both))
 
 
-# vcg and kminded scenarios whose types harmless refuses; verify must refuse
-# them with the same message.
+# vcg, kminded and subsimplex expectation scenarios whose types harmless
+# refuses; verify must refuse them with the same message, with or without
+# queries, harmless or not.
+SUBSIMPLEX = "scenario s\nclass truthful_in_expectation\nassignments z a b\nnull_assignment z\n"
 VERIFY_CLASS_CHECKS = {
+    "subsimplex-null-harmful-query": (
+        SUBSIMPLEX + "theta 1 2 3\nquery 1 5 9\noption rule_prices 0 1 1\n",
+        "the null coordinate (index 0) must be worth 0",
+    ),
+    "subsimplex-null-harmless-query": (
+        SUBSIMPLEX + "theta 1 2 3\nquery 1/2 1 3/2\noption rule_prices 0 1 1\n",
+        "the null coordinate (index 0) must be worth 0",
+    ),
+    "subsimplex-null-no-query": (
+        SUBSIMPLEX + "theta 1 2 3\noption rule_prices 0 1 1\n",
+        "the null coordinate (index 0) must be worth 0",
+    ),
+    "subsimplex-null-query-of-zero-type": (
+        SUBSIMPLEX + "theta 0 0 0\nquery 5 1 1\noption rule_prices 0 1 1\n",
+        "the null coordinate (index 0) must be worth 0",
+    ),
     "vcg-null": (
         "scenario s\nclass vcg\ntheta 0 2 1\nquery 1 2 1\noption rule_prices 0 1 1\n"
         "option verification_kind harmless_complement\n",
@@ -1035,9 +1053,9 @@ def point_mass_menus(draw):
 
 @given(point_mass_menus())
 def test_harmless_complement_matches_the_harmless_set(menu):
-    # Every deterministic rule is truthful once the harmless set's
-    # complement is verified, so the verdict alone would miss a predicate
-    # that catches too much; each grid pair is compared as well.
+    # Every rule verify declares is deterministic over the point masses, so
+    # the grid run that verifies the harmless set's complement is truthful,
+    # and verify answers as that run does, without running it.
     text, rule, types = menu
     allocations = point_masses(types[0].dim)
 
@@ -1045,20 +1063,33 @@ def test_harmless_complement_matches_the_harmless_set(menu):
         return not deterministic_harmless(true, allocations).contains(reported)
 
     grid = list(dict.fromkeys(types))
-    predicate = cli._verification("harmless_complement", rule, types[0].dim)
-    for true in grid:
-        for reported in grid:
-            assert predicate(true, reported) == outside_harmless(true, reported)
-    truthful, violation = is_truthful_with_verification(rule, outside_harmless, grid)
+    assert is_truthful_with_verification(rule, outside_harmless, grid) == (True, None)
     document = run_verify(parse_scenario(text))
-    assert ("truthful", "true" if truthful else "false") in document.summary
-    if violation is None:
-        assert document.witnesses == ()
-    else:
-        (witness,) = document.witnesses
-        assert witness.query_index == grid.index(violation[0])
-        assert witness_field(witness, "true_type")[1] == violation[0]
-        assert witness_field(witness, "beneficial_report")[1] == violation[1]
+    assert ("truthful", "true") in document.summary
+    assert ("grid_size", str(len(grid))) in document.summary
+    assert document.witnesses == ()
+
+
+def test_harmless_complement_runs_no_grid_search(monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise AssertionError("verify searched the grid")
+
+    monkeypatch.setattr(cli, "is_truthful_with_verification", refuse)
+    monkeypatch.setattr(cli, "_point_mass_rule", refuse)
+    text = (SCENARIO_DIR / "menu_check.scn").read_text()
+    guarded = parse_scenario(text + "option verification_kind harmless_complement\n")
+    document = run_verify(guarded)
+    assert ("truthful", "true") in document.summary
+    assert document.witnesses == ()
+    # One coordinate is one point mass: no harmless set to complement.
+    scenario = tmp_path / "s.scn"
+    scenario.write_text(
+        "scenario s\nclass deterministic\ntheta 1\nquery 2\noption rule_prices 0\n"
+        "option verification_kind harmless_complement\n"
+    )
+    assert main(["verify", "--scenario", str(scenario)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: need at least two allocations\n")
 
 
 def test_harmless_complement_builds_no_harmless_set(monkeypatch):
@@ -1469,6 +1500,12 @@ def test_cli_error_paths(tmp_path, cli_env):
             "error: the null assignment must be listed first\n",
         ),
         (
+            "verify",
+            "scenario s\nclass truthful_in_expectation\nassignments a b\nnull_assignment b\n"
+            "theta 0 1\noption rule_prices 0 1\n",
+            "error: the null assignment must be listed first\n",
+        ),
+        (
             "harmless",
             "scenario s\nclass deterministic\ntheta 0 1\nspace_low 0 2\nspace_high 1 1\n",
             "error: space_low 2 exceeds space_high 1\n",
@@ -1506,6 +1543,7 @@ def test_cli_error_paths(tmp_path, cli_env):
         "null-not-listed",
         "null-without-assignments",
         "null-not-first",
+        "verify-null-not-first",
         "box-low-above-high",
         "anchor-below-box",
         "rule-prices-count",

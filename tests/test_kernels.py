@@ -39,7 +39,6 @@ from mechverify.harmless import (
     SubspaceHypothesisError,
     decisive_pair,
     deterministic_harmless,
-    difference_projection,
     pairwise_harmless,
     point_mass_rule,
     tie_harmless_contains,
@@ -304,19 +303,40 @@ def simplex_span(theta, family):
     return Span(tuple(unit_vector(i, m) for i in range(m)))
 
 
-@given(st.data())
-def test_tie_projection_matches_span_projection(data):
-    m = data.draw(dims)
-    theta = data.draw(vectors(m, st.sampled_from([Fraction(0), Fraction(1), Fraction(-2)])))
-    v = data.draw(vectors(m))
+@st.composite
+def expectation_cases(draw):
+    """theta, often with a zero span (theta = 0, or theta constant), and a
+    report that is an affine image lam*theta + c*1 or any vector."""
+    m = draw(dims)
+    shape = draw(st.sampled_from(["zero", "constant", "any"]))
+    if shape == "zero":
+        theta = Vector((Fraction(0),) * m)
+    elif shape == "constant":
+        theta = ones_vector(m).scale(draw(small))
+    else:
+        theta = draw(vectors(m, small))
+    if draw(st.booleans()):
+        return theta, draw(vectors(m))
+    lam = draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2)]))
+    shift = draw(sparse)
+    return theta, Vector(tuple(lam * t + shift for t in theta))
+
+
+@given(expectation_cases())
+def test_tie_membership_matches_span_projection(case):
+    # The reference: project both onto the span the definition gives, and
+    # test whether px is lam * ptheta with lam <= 1 (px = 0 on a zero span).
+    theta, x = case
     for family in FAMILIES:
-        expected = project_onto_span(simplex_span(theta, family), v)
-        assert difference_projection(theta, family)(v) == expected
-
-
-def test_difference_projection_refuses_explicit_sets():
-    with pytest.raises(MechanismError):
-        difference_projection(vec(1, 3), point_masses(2))
+        span = simplex_span(theta, family)
+        ptheta, px = project_onto_span(span, theta), project_onto_span(span, x)
+        if ptheta.is_zero():
+            expected = px.is_zero()
+        else:
+            pivot = next(i for i, c in enumerate(ptheta) if c != 0)
+            lam = px[pivot] / ptheta[pivot]
+            expected = px == ptheta.scale(lam) and lam <= 1
+        assert tie_harmless_contains(theta, x, family) == expected
 
 
 # -- explicit expectation sets -----------------------------------------------
