@@ -52,7 +52,6 @@ from .harmless import (
     deterministic_harmless,
     pairwise_harmless,
     point_mass_rule,
-    single_rule_harmless_contains,
     tie_harmless_contains,
     universally_truthful_harmless,
 )
@@ -63,10 +62,7 @@ from .oracle import (
     rule_benefit,
     search_beneficial_misreport,
 )
-from .reverse import (
-    harmful_union_contains,
-    pairwise_harmful_cases,
-)
+from .reverse import harmful_union_contains
 from .multiagent import (
     PriceFamily,
     PriceWitness,
@@ -98,7 +94,6 @@ from .cli import (
     ScenarioError,
     WitnessRecord,
     load_scenario,
-    parse_result,
     parse_scenario,
     render_regions,
     run_scenario,

@@ -57,10 +57,10 @@ last one given wins, and flags are spelled out in full.  ``-h`` or
 goes to stderr and exits 1.  The command line is parsed by a small table
 of verbs and flags, so a run imports no module it does not use.
 
-Result documents are line-delimited text with every rational kept exact;
-serialize/parse round-trips are lossless.  SVG output is the only place
-floats appear, formatted at six decimal places so identical inputs give
-byte-identical bytes.
+Result documents are an output format: line-delimited text with every
+rational kept exact, so identical inputs give byte-identical documents.
+SVG output is the only place floats appear, formatted at six decimal places
+so that it is deterministic too.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ from .scenarios import (
 
 
 class ScenarioError(ValueError):
-    """Scenario file or result document problem, with a line number when known."""
+    """Scenario file or command-line problem, with a line number when known."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -949,7 +949,7 @@ def run_verify(source: Scenario | str | os.PathLike[str]) -> ResultDocument:
 
 
 # --------------------------------------------------------------------------
-# Serialization: exact, line-delimited, round-trippable
+# Serialization: exact, line-delimited, deterministic
 
 
 def _vector_token(v: Vector) -> str:
@@ -982,7 +982,8 @@ def _witness_line(witness: WitnessRecord) -> str:
 
 
 def serialize_result(document: ResultDocument) -> str:
-    """Render a result document; parse_result inverts this exactly."""
+    """Render a result document, every rational exact; the same document
+    always gives the same bytes."""
     lines = _header_lines(document)
     if document.region is not None:
         region = document.region
@@ -1017,153 +1018,6 @@ def serialize_witnesses(document: ResultDocument) -> str:
     lines += [_witness_line(witness) for witness in document.witnesses]
     lines.append(f"summary witnesses {len(document.witnesses)}")
     return "\n".join(lines) + "\n"
-
-
-def _parse_vector_token(token: str, line: int) -> Vector:
-    return _parse_vector(token.split(","), line)
-
-
-def _parse_witness_line(args: list[str], line_no: int) -> WitnessRecord:
-    if len(args) < 2 or not args[0].startswith("query=") or not args[1].startswith("kind="):
-        raise ScenarioError("witness line needs query= and kind= first", line_no)
-    try:
-        query_index = int(args[0].removeprefix("query="))
-    except ValueError:
-        raise ScenarioError("bad witness query index", line_no) from None
-    kind = args[1].removeprefix("kind=")
-    fields: list[tuple[str, str, FieldValue]] = []
-    for token in args[2:]:
-        name, eq, rest = token.partition("=")
-        code, colon, payload = rest.partition(":")
-        if not eq or not colon or code not in ("v", "r", "t"):
-            raise ScenarioError(f"bad witness field {token!r}", line_no)
-        value: FieldValue
-        if code == "v":
-            value = _parse_vector_token(payload, line_no)
-        elif code == "r":
-            value = _parse_rational(payload, line_no)
-        else:
-            value = payload
-        fields.append((name, code, value))
-    return WitnessRecord(query_index, kind, tuple(fields))
-
-
-_SINGLE_TOKEN_DIRECTIVES = ("result", "mode", "class", "operation", "anchor", "region_extra")
-_ONCE_DIRECTIVES = ("result", "mode", "class", "operation", "anchor", "region")
-_HALFSPACE_FIELDS = ("normal", "offset", "sense")
-
-
-def _parse_halfspace(args: list[str], line_no: int) -> Halfspace:
-    entries: dict[str, str] = {}
-    for token in args:
-        field_name, eq, value = token.partition("=")
-        if not eq or field_name not in _HALFSPACE_FIELDS or field_name in entries:
-            raise ScenarioError(f"bad region_halfspace field {token!r}", line_no)
-        entries[field_name] = value
-    missing = [f"{n}=" for n in _HALFSPACE_FIELDS if n not in entries]
-    if missing:
-        raise ScenarioError(f"region_halfspace missing {' '.join(missing)}", line_no)
-    normal = _parse_vector_token(entries["normal"], line_no)
-    if normal.is_zero():
-        raise ScenarioError("region_halfspace normal must be nonzero", line_no)
-    offset = _parse_rational(entries["offset"], line_no)
-    try:
-        sense = Sense(entries["sense"])
-    except ValueError:
-        raise ScenarioError(f"bad sense {entries['sense']!r}", line_no) from None
-    return Halfspace(Hyperplane(normal, offset), sense)
-
-
-def parse_result(text: str) -> ResultDocument:
-    """Read a serialized result document back, every rational exact."""
-    name = None
-    mode = None
-    mechanism_class = None
-    operation = None
-    anchor = None
-    region_line = None
-    region_args: list[str] = []
-    seen: set[str] = set()
-    halfspaces: list[Halfspace] = []
-    extras: list[Vector] = []
-    queries: list[QueryResult] = []
-    witnesses: list[WitnessRecord] = []
-    summary: list[tuple[str, str]] = []
-    provenance: list[tuple[str, str]] = []
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        parts = stripped.split()
-        key, args = parts[0], parts[1:]
-        if key in _SINGLE_TOKEN_DIRECTIVES and len(args) != 1:
-            raise ScenarioError(f"{key} takes exactly one token", line_no)
-        if key in ("summary", "provenance") and not args:
-            raise ScenarioError(f"{key} needs a key", line_no)
-        if key in _ONCE_DIRECTIVES:
-            if key in seen:
-                raise ScenarioError(f"duplicate {key} line", line_no)
-            seen.add(key)
-        if key == "result":
-            name = args[0]
-        elif key == "mode":
-            mode = args[0]
-        elif key == "class":
-            mechanism_class = args[0]
-        elif key == "operation":
-            operation = args[0]
-        elif key == "anchor":
-            anchor = _parse_vector_token(args[0], line_no)
-        elif key == "region":
-            region_line, region_args = line_no, args
-        elif key == "region_halfspace":
-            halfspaces.append(_parse_halfspace(args, line_no))
-        elif key == "region_extra":
-            extras.append(_parse_vector_token(args[0], line_no))
-        elif key == "query":
-            if len(args) != 2 or not args[1].startswith("member="):
-                raise ScenarioError("bad query line", line_no)
-            member_token = args[1].removeprefix("member=")
-            if member_token not in ("true", "false"):
-                raise ScenarioError(f"bad membership {member_token!r}", line_no)
-            queries.append(
-                QueryResult(_parse_vector_token(args[0], line_no), member_token == "true")
-            )
-        elif key == "witness":
-            witnesses.append(_parse_witness_line(args, line_no))
-        elif key == "summary":
-            summary.append((args[0], " ".join(args[1:])))
-        elif key == "provenance":
-            provenance.append((args[0], " ".join(args[1:])))
-        else:
-            raise ScenarioError(f"unknown result directive {key!r}", line_no)
-    if name is None or mode is None or mechanism_class is None or operation is None:
-        raise ScenarioError("result document missing header lines")
-    if anchor is None:
-        raise ScenarioError("result document missing anchor")
-    region = None
-    if region_line is not None:
-        try:
-            region = ConvexRegion(tuple(halfspaces), frozenset(extras))
-        except DimensionMismatch as exc:
-            raise ScenarioError(str(exc)) from None
-        counts = [f"halfspaces={len(halfspaces)}", f"extras={len(extras)}"]
-        if region_args != counts:
-            raise ScenarioError(f"region line must read: region {' '.join(counts)}", region_line)
-    elif halfspaces or extras:
-        raise ScenarioError("region_halfspace and region_extra lines need a region line")
-    return ResultDocument(
-        scenario_name=name,
-        mechanism_class=mechanism_class,
-        mode=mode,
-        operation=operation,
-        anchor=anchor,
-        region=region,
-        queries=tuple(queries),
-        witnesses=tuple(witnesses),
-        summary=tuple(summary),
-        provenance=tuple(provenance),
-    )
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,7 @@ without payments must verify, so these sets are computed exactly.
 
 Three rule classes are characterised in closed form:
 
-* a single two-allocation rule, and the family of all such rules over a pair;
+* the family of all two-allocation rules over a pair;
 * all deterministic (equivalently, universally truthful) rules over a finite
   set of point-mass allocations -- an intersection of one strict half-space
   x_o - x_p > theta_o - theta_p per pair with theta_p > theta_o, each
@@ -62,10 +62,9 @@ from .geometry import (
 from .mechanisms import (
     Allocation,
     MechanismError,
-    Rule,
     SeparatingRule,
     TieSide,
-    apply_rule,
+    apply_rule,  # unused here; perfbench/tracing.py wraps it under this module
 )
 
 
@@ -278,11 +277,6 @@ def universally_truthful_harmless(
     """Identical to the deterministic set: randomizing over deterministic
     truthful rules adds no harmful reports and removes none."""
     return deterministic_harmless(theta, allocations)
-
-
-def single_rule_harmless_contains(theta: Vector, rule: Rule, x: Vector) -> bool:
-    """Definition check for one rule: does reporting x ever beat the truth?"""
-    return apply_rule(rule, x).value_to(theta) <= apply_rule(rule, theta).value_to(theta)
 
 
 def decisive_pair(

@@ -1,4 +1,6 @@
 import os
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ settings.register_profile(
 settings.load_profile("default")
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+CHECKER = Path(__file__).resolve().parent.parent / "perfbench" / "checker.py"
 
 
 @pytest.fixture
@@ -29,3 +32,22 @@ def cli_env():
         str(SRC_DIR) if not existing else os.pathsep.join([str(SRC_DIR), existing])
     )
     return env
+
+
+@pytest.fixture(scope="session")
+def checker():
+    """The benchmark's independent checker, which reads result documents
+    with its own parser and imports nothing from the package.
+
+    Its source is executed, not imported, so nothing under ``perfbench/``
+    is written.  The module is listed in ``sys.modules`` only while its
+    dataclasses are made, which look their module up there.
+    """
+    module = types.ModuleType("perfbench_checker")
+    module.__file__ = str(CHECKER)
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(CHECKER.read_text(), str(CHECKER), "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module

@@ -16,7 +16,6 @@ from mechverify.cli import (
     ScenarioError,
     load_scenario,
     main,
-    parse_result,
     parse_scenario,
     render_regions,
     run_scenario,
@@ -25,7 +24,16 @@ from mechverify.cli import (
     serialize_witnesses,
     slice_region_vertices,
 )
-from mechverify.geometry import Sense, Vector, empty_region, region_contains, vec
+from mechverify.geometry import (
+    ConvexRegion,
+    Halfspace,
+    Hyperplane,
+    Sense,
+    Vector,
+    empty_region,
+    region_contains,
+    vec,
+)
 from mechverify.harmless import deterministic_harmless
 from mechverify.mechanisms import (
     MechanismError,
@@ -1106,90 +1114,121 @@ def test_harmless_complement_builds_no_harmless_set(monkeypatch):
     assert ("verification", "harmless_complement") in document.summary
 
 
-def test_serialize_round_trips_exactly():
-    for source in (
-        DETERMINISTIC_EXAMPLE,
-        TIE_EXAMPLE,
-        SECOND_PRICE_EXAMPLE,
-        FACILITY_EXAMPLE,
-    ):
-        document = run_scenario(parse_scenario(source))
-        text = serialize_result(document)
-        assert parse_result(text) == document
-        assert serialize_result(parse_result(text)) == text
+EXAMPLES = {
+    "deterministic": DETERMINISTIC_EXAMPLE,
+    "tie": TIE_EXAMPLE,
+    "second_price": SECOND_PRICE_EXAMPLE,
+    "facility": FACILITY_EXAMPLE,
+}
 
 
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("result\n", "line 1: result takes exactly one token"),
-        (
-            "result r\nregion\nregion_halfspace normal=1,0 sense=strict\n",
-            "line 3: region_halfspace missing offset=",
-        ),
-        (
-            "result r\nregion_halfspace normal=1,0 offset=0 sense=weird\n",
-            "line 2: bad sense 'weird'",
-        ),
-        ("result r\nsummary\n", "line 2: summary needs a key"),
-        (
-            "result r\nregion_halfspace normal=0,0 offset=0 sense=strict\n",
-            "line 2: region_halfspace normal must be nonzero",
-        ),
-        (
-            "result r\nmode forward\nclass deterministic\noperation o\nanchor 1,2\n"
-            "region\nregion_halfspace normal=1,0 offset=0 sense=strict\nregion_extra 1,2,3\n",
-            "mixed dimensions in region",
-        ),
-    ],
-)
-def test_parse_result_reports_malformed_lines(text, message):
-    with pytest.raises(ScenarioError) as info:
-        parse_result(text)
-    assert str(info.value).startswith(message)
+def _example_documents():
+    return [run_scenario(parse_scenario(source)) for source in EXAMPLES.values()]
 
 
-def _with_line_repeated(text, key):
-    lines = text.splitlines()
-    index = next(n for n, line in enumerate(lines) if line.split()[0] == key)
-    return "\n".join(lines[: index + 1] + lines[index:]) + "\n", index + 2
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_checker_reads_every_serialized_field(name, checker):
+    # The result document is output only.  Its one reader is the benchmark's
+    # checker, which shares no code with the serializer, so it is the
+    # reference for what the text says.
+    document = run_scenario(parse_scenario(EXAMPLES[name]))
+    text = serialize_result(document)
+    assert serialize_result(document) == text
+    read = checker.parse_document(text)
+    assert read.header == {
+        "result": document.scenario_name,
+        "mode": document.mode,
+        "class": document.mechanism_class,
+        "operation": document.operation,
+        "anchor": ",".join(str(c) for c in document.anchor.coords),
+    }
+    region = document.region
+    assert read.halfspaces == (0 if region is None else len(region.halfspaces))
+    assert read.queries == [(qr.query.coords, qr.member) for qr in document.queries]
+    assert [(w.index, w.kind) for w in read.witnesses] == [
+        (w.query_index, w.kind) for w in document.witnesses
+    ]
+    assert read.summary == dict(document.summary)
 
 
 @pytest.mark.parametrize("key", ["result", "mode", "class", "operation", "anchor", "region"])
-def test_parse_result_rejects_a_repeated_header_line(key):
-    text = serialize_result(run_scenario(parse_scenario(DETERMINISTIC_EXAMPLE)))
-    repeated, line_no = _with_line_repeated(text, key)
-    with pytest.raises(ScenarioError) as info:
-        parse_result(repeated)
-    assert str(info.value) == f"line {line_no}: duplicate {key} line"
+def test_serialized_header_lines_appear_once(key):
+    for document in _example_documents():
+        directives = [line.split()[0] for line in serialize_result(document).splitlines()]
+        assert directives[:5] == ["result", "mode", "class", "operation", "anchor"]
+        expected = 0 if key == "region" and document.region is None else 1
+        assert directives.count(key) == expected, (document.scenario_name, key)
 
 
-HEADER = "result r\nmode forward\nclass deterministic\noperation o\nanchor 1,2\n"
-HALFSPACE = "region_halfspace normal=1,0 offset=0 sense=strict\n"
+def _halfspace(normal, offset, sense=Sense.STRICT_GREATER):
+    return Halfspace(Hyperplane(normal, offset), sense)
 
 
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        (
-            HEADER + "region halfspaces=9 extras=9\n",
-            "line 6: region line must read: region halfspaces=0 extras=0",
-        ),
-        (
-            HEADER + "region halfspaces=0 extras=0\n" + HALFSPACE + "region_extra 1,2\n",
-            "line 6: region line must read: region halfspaces=1 extras=1",
-        ),
-        (HEADER + "region\n" + HALFSPACE, "line 6: region line must read: region halfspaces=1 extras=0"),
-        (HEADER + HALFSPACE, "region_halfspace and region_extra lines need a region line"),
-    ],
-    ids=["counts-without-lines", "lines-beyond-counts", "no-counts", "no-region-line"],
-)
-def test_parse_result_checks_the_region_counts(text, message):
-    with pytest.raises(ScenarioError) as info:
-        parse_result(text)
-    assert str(info.value) == message
-    counted = HEADER + "region halfspaces=1 extras=1\n" + HALFSPACE + "region_extra 1,2\n"
-    assert len(parse_result(counted).region.halfspaces) == 1
+REGIONS = {
+    "whole-space": ConvexRegion(),
+    "empty": empty_region(3),
+    "harmless-set": deterministic_harmless(vec(0, "1/2", "3/2"), point_masses(3)).region,
+    "extras-out-of-order": ConvexRegion(
+        (_halfspace(vec(0, 1, -1), "-1/2", Sense.GREATER_EQUAL),),
+        frozenset({vec(2, 0, 0), vec(0, 1, 0), vec(1, -1, 3)}),
+    ),
+}
+
+
+@pytest.mark.parametrize("region", REGIONS.values(), ids=REGIONS)
+def test_serialized_region_line_counts_its_lines(region):
+    document = cli.ResultDocument("r", "deterministic", "forward", "o", vec(0, 0, 0), region)
+    lines = serialize_result(document).splitlines()
+    directives = [line.split()[0] for line in lines]
+    start = directives.index("region")
+    h, e = len(region.halfspaces), len(region.extra_points)
+    assert lines[start] == f"region halfspaces={h} extras={e}"
+    body = directives[start + 1:]
+    assert body[: h + e] == ["region_halfspace"] * h + ["region_extra"] * e
+    assert not {"region_halfspace", "region_extra"} & set(body[h + e:])
+    extras = [
+        vec(*line.split()[1].split(",")) for line in lines[start + 1 + h: start + 1 + h + e]
+    ]
+    assert extras == sorted(region.extra_points, key=lambda p: p.coords)
+
+
+def _vector_tokens(tokens):
+    # The vectors a line carries: its bare token or its normal= token.
+    key = tokens[0]
+    if key in ("anchor", "region_extra", "query"):
+        return [tokens[1]]
+    if key == "region_halfspace":
+        return [tokens[1].removeprefix("normal=")]
+    return []
+
+
+# Each rule a well-formed document keeps, as a test of one line's tokens
+# given the document's dimension.
+WELL_FORMED = {
+    "result-one-token": lambda tokens, dim: tokens[0] != "result" or len(tokens) == 2,
+    "halfspace-fields": lambda tokens, dim: tokens[0] != "region_halfspace"
+    or [t.partition("=")[0] for t in tokens[1:]] == ["normal", "offset", "sense"],
+    "sense-known": lambda tokens, dim: tokens[0] != "region_halfspace"
+    or tokens[3].removeprefix("sense=") in {s.value for s in Sense},
+    "summary-key": lambda tokens, dim: tokens[0] != "summary" or len(tokens) >= 2,
+    "normal-nonzero": lambda tokens, dim: tokens[0] != "region_halfspace"
+    or any(Fraction(c) for c in _vector_tokens(tokens)[0].split(",")),
+    "one-dimension": lambda tokens, dim: all(
+        len(v.split(",")) == dim for v in _vector_tokens(tokens)
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", WELL_FORMED)
+def test_serialized_lines_are_well_formed(rule):
+    check = WELL_FORMED[rule]
+    documents = _example_documents() + [
+        cli.ResultDocument("r", "deterministic", "forward", "o", vec(0, 0, 0), region)
+        for region in REGIONS.values()
+    ]
+    for document in documents:
+        for line in serialize_result(document).splitlines():
+            assert check(line.split(), document.anchor.dim), (rule, line)
 
 
 @pytest.mark.parametrize("token", ["1e400", "1_000", "1.5"])
@@ -1336,8 +1375,8 @@ def test_cli_executable(tmp_path, cli_env):
 
     result = run_cli(["harmless", "--scenario", "pair.scn"], tmp_path, cli_env)
     assert result.returncode == 0
-    document = parse_result(result.stdout)
-    assert [qr.member for qr in document.queries] == [True, False]
+    members = [line.split()[2] for line in result.stdout.splitlines() if line.startswith("query ")]
+    assert members == ["member=true", "member=false"]
 
     out = tmp_path / "result.txt"
     rerun = run_cli(

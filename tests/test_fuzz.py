@@ -1,7 +1,8 @@
-"""Fuzzing the three text inputs: scenario files, the command line, result documents.
+"""Fuzzing the two text inputs: scenario files and the command line.
 
-Whatever the text, parsing gives a document or the library's own error, and
-the command line exits 0 or 1.  An uncaught exception would be exit 2.
+Whatever the text, parsing gives a scenario or the library's own error, and
+the command line exits 0 or 1.  An uncaught exception would be exit 2.  A
+scenario that runs gives a result document the benchmark's checker reads.
 """
 
 import contextlib
@@ -17,15 +18,14 @@ from hypothesis import strategies as st
 from mechverify import cli
 from mechverify.cli import (
     MECHANISM_CLASSES,
-    ResultDocument,
     Scenario,
     ScenarioError,
     main,
-    parse_result,
     parse_scenario,
     run_scenario,
     serialize_result,
 )
+from mechverify.mechanisms import MechanismError
 
 VALID_NUMBERS = st.sampled_from(["0", "1", "-1", "2", "3", "1/2", "-3/4", "+5", "7/3", "0/4"])
 NONNEGATIVE = st.sampled_from(["0", "1", "2", "1/2", "7/3"])
@@ -251,69 +251,14 @@ def test_cli_exits_0_or_1_on_any_argv(argv):
         assert code == 0 and stdout.getvalue().startswith("usage: mechverify"), argv
 
 
-VALID_DOCUMENT = serialize_result(
-    run_scenario(
-        parse_scenario(
-            "scenario pair\nclass deterministic\ntheta 0 1/2 3/2\n"
-            "query 0 1/4 1\nquery 0 1/10 7/5\n"
-        )
-    )
-).splitlines()
-RESULT_KEYS = st.sampled_from(
-    [
-        "result", "mode", "class", "operation", "anchor", "region", "region_halfspace",
-        "region_extra", "query", "witness", "summary", "provenance", "bogus",
-    ]
-)
-# Values for a token, or for the part of a name=value token after the "=".
-RESULT_VALUES = st.one_of(
-    NUMBERS,
-    st.sampled_from(["1,2", "1,2,3", "0,0,0", "0,1/2,3/2", "1,x", ",", ""]),
-    st.sampled_from(
-        ["strict", "closed", "open", "true", "no", "r:1/2", "v:1,2", "t:to_i", "q:1", "v:", "="]
-    ),
-)
-RESULT_TOKENS = st.one_of(
-    RESULT_VALUES,
-    st.builds(
-        "{}={}".format,
-        st.sampled_from(["normal", "offset", "sense", "member", "query", "kind", "gained", ""]),
-        RESULT_VALUES,
-    ),
-)
-
-
-@st.composite
-def result_texts(draw):
-    """A serialized document with lines dropped, repeated or given a new value,
-    and new lines that are directives with random tokens or arbitrary text."""
-    lines = list(VALID_DOCUMENT)
-    for _ in range(draw(st.integers(0, 4))):
-        position = draw(st.integers(0, len(lines)))
-        edit = draw(st.sampled_from(["drop", "repeat", "value", "directive", "text"]))
-        if edit == "drop" and position < len(lines):
-            del lines[position]
-        elif edit == "repeat" and position < len(lines):
-            lines.insert(position, lines[position])
-        elif edit == "value" and position < len(lines) and lines[position].split():
-            # Keep the directive and any "name=" of the token whose value changes.
-            tokens = lines[position].split()
-            index = draw(st.integers(1, len(tokens) - 1)) if len(tokens) > 1 else 0
-            name, eq, _ = tokens[index].rpartition("=")
-            tokens[index] = name + eq + draw(RESULT_VALUES)
-            lines[position] = " ".join(tokens)
-        elif edit == "directive":
-            tokens = draw(st.lists(RESULT_TOKENS, max_size=4))
-            lines.insert(position, " ".join([draw(RESULT_KEYS), *tokens]))
-        else:
-            lines.insert(position, draw(st.text(max_size=30)))
-    return "\n".join(lines) + "\n"
-
-
-@settings(max_examples=400)
-@given(result_texts())
-def test_parse_result_returns_a_document_or_raises_scenario_error(text):
+@settings(max_examples=100)
+@given(scenario_texts(corrupt=False))
+def test_checker_reads_the_result_of_any_scenario_that_runs(checker, text):
     try:
-        assert isinstance(parse_result(text), ResultDocument)
-    except ScenarioError:
-        pass
+        document = run_scenario(parse_scenario(text))
+    except (ScenarioError, MechanismError, ValueError):
+        return
+    read = checker.parse_document(serialize_result(document))
+    assert read.header["result"] == document.scenario_name
+    assert read.header["class"] == document.mechanism_class
+    assert read.queries == [(qr.query.coords, qr.member) for qr in document.queries]

@@ -19,7 +19,6 @@ from mechverify.harmless import (
     decisive_pair,
     deterministic_harmless,
     pairwise_harmless,
-    single_rule_harmless_contains,
     tie_harmless_contains,
     universally_truthful_harmless,
 )
@@ -144,18 +143,16 @@ def test_universally_truthful_equals_deterministic():
         assert det.contains(x) == uni.contains(x)
 
 
-def test_single_rule_harmless_contains():
+@given(vectors(2), rationals, st.sampled_from((TieSide.TO_I, TieSide.TO_J)), vectors(2))
+def test_no_single_rule_rewards_a_deterministic_harmless_report(theta, price, tie, x):
+    # Each two-allocation rule is one member of the deterministic family, so
+    # a report it rewards lies outside the family's harmless set.
     a1, a2 = point_masses(2)
-    rule = SeparatingRule(a1, a2, Fraction(1))
-    # This type prefers the first assignment but scores below the threshold,
-    # so truth gets the second; overreporting the gap grabs the first.
-    theta = vec("3/2", 1)
-    assert not single_rule_harmless_contains(theta, rule, vec(3, 0))
-    assert single_rule_harmless_contains(theta, rule, vec(0, 0))  # still below
-    # A type already holding its favorite cannot be helped by any report.
-    happy = vec(3, 0)
-    for x in (vec(0, 0), vec(5, 5), vec(-2, 9)):
-        assert single_rule_harmless_contains(happy, rule, x)
+    rule = SeparatingRule(a1, a2, price, tie)
+    gained = allocate_separating(rule, x).value_to(theta)
+    truthful = allocate_separating(rule, theta).value_to(theta)
+    if gained > truthful:
+        assert not deterministic_harmless(theta, (a1, a2)).contains(x)
 
 
 def test_decisive_pair_of_an_explicit_set():
@@ -208,8 +205,13 @@ def test_tie_accepts_downscaled_types_plus_constants(theta, lam, mu):
 
 @given(vectors(3), vectors(3))
 def test_tie_harmless_implies_deterministic_harmless(theta, x):
-    # Off the common-shift slice (see the explicit-pair tests below) the
-    # expectation class accepts strictly fewer reports.
+    # Off the common-shift slice x = theta + c*1 the expectation class
+    # accepts no report the deterministic class rejects.  On the slice the
+    # two do not nest today: a deterministic rule with theta = (1, 0) and
+    # x = (2, 1) both on its boundary separates them beneficially, yet the
+    # full simplex calls x harmless.  The slice is excluded until the class
+    # convention for such boundary rules is settled (ROADMAP, "Make the
+    # class answers nest").
     diff = x - theta
     assume(any(diff[i] != diff[0] for i in range(diff.dim)))
     if tie_harmless_contains(theta, x, SimplexFamily.FULL_SIMPLEX):
@@ -228,10 +230,12 @@ def test_tie_explicit_pair_matches_pairwise_set_off_shift_slice():
 
 def test_tie_keeps_common_shift_reports_that_deterministic_rejects():
     # Shifting every coordinate by the same constant leaves all value gaps
-    # unchanged, so such a report is preference-indistinguishable from the
-    # truth. Expectation rules cannot separate the two beneficially, while a
+    # unchanged. The expectation closed form keeps such a report, while a
     # deterministic threshold rule may break the boundary tie against the
-    # truthful report. The harmless sets differ exactly on that slice.
+    # truthful report, so the harmless sets differ exactly on that slice.
+    # Such a rule is truthful with payments too, so whether the expectation
+    # class should count it is open; the slice is pinned as it stands until
+    # that convention is settled (ROADMAP, "Make the class answers nest").
     theta = vec(1, 3)
     a1, a2 = point_masses(2)
     shifted = vec(0, 2)

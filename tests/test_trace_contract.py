@@ -5,10 +5,16 @@ attributes their callers look them up by.  A refactor that moves or renames
 one of them breaks the benchmark's per-layer metrics; this test names it.
 The tracer's source is read, not imported, so nothing under ``perfbench/``
 is written.
+
+A name a package module imports but never uses is there only for the
+tracer to wrap; any other such name is a leftover, and is reported here.
 """
 
+import ast
 import types
 from pathlib import Path
+
+import mechverify
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -43,3 +49,38 @@ def test_every_traced_name_resolves_and_is_restored():
         tracer.remove()
     for (module_name, attribute), (owner, name, original) in originals.items():
         assert getattr(owner, name) is original, f"{module_name}.{attribute} not restored"
+
+
+def unused_imports(path):
+    """The names the module at ``path`` imports but never loads."""
+    tree = ast.parse(path.read_text())
+    imported = {
+        (alias.asname or alias.name).partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    loaded = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return imported - loaded
+
+
+def test_unused_imports_are_traced_names():
+    tracing = load_tracing()
+    traced = {
+        source
+        for table in (tracing.SPANS, tracing.COUNTED_CALLS)
+        for lookups in table.values()
+        for source in lookups
+    }
+    unused = {
+        (f"mechverify.{path.stem}", name)
+        for path in Path(mechverify.__file__).parent.glob("*.py")
+        if path.name != "__init__.py"
+        for name in unused_imports(path)
+    }
+    assert not unused - traced, f"imported but never used: {sorted(unused - traced)}"
