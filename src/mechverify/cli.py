@@ -105,7 +105,7 @@ from .mechanisms import (
     TieSide,
     apply_rule,
     is_truthful_with_verification,
-    point_mass,
+    point_mass_choice,
     point_masses,
 )
 from .multiagent import (
@@ -858,14 +858,15 @@ def _verify_rule(dim: int, options: dict) -> Rule:
     if prices is not None:
         if len(prices) != dim:
             raise ScenarioError(f"rule_prices takes {dim} values")
-        return TaxationRule(tuple((point_mass(i, dim), p) for i, p in enumerate(prices)))
+        return TaxationRule(tuple(zip(point_masses(dim), prices)))
     i, j = pair
     if not (i < dim and j < dim):
         raise ScenarioError("rule_pair indices out of range")
     if "rule_price" not in options:
         raise ScenarioError("rule_pair needs option rule_price")
     tie = options.get("rule_tie", TieSide.TO_I)
-    return SeparatingRule(point_mass(i, dim), point_mass(j, dim), options["rule_price"], tie)
+    allocations = point_masses(dim)
+    return SeparatingRule(allocations[i], allocations[j], options["rule_price"], tie)
 
 
 def _verification(token: str, rule: Rule) -> Callable[[Vector, Vector], bool]:
@@ -877,9 +878,11 @@ def _verification(token: str, rule: Rule) -> Callable[[Vector, Vector], bool]:
     if token == "no_overbid":
         return lambda true, reported: any(r > t for t, r in zip(true, reported))
 
+    received_index = point_mass_choice(rule)
+
     def overstates_received(true: Vector, reported: Vector) -> bool:  # no_overbid_on_received
-        received = apply_rule(rule, reported)
-        return received.value_to(reported) > received.value_to(true)
+        k = received_index(reported)  # the report receives e_k, worth x_k to type x
+        return reported[k] > true[k]
 
     return overstates_received
 
@@ -919,8 +922,11 @@ def run_verify(source: Scenario | str | os.PathLike[str]) -> ResultDocument:
     ]
     if violation is not None:
         true_type, beneficial = violation
+        # Checked through the generic evaluation, not the pass's index reading.
         gained = apply_rule(rule, beneficial).value_to(true_type)
         kept = apply_rule(rule, true_type).value_to(true_type)
+        if not gained > kept:
+            raise AssertionError(f"grid violation failed validation: {gained} <= {kept}")
         # The witness indexes the checked grid: position 0 is the anchor.
         witnesses = (
             WitnessRecord(

@@ -11,7 +11,9 @@ Two rule shapes cover everything implementable with payments here:
 
 Utilities are raw allocation values: with verification substituting for
 payments, the benefit comparison between a misreport and the truth never
-involves money.
+involves money.  The grid check ``is_truthful_with_verification`` takes
+rules that give every type a point mass e_k, whose value to a type x is
+x_k: it reads that value by index instead of valuing the allocation.
 """
 
 from __future__ import annotations
@@ -20,8 +22,18 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
-from .geometry import DimensionMismatch, Frozen, RationalLike, Vector, _vector, frac, unit_vector
+from .geometry import (
+    DimensionMismatch,
+    Frozen,
+    RationalLike,
+    Vector,
+    _check_dim,
+    _vector,
+    frac,
+    unit_vector,
+)
 
 
 class MechanismError(ValueError):
@@ -165,8 +177,10 @@ def allocate_scored(rule: SeparatingRule, x: Vector, s: Fraction) -> Allocation:
         return rule.a_i
     if s < rule.relative_price:
         return rule.a_j
-    if rule.overrides and x in rule.overrides:  # hashing x costs O(m)
-        return rule.overrides[x]
+    if rule.overrides:
+        pinned = rule.overrides.get(x)  # hashing x costs O(m)
+        if pinned is not None:
+            return pinned
     return rule.a_i if rule.tie_assignment is TieSide.TO_I else rule.a_j
 
 
@@ -210,6 +224,71 @@ def apply_rule(rule: Rule, x: Vector) -> Allocation:
     return rule(x)
 
 
+def point_mass_index(allocation: Allocation) -> int:
+    """The k with allocation = e_k.  A nonnegative allocation summing to 1
+    with a coordinate 1 is that point mass; any other is a lottery."""
+    try:
+        return allocation.probs.coords.index(1)
+    except ValueError:
+        raise MechanismError(f"expected a point-mass allocation; got {allocation.probs}") from None
+
+
+def point_mass_choice(rule: Rule) -> Callable[[Vector], int]:
+    """x -> the k with apply_rule(rule, x) = e_k, for a rule that gives every
+    type a point mass; MechanismError where it gives a lottery.
+
+    A menu's entries and a separating rule's pair are read once, here.  Each
+    call then costs O(n) integer steps for a menu of n entries (the first
+    argmax of x_k - p_k, as ``best_entry`` breaks ties) and O(1) for a
+    separating rule (the sign of x_i - x_j - price, ties to the tie side
+    unless x is pinned).  Any other callable is applied and its result
+    checked.
+    """
+    if isinstance(rule, TaxationRule):
+        probs = rule.entries[0][0].probs
+        indices = [point_mass_index(a) for a, _ in rule.entries]
+        price_scale = lcm(*[p.denominator for _, p in rule.entries])
+        prices = [p.numerator * (price_scale // p.denominator) for _, p in rule.entries]
+
+        def choose_entry(x: Vector) -> int:
+            # Utilities as integers over one common denominator: they order
+            # as the rationals do, with no Fraction built per entry.
+            _check_dim(probs, x)
+            values = [x.coords[k] for k in indices]
+            scale = lcm(price_scale, *[v.denominator for v in values])
+            shift = scale // price_scale
+            utilities = [
+                v.numerator * (scale // v.denominator) - p * shift for v, p in zip(values, prices)
+            ]
+            return indices[utilities.index(max(utilities))]
+
+        return choose_entry
+    if isinstance(rule, SeparatingRule):
+        probs = rule.a_i.probs
+        i, j = point_mass_index(rule.a_i), point_mass_index(rule.a_j)
+        price = rule.relative_price
+        tie = i if rule.tie_assignment is TieSide.TO_I else j
+        pinned = {x: point_mass_index(a) for x, a in rule.overrides.items()}
+
+        def choose_side(x: Vector) -> int:
+            _check_dim(probs, x)
+            s = x.coords[i] - x.coords[j]
+            if s > price:
+                return i
+            if s < price:
+                return j
+            return pinned.get(x, tie) if pinned else tie
+
+        return choose_side
+
+    def choose_applied(x: Vector) -> int:
+        received = rule(x)
+        _check_dim(received.probs, x)
+        return point_mass_index(received)
+
+    return choose_applied
+
+
 def is_truthful_with_verification(
     rule: Rule,
     verification: Callable[[Vector, Vector], bool],
@@ -221,14 +300,25 @@ def is_truthful_with_verification(
     rejects that misreport.  Returns (True, None), or (False, (true_type,
     beneficial_report)) for the first violating pair in grid order: a pair
     where the report's allocation is strictly better for the true type and
-    verification does not catch it.  The rule is applied once per grid point.
+    verification does not catch it.  ``verification`` is asked about
+    beneficial pairs only, in grid order.
+
+    The rule must give every grid type a point mass (MechanismError
+    otherwise), so the value of e_k to theta is theta_k, read by index.
+    Each type's k is chosen once (``point_mass_choice``: a callable rule is
+    applied once per grid point).  A type's better indices, those k with
+    theta_k above its own, are found once per distinct received index, so
+    each pair is one set lookup with no Fraction built or compared.
     """
-    allocations = [apply_rule(rule, point) for point in grid]
-    for theta, own in zip(grid, allocations):
-        truthful_value = own.value_to(theta)
-        for reported, received in zip(grid, allocations):
-            if reported == theta:
-                continue
-            if received.value_to(theta) > truthful_value and not verification(theta, reported):
+    indices = list(map(point_mass_choice(rule), grid))
+    received = set(indices)
+    for theta, own in zip(grid, indices):
+        coords = theta.coords
+        truthful_value = coords[own]
+        better = {k for k in received if coords[k] > truthful_value}
+        if not better:
+            continue
+        for reported, k in zip(grid, indices):
+            if k in better and not verification(theta, reported):
                 return False, (theta, reported)
     return True, None

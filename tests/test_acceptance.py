@@ -2,9 +2,10 @@
 
 Each test name carries its criterion number so a verbose run gives one
 pass/fail line per criterion. Randomness is seeded; every check is exact
-rational arithmetic with zero tolerance. The last two tests are timing
-gates at the input budgets: a reverse deterministic scenario, and a
-full-simplex expectation scenario whose queries all ship a witness.
+rational arithmetic with zero tolerance. The last three tests are timing
+gates at the input budgets: a reverse deterministic scenario, a
+full-simplex expectation scenario whose queries all ship a witness, and
+``verify`` on a free menu, once for each grid verification kind.
 """
 
 import random
@@ -13,10 +14,13 @@ import sys
 import time
 from fractions import Fraction
 
+import pytest
+
 from mechverify import cli
 from mechverify.cli import (
     parse_scenario,
     run_scenario,
+    run_verify,
     serialize_result,
     serialize_witnesses,
     slice_region_vertices,
@@ -344,10 +348,10 @@ def tokens(v):
     return " ".join(str(c) for c in v)
 
 
-def timed_run(text):
+def timed_run(text, run=run_scenario):
     """(document, seconds) for parse, run and serialize in this process."""
     start = time.monotonic()
-    document = run_scenario(parse_scenario(text))
+    document = run(parse_scenario(text))
     serialize_result(document)
     serialize_witnesses(document)
     return document, time.monotonic() - start
@@ -380,3 +384,20 @@ def test_full_simplex_expectation_at_the_budgets_takes_under_one_second():
     assert len(document.witnesses) == cli.MAX_QUERIES
     assert {w.kind for w in document.witnesses} == {"randomized_pair"}
     assert elapsed < 1
+
+
+@pytest.mark.parametrize("kind", ["none", "no_overbid", "no_overbid_on_received"])
+def test_verify_at_the_budgets_takes_under_half_a_second(kind):
+    # A free menu: every type buys its own largest coordinate, so no report
+    # benefits and the pass scans every pair, each read by index.
+    rng = random.Random(1117)
+    theta = budget_type(rng)
+    lines = ["scenario verify_budget", "class deterministic", f"theta {tokens(theta)}"]
+    lines += [f"query {tokens(budget_type(rng))}" for _ in range(cli.MAX_QUERIES)]
+    lines += [f"option rule_prices {' '.join(['0'] * cli.MAX_DIMENSION)}"]
+    lines += [f"option verification_kind {kind}"]
+    document, elapsed = timed_run("\n".join(lines) + "\n", run_verify)
+    assert ("truthful", "true") in document.summary
+    assert ("grid_size", str(cli.MAX_QUERIES + 1)) in document.summary
+    assert document.witnesses == ()
+    assert elapsed < 0.5

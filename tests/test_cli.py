@@ -1078,6 +1078,19 @@ def test_harmless_complement_matches_the_harmless_set(menu):
     assert document.witnesses == ()
 
 
+def test_verify_checks_the_grid_violation_before_shipping_it(monkeypatch):
+    scenario = load_scenario(SCENARIO_DIR / "menu_check.scn")
+    document = run_verify(scenario)
+    assert [w.kind for w in document.witnesses] == ["grid_violation"]
+    # A pass that names a pair the report does not help is caught by the
+    # witness's own evaluation: (0, 0, 0) takes theta's free entry.
+    theta, _, unhelpful = (scenario.anchor, *scenario.queries)
+    violation = (False, (theta, unhelpful))
+    monkeypatch.setattr(cli, "is_truthful_with_verification", lambda *args: violation)
+    with pytest.raises(AssertionError, match="grid violation failed validation: 0 <= 0"):
+        run_verify(scenario)
+
+
 def test_harmless_complement_runs_no_grid_search(monkeypatch, tmp_path, capsys):
     def refuse(*args):
         raise AssertionError("verify searched the grid")

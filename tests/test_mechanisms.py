@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mechverify.geometry import DimensionMismatch, vec
+from mechverify import cli
+from mechverify.geometry import DimensionMismatch, Vector, vec
 from mechverify.mechanisms import (
     Allocation,
     AssignmentSet,
@@ -153,6 +154,129 @@ def test_truthfulness_check_applies_the_rule_once_per_grid_point(coords):
         and not verification(theta, reported)
     ]
     assert result == ((False, violations[0]) if violations else (True, None))
+
+
+def naive_truthfulness_check(rule, verification, grid):
+    """The definition, pair by pair: apply the rule once per grid point and
+    value every received allocation through ``value_to``."""
+    allocations = [apply_rule(rule, point) for point in grid]
+    for theta, own in zip(grid, allocations):
+        truthful_value = own.value_to(theta)
+        for reported, received in zip(grid, allocations):
+            if reported == theta:
+                continue
+            if received.value_to(theta) > truthful_value and not verification(theta, reported):
+                return False, (theta, reported)
+    return True, None
+
+
+def naive_verification(token, rule):
+    """The verify verb's grid predicates, by their definitions."""
+    if token == "none":
+        return lambda true, reported: False
+    if token == "no_overbid":
+        return lambda true, reported: any(r > t for t, r in zip(true, reported))
+
+    def overstates_received(true, reported):
+        received = apply_rule(rule, reported)
+        return received.value_to(reported) > received.value_to(true)
+
+    return overstates_received
+
+
+# Few values, so types tie on coordinates, on utilities and on the boundary.
+grid_values = st.sampled_from([Fraction(v, 2) for v in range(-2, 5)])
+
+
+@st.composite
+def point_mass_grids(draw):
+    """(rule, grid): a deduplicated grid of up to 8 types at m <= 4 and a
+    rule giving each a point mass: a menu over some of the point masses in
+    any order, a two-allocation rule with either tie side and some boundary
+    types pinned, or a callable applying such a menu."""
+    m = draw(st.integers(min_value=2, max_value=4))
+    coords = st.lists(grid_values, min_size=m, max_size=m)
+    grid = list(dict.fromkeys(Vector(c) for c in draw(st.lists(coords, min_size=1, max_size=8))))
+    allocations = point_masses(m)
+    order = draw(st.permutations(range(m)))
+    kind = draw(st.sampled_from(["menu", "pair", "callable"]))
+    if kind == "pair":
+        a_i, a_j = allocations[order[0]], allocations[order[1]]
+        price = draw(grid_values)
+        normal = a_i.probs - a_j.probs
+        boundary = [x for x in grid if normal.dot(x) == price]
+        pinned = draw(st.lists(st.sampled_from(boundary), unique=True)) if boundary else []
+        overrides = {x: draw(st.sampled_from([a_i, a_j])) for x in pinned}
+        tie = draw(st.sampled_from([TieSide.TO_I, TieSide.TO_J]))
+        return SeparatingRule(a_i, a_j, price, tie, overrides), grid
+    n = draw(st.integers(min_value=1, max_value=m))
+    menu = TaxationRule(tuple((allocations[k], draw(grid_values)) for k in order[:n]))
+    if kind == "menu":
+        return menu, grid
+    return (lambda x: apply_rule(menu, x)), grid
+
+
+VERIFY_TOKENS = ["none", "no_overbid", "no_overbid_on_received"]
+
+
+@settings(max_examples=300)
+@given(point_mass_grids(), st.sampled_from(VERIFY_TOKENS + ["caught"]), st.data())
+def test_truthfulness_check_matches_the_naive_oracle(rule_and_grid, token, data):
+    rule, grid = rule_and_grid
+    if token == "caught":
+        # An arbitrary predicate: a drawn set of (true, report) positions.
+        positions = st.integers(min_value=0, max_value=len(grid) - 1)
+        caught = data.draw(st.sets(st.tuples(positions, positions)))
+
+        def caught_pair(true, reported):
+            return (grid.index(true), grid.index(reported)) in caught
+
+        fast = naive = caught_pair
+    else:
+        fast, naive = cli._verification(token, rule), naive_verification(token, rule)
+    asked = {"fast": [], "naive": []}
+
+    def logged(side, predicate):
+        def verification(true, reported):
+            asked[side].append((true, reported))
+            return predicate(true, reported)
+
+        return verification
+
+    expected = naive_truthfulness_check(rule, logged("naive", naive), grid)
+    assert is_truthful_with_verification(rule, logged("fast", fast), grid) == expected
+    # The same beneficial pairs are put to the verification, in the same order.
+    assert asked["fast"] == asked["naive"]
+
+
+def test_received_overstatement_must_be_strict():
+    # theta = (0, 1) is indifferent and takes the free entry; the report
+    # (-1, 1) buys e_1, which it values exactly as theta does.
+    menu = TaxationRule(tuple(zip(point_masses(2), (0, 1))))
+    theta, report = vec(0, 1), vec(-1, 1)
+    overstates = cli._verification("no_overbid_on_received", menu)
+    assert not overstates(theta, report)
+    assert overstates(theta, vec(-1, 2))
+    verdict = (False, (theta, report))
+    assert is_truthful_with_verification(menu, overstates, [theta, report]) == verdict
+
+
+def test_truthfulness_check_refuses_lotteries_and_other_dimensions():
+    half = Allocation(vec("1/2", "1/2"))
+    a1, a2 = point_masses(2)
+    grid = [vec(1, 2), vec(2, 1)]
+    nothing = lambda true, reported: False  # noqa: E731
+    lotteries = [
+        lambda x: half,
+        TaxationRule(((a1, 0), (half, 0))),
+        SeparatingRule(a1, half, 0),
+    ]
+    for rule in lotteries:
+        with pytest.raises(MechanismError):
+            is_truthful_with_verification(rule, nothing, grid)
+    for rule in (TaxationRule(((a1, 0), (a2, 0))), SeparatingRule(a1, a2, 0), lambda x: a1):
+        with pytest.raises(DimensionMismatch):
+            is_truthful_with_verification(rule, nothing, grid + [vec(1, 2, 3)])
 
 
 @given(st.lists(rationals, min_size=2, max_size=2), st.lists(rationals, min_size=2, max_size=2))
