@@ -22,7 +22,6 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .geometry import (
     DimensionMismatch,
@@ -234,55 +233,28 @@ def point_mass_index(allocation: Allocation) -> int:
 
 
 def point_mass_choice(rule: Rule) -> Callable[[Vector], int]:
-    """x -> the k with apply_rule(rule, x) = e_k, for a rule that gives every
-    type a point mass; MechanismError where it gives a lottery.
+    """x -> the k with apply_rule(rule, x) = e_k; MechanismError for an x
+    that the rule gives a lottery.
 
-    A menu's entries and a separating rule's pair are read once, here.  Each
-    call then costs O(n) integer steps for a menu of n entries (the first
-    argmax of x_k - p_k, as ``best_entry`` breaks ties) and O(1) for a
-    separating rule (the sign of x_i - x_j - price, ties to the tie side
-    unless x is pinned).  Any other callable is applied and its result
-    checked.
+    A menu whose entries are all point masses is read once, here: each call
+    is then the first argmax of x_k - p_k over its n entries (ties as
+    ``best_entry`` breaks them), with no allocation valued.  Any other rule
+    is applied to x and its result checked.
     """
-    if isinstance(rule, TaxationRule):
+    if isinstance(rule, TaxationRule) and all(1 in a.probs.coords for a, _ in rule.entries):
         probs = rule.entries[0][0].probs
         indices = [point_mass_index(a) for a, _ in rule.entries]
-        price_scale = lcm(*[p.denominator for _, p in rule.entries])
-        prices = [p.numerator * (price_scale // p.denominator) for _, p in rule.entries]
+        prices = [p for _, p in rule.entries]
 
         def choose_entry(x: Vector) -> int:
-            # Utilities as integers over one common denominator: they order
-            # as the rationals do, with no Fraction built per entry.
             _check_dim(probs, x)
-            values = [x.coords[k] for k in indices]
-            scale = lcm(price_scale, *[v.denominator for v in values])
-            shift = scale // price_scale
-            utilities = [
-                v.numerator * (scale // v.denominator) - p * shift for v, p in zip(values, prices)
-            ]
+            utilities = [x.coords[k] - p for k, p in zip(indices, prices)]
             return indices[utilities.index(max(utilities))]
 
         return choose_entry
-    if isinstance(rule, SeparatingRule):
-        probs = rule.a_i.probs
-        i, j = point_mass_index(rule.a_i), point_mass_index(rule.a_j)
-        price = rule.relative_price
-        tie = i if rule.tie_assignment is TieSide.TO_I else j
-        pinned = {x: point_mass_index(a) for x, a in rule.overrides.items()}
-
-        def choose_side(x: Vector) -> int:
-            _check_dim(probs, x)
-            s = x.coords[i] - x.coords[j]
-            if s > price:
-                return i
-            if s < price:
-                return j
-            return pinned.get(x, tie) if pinned else tie
-
-        return choose_side
 
     def choose_applied(x: Vector) -> int:
-        received = rule(x)
+        received = apply_rule(rule, x)
         _check_dim(received.probs, x)
         return point_mass_index(received)
 
@@ -304,11 +276,13 @@ def is_truthful_with_verification(
     beneficial pairs only, in grid order.
 
     The rule must give every grid type a point mass (MechanismError
-    otherwise), so the value of e_k to theta is theta_k, read by index.
-    Each type's k is chosen once (``point_mass_choice``: a callable rule is
-    applied once per grid point).  A type's better indices, those k with
-    theta_k above its own, are found once per distinct received index, so
-    each pair is one set lookup with no Fraction built or compared.
+    otherwise; entries or sides that no grid type receives may be
+    lotteries), so the value of e_k to theta is theta_k, read by index.
+    Each type's k is chosen once (``point_mass_choice``: a rule other than
+    a point-mass menu is applied once per grid point).  A type's better
+    indices, those k with theta_k above its own, are found once per
+    distinct received index, so each pair is one set lookup with no
+    Fraction built or compared.
     """
     indices = list(map(point_mass_choice(rule), grid))
     received = set(indices)

@@ -274,6 +274,16 @@ def test_truthfulness_check_refuses_lotteries_and_other_dimensions():
     for rule in lotteries:
         with pytest.raises(MechanismError):
             is_truthful_with_verification(rule, nothing, grid)
+    # A lottery that no grid type receives is no obstacle: the check runs.
+    unreceived = [
+        lambda x: a1 if x in grid else half,
+        TaxationRule(((a1, 0), (a2, 0), (half, 1))),
+        SeparatingRule(a2, half, -10),
+    ]
+    for rule in unreceived:
+        expected = naive_truthfulness_check(rule, nothing, grid)
+        assert is_truthful_with_verification(rule, nothing, grid) == expected
+    assert is_truthful_with_verification(unreceived[1], nothing, grid) == (True, None)
     for rule in (TaxationRule(((a1, 0), (a2, 0))), SeparatingRule(a1, a2, 0), lambda x: a1):
         with pytest.raises(DimensionMismatch):
             is_truthful_with_verification(rule, nothing, grid + [vec(1, 2, 3)])
