@@ -12,7 +12,7 @@ a span's generators.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from enum import Enum
 from fractions import Fraction
 from math import lcm
@@ -200,6 +200,15 @@ def _constant_vector(value: Fraction, dim: int) -> Vector:
 def _check_dim(u: Vector, v: Vector) -> None:
     if u.dim != v.dim:
         raise DimensionMismatch(f"dimension {u.dim} vs {v.dim}")
+
+
+def _common_numerators(*rows: Sequence[Fraction]) -> tuple[int, list[list[int]]]:
+    """(scale, numerators): scale is the lcm of every value's denominator,
+    and each row becomes the integers n with n / scale its values.  Integers
+    across rows order and add as the rationals do, with no Fraction
+    operation per comparison."""
+    scale = lcm(*{c.denominator for row in rows for c in row})
+    return scale, [[c.numerator * (scale // c.denominator) for c in row] for row in rows]
 
 
 class Sense(Enum):

@@ -39,7 +39,7 @@ from collections.abc import Callable, Sequence
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import inf, lcm
+from math import inf
 from operator import mul
 
 from .geometry import (
@@ -53,6 +53,7 @@ from .geometry import (
     Hyperplane,
     Sense,
     Vector,
+    _common_numerators,
     _halfspace,
     _vector,
     project_onto_span,  # unused here; perfbench/tracing.py wraps it under this module
@@ -190,11 +191,10 @@ def _beneficial_pair(theta: Vector, x: Vector, indices: Sequence[int]) -> tuple 
     whether d_p == d_o, or None.  One pass: sorted by theta's value level,
     the running minimum of d where a level begins is the smallest d below
     it, and p is the first position whose d reaches that floor.  Values are
-    integers over one common denominator: they order as the rationals do,
-    without a Fraction operation per comparison."""
-    scale = lcm(*[c.denominator for i in indices for c in (theta[i], x[i])])
-    levels = [theta[i].numerator * (scale // theta[i].denominator) for i in indices]
-    shifts = [x[i].numerator * (scale // x[i].denominator) - t for i, t in zip(indices, levels)]
+    integers over one common denominator (``_common_numerators``): they
+    order as the rationals do, without a Fraction operation per comparison."""
+    _, (levels, reports) = _common_numerators([theta[i] for i in indices], [x[i] for i in indices])
+    shifts = [r - t for r, t in zip(reports, levels)]
     below, running = {}, inf
     for level, d in sorted(zip(levels, shifts)):
         below.setdefault(level, running)
@@ -249,12 +249,11 @@ def check_null_coordinate(*types: Vector) -> None:
 def _pairwise_halfspaces(theta: Vector, indices: Sequence[int]):
     """x_o - x_p > theta_o - theta_p for each pair of point-mass coordinates
     (in combination order) with theta_p > theta_o.  theta's values are
-    compared as integers over one common denominator, each offset is built
-    once per level gap, and each normal e_o - e_p holds the shared unit
-    constants.  o != p, as ``point_mass_indices`` has checked, so no normal
-    is zero."""
-    scale = lcm(*[theta[i].denominator for i in indices])
-    levels = [theta[i].numerator * (scale // theta[i].denominator) for i in indices]
+    compared as integers over one common denominator
+    (``_common_numerators``), each offset is built once per level gap, and
+    each normal e_o - e_p holds the shared unit constants.  o != p, as
+    ``point_mass_indices`` has checked, so no normal is zero."""
+    scale, (levels,) = _common_numerators([theta[i] for i in indices])
     zeros = [ZERO] * theta.dim
     offsets: dict[int, Fraction] = {}
     for (i, level_i), (j, level_j) in combinations(zip(indices, levels), 2):
@@ -325,7 +324,8 @@ def _simplex_projection(
     difference span as integer vectors A and B, one positive multiple of
     each, with N = A.A, BA = A.B and the residual R = N B - BA A.
 
-    theta and x are scaled to integer numerators T and X over their lcm.
+    theta and x are scaled to integer numerators T and X over their lcm
+    (``_common_numerators``).
     The full simplex's span is the sum-zero hyperplane (when theta has two
     distinct coordinates), so A = m T - sum(T) and B = m X - sum(X); the
     null-padded subsimplex's span is all of R^m (when theta is nonzero)
@@ -335,9 +335,7 @@ def _simplex_projection(
     of A, by the factor BA / N.
     """
     m = theta.dim
-    scale = lcm(*[c.denominator for v in (theta, x) for c in v.coords])
-    a = [c.numerator * (scale // c.denominator) for c in theta.coords]
-    b = [c.numerator * (scale // c.denominator) for c in x.coords]
+    _, (a, b) = _common_numerators(theta.coords, x.coords)
     if space is SimplexFamily.FULL_SIMPLEX:
         total_a, total_b = sum(a), sum(b)
         a = [m * c - total_a for c in a]

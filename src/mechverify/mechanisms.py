@@ -14,6 +14,10 @@ payments, the benefit comparison between a misreport and the truth never
 involves money.  The grid check ``is_truthful_with_verification`` takes
 rules that give every type a point mass e_k, whose value to a type x is
 x_k: it reads that value by index instead of valuing the allocation.
+
+Every :class:`Allocation` -- parsed, built by the oracle or a point mass --
+passes one check: its probabilities, as integers over their common
+denominator (``geometry._common_numerators``), lie in [0, 1] and sum to 1.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .geometry import (
     RationalLike,
     Vector,
     _check_dim,
-    _vector,
+    _common_numerators,
     frac,
     unit_vector,
 )
@@ -65,13 +69,18 @@ class Allocation(Frozen):
     __slots__ = ("probs",)
 
     def __init__(self, probs: Vector) -> None:
-        total = Fraction(0)
-        for p in probs:
-            if p < 0 or p > 1:
-                raise MechanismError(f"allocation probability {p} outside [0, 1]")
-            total += p
-        if total != 1:
-            raise MechanismError(f"allocation probabilities sum to {total}, not 1")
+        # Each probability is n / scale: in [0, 1] iff 0 <= n <= scale.
+        scale, (numerators,) = _common_numerators(probs.coords)
+        for n in numerators:
+            if n < 0 or n > scale:
+                raise MechanismError(
+                    f"allocation probability {Fraction(n, scale)} outside [0, 1]"
+                )
+        total = sum(numerators)
+        if total != scale:
+            raise MechanismError(
+                f"allocation probabilities sum to {Fraction(total, scale)}, not 1"
+            )
         self._init(probs)
 
     @property
@@ -83,29 +92,6 @@ class Allocation(Frozen):
         return self.probs.dot(theta)
 
 
-_set_probs = Allocation.probs.__set__
-
-
-def _allocation(numerators: Sequence[int], denominator: int) -> Allocation:
-    """The Allocation with probabilities numerators[i] / denominator (> 0),
-    checked as ``Allocation`` checks its probabilities, each in [0, 1] and
-    summing to 1, but over the integers: no Fraction comparison or addition
-    per coordinate."""
-    for n in numerators:
-        if n < 0 or n > denominator:
-            raise MechanismError(
-                f"allocation probability {Fraction(n, denominator)} outside [0, 1]"
-            )
-    total = sum(numerators)
-    if total != denominator:
-        raise MechanismError(
-            f"allocation probabilities sum to {Fraction(total, denominator)}, not 1"
-        )
-    allocation = object.__new__(Allocation)
-    _set_probs(allocation, _vector(tuple([Fraction(n, denominator) for n in numerators])))
-    return allocation
-
-
 def point_mass(index: int, dim: int) -> Allocation:
     return Allocation(unit_vector(index, dim))
 
@@ -114,8 +100,8 @@ def point_mass(index: int, dim: int) -> Allocation:
 def point_masses(dim: int) -> tuple[Allocation, ...]:
     """One deterministic allocation per assignment.
 
-    Cached per dimension: the allocations are immutable, and validating m
-    unit vectors costs O(m^2) on every build.
+    Cached per dimension: the allocations are immutable, so every caller
+    at one dimension shares the same m objects.
     """
     return tuple(point_mass(i, dim) for i in range(dim))
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .geometry import DimensionMismatch, Frozen, RationalLike, Vector, frac
 from .harmless import check_null_coordinate, deterministic_harmless
-from .mechanisms import MechanismError, TaxationRule, point_mass, point_masses
+from .mechanisms import MechanismError, TaxationRule, point_masses
 
 ITEMS = (1, 2)  # type coordinates; coordinate 0 is the null assignment
 
@@ -77,12 +77,7 @@ def vcg_single_agent_rule(profile: UnitDemandProfile) -> TaxationRule:
         full - best_matching_welfare(profile.others, tuple(i for i in ITEMS if i != item))
         for item in ITEMS
     ]
-    entries = (
-        (point_mass(0, 3), Fraction(0)),
-        (point_mass(1, 3), prices[0]),
-        (point_mass(2, 3), prices[1]),
-    )
-    return TaxationRule(entries)
+    return TaxationRule(tuple(zip(point_masses(3), (Fraction(0), *prices))))
 
 
 class PriceFamily(Frozen):

@@ -35,7 +35,6 @@ from .mechanisms import (
     MechanismError,
     SeparatingRule,
     TieSide,
-    _allocation,
     allocate_scored,
     allocate_separating,
 )
@@ -146,8 +145,8 @@ def construct_tie_witness(
     residual + epsilon ptheta, and the pair is (2M -+ D_i) / (2 m M) with
     M = max |D_i| over the full simplex, the same form over D[1:] with the
     rest of the mass on the null coordinate over the subsimplex.  Both
-    allocations pass the range and sum check, and the rule is evaluated
-    directly before the witness is returned.
+    allocations pass ``Allocation``'s range and sum check, and the rule
+    is evaluated directly before the witness is returned.
     """
     if space not in (SimplexFamily.FULL_SIMPLEX, SimplexFamily.SUBSIMPLEX_WITH_NULL):
         raise MechanismError("witness construction needs a simplex family")
@@ -176,15 +175,18 @@ def construct_tie_witness(
     if space is SimplexFamily.FULL_SIMPLEX:
         peak = max(map(abs, direction))
         denominator = 2 * m * peak
-        low = _allocation([2 * peak - d for d in direction], denominator)
-        high = _allocation([2 * peak + d for d in direction], denominator)
+        low = [2 * peak - d for d in direction]
+        high = [2 * peak + d for d in direction]
     else:
         tail = direction[1:]
         denominator = 2 * (m - 1) * max(map(abs, tail))
         low_tail = [-d if d < 0 else 0 for d in tail]
         high_tail = [d if d > 0 else 0 for d in tail]
-        low = _allocation([denominator - sum(low_tail), *low_tail], denominator)
-        high = _allocation([denominator - sum(high_tail), *high_tail], denominator)
+        low = [denominator - sum(low_tail), *low_tail]
+        high = [denominator - sum(high_tail), *high_tail]
+    low, high = (
+        Allocation(Vector([Fraction(n, denominator) for n in row])) for row in (low, high)
+    )
 
     # The rule's normal is taken once; both reports are allocated on it.
     normal = high.probs - low.probs

@@ -125,6 +125,11 @@ def facility_harmless_position(agent_position, line: FacilityLine, misreport_pos
     Fixed-tie-breaking convention: a misreport is harmless when its induced
     type is weakly less keen on the agent's preferred facility, boundary
     included.  Indifferent agents find every report harmless.
+
+    With c(y) the position y clamped to [g1, g2], a position's keenness for
+    the other facility, |y - g*| - |y - g_other|, is 2 c(y) - g1 - g2 when
+    g* = g1 and its negative when g* = g2.  So the report r is harmless iff
+    c(r) >= c(z) (g* = g1) or c(r) <= c(z) (g* = g2).
     """
     z = frac(agent_position)
     reported = frac(misreport_position)
@@ -132,12 +137,11 @@ def facility_harmless_position(agent_position, line: FacilityLine, misreport_pos
     if preferred is None:
         return True
     left, right = line.locations
-    other = left if preferred == right else right
-
-    def keenness_for_other(position: Fraction) -> Fraction:
-        return abs(position - preferred) - abs(position - other)
-
-    return keenness_for_other(reported) >= keenness_for_other(z)
+    clamped_report = min(max(reported, left), right)
+    clamped_agent = min(max(z, left), right)
+    if preferred == left:
+        return clamped_report >= clamped_agent
+    return clamped_report <= clamped_agent
 
 
 def facility_first_uncovered(

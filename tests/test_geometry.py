@@ -1,7 +1,7 @@
 """Exact rational vectors, half-spaces, regions, and span projections."""
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given
@@ -15,6 +15,7 @@ from mechverify.geometry import (
     Sense,
     Span,
     Vector,
+    _common_numerators,
     box_region,
     empty_region,
     frac,
@@ -247,3 +248,17 @@ def test_projection_onto_dependent_generators(drawn, data):
     # p lies in the span: adding it to a maximal independent subset leaves
     # the Gram determinant zero.
     assert not _independent([*_largest_independent_subset(generators), p])
+
+
+wide_rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**9)
+
+
+@given(st.lists(st.lists(wide_rationals, max_size=6), min_size=1, max_size=4))
+def test_common_numerators_scale_every_row_exactly(rows):
+    scale, numerators = _common_numerators(*rows)
+    assert scale >= 1
+    assert [[Fraction(n, scale) for n in row] for row in numerators] == rows
+    # Integers from any two rows order as their rationals do.
+    pairs = [pair for row, ints in zip(rows, numerators) for pair in zip(row, ints)]
+    for (u, m), (v, n) in product(pairs, repeat=2):
+        assert (u < v) == (m < n) and (u == v) == (m == n)

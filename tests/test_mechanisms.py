@@ -45,6 +45,74 @@ def test_allocation_validation():
         Allocation(vec("3/2", "-1/2"))
 
 
+def fraction_loop_allocation_error(probs):
+    """The message ``Allocation(probs)`` raises, or None if it accepts: the
+    check as one Fraction comparison and addition per coordinate, kept
+    naive as the integer check's reference."""
+    total = Fraction(0)
+    for p in probs:
+        if p < 0 or p > 1:
+            return f"allocation probability {p} outside [0, 1]"
+        total += p
+    if total != 1:
+        return f"allocation probabilities sum to {total}, not 1"
+    return None
+
+
+# Large primes and their products: coordinates over coprime denominators.
+PRIMES = (2, 3, 7, 1_000_003, 998_244_353, 2_147_483_647)
+
+
+@st.composite
+def probability_rows(draw):
+    """Rational vectors near the simplex: exact distributions, the same with
+    one coordinate nudged (a sum != 1 or an entry outside [0, 1]), and loose
+    rationals (negative entries, entries above 1)."""
+    size = draw(st.integers(min_value=1, max_value=8))
+    denominators = st.builds(lambda a, b: a * b, st.sampled_from(PRIMES), st.sampled_from(PRIMES))
+    shape = draw(st.sampled_from(["exact", "nudged", "loose"]))
+    if shape == "loose":
+        numerators = st.integers(min_value=-(10**12), max_value=3 * 10**12)
+        return [Fraction(draw(numerators), draw(denominators)) % 3 - 1 for _ in range(size)]
+    weights = draw(st.lists(st.integers(0, 10**9), min_size=size, max_size=size))
+    weights[draw(st.integers(0, size - 1))] += 1  # a positive total
+    total = sum(weights)
+    row = [Fraction(w, total) for w in weights]
+    if shape == "nudged":
+        k = draw(st.integers(0, size - 1))
+        row[k] += draw(st.sampled_from([1, -1])) / Fraction(draw(denominators))
+    return row
+
+
+@settings(max_examples=400)
+@given(probability_rows())
+def test_allocation_check_matches_the_fraction_loop(coords):
+    probs = Vector(coords)
+    expected = fraction_loop_allocation_error(probs)
+    if expected is None:
+        assert Allocation(probs).probs is probs
+    else:
+        with pytest.raises(MechanismError) as info:
+            Allocation(probs)
+        assert str(info.value) == expected
+
+
+def test_allocation_messages_print_each_value_in_lowest_terms():
+    # Coordinate order decides which bad entry is named; the sum is checked
+    # only when every entry is in range.
+    cases = {
+        ("1/3", "-1/6", "5/2"): "allocation probability -1/6 outside [0, 1]",
+        ("2/4", "3/2", "-1"): "allocation probability 3/2 outside [0, 1]",
+        ("1/6", "1/6", "1/6"): "allocation probabilities sum to 1/2, not 1",
+        ("1/1000003", "0"): "allocation probabilities sum to 1/1000003, not 1",
+    }
+    for coords, message in cases.items():
+        assert fraction_loop_allocation_error(vec(*coords)) == message
+        with pytest.raises(MechanismError) as info:
+            Allocation(vec(*coords))
+        assert str(info.value) == message
+
+
 def test_point_masses_are_deterministic():
     assert point_mass(1, 3).probs == vec(0, 1, 0)
 

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mechverify.geometry import vec
@@ -170,6 +170,47 @@ def test_facility_harmless_formula():
     assert not facility_harmless_position(z, line, -3)
     # Indifferent agents cannot be helped.
     assert facility_harmless_position(1, line, -10)
+
+
+def keenness_facility_harmless(agent_position, line, misreport_position):
+    """``facility_harmless_position`` as the comparison of keenness for the
+    other facility, |y - g*| - |y - g_other|, kept naive as the clamped
+    closed form's reference."""
+    z = Fraction(agent_position)
+    preferred = facility_preferred(z, line)
+    if preferred is None:
+        return True
+    left, right = line.locations
+    other = left if preferred == right else right
+
+    def keenness_for_other(position):
+        return abs(position - preferred) - abs(position - other)
+
+    return keenness_for_other(Fraction(misreport_position)) >= keenness_for_other(z)
+
+
+@st.composite
+def facility_positions(draw):
+    """A line and two positions, each a facility, the midpoint, a point
+    beyond either facility or anywhere."""
+    left = draw(positions)
+    line = FacilityLine((left, left + draw(bids.filter(bool))), 4)
+    g1, g2 = line.locations
+    place = st.one_of(
+        st.sampled_from([g1, g2, (g1 + g2) / 2]),
+        bids.map(lambda d: g1 - d),
+        bids.map(lambda d: g2 + d),
+        positions,
+    )
+    return line, draw(place), draw(place)
+
+
+@settings(max_examples=300)
+@given(facility_positions())
+def test_facility_harmless_matches_the_keenness_comparison(case):
+    line, z, reported = case
+    expected = keenness_facility_harmless(z, line, reported)
+    assert facility_harmless_position(z, line, reported) == expected
 
 
 def test_facility_coverage_three_configurations():
