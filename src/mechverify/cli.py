@@ -70,6 +70,7 @@ import re
 import sys
 from collections.abc import Callable, Sequence
 from fractions import Fraction
+from functools import partial
 
 from .geometry import (
     ZERO,
@@ -88,12 +89,13 @@ from .harmless import (
     SimplexFamily,
     _point_mass_rule,
     check_null_coordinate,
+    check_one_line,
     decisive_pair,
     deterministic_harmless,
     point_mass_indices,
     point_mass_rule,
-    tie_harmless_contains,
-    universally_truthful_harmless,
+    tie_harmless_contains,  # unused here; perfbench/tracing.py wraps it under this module
+    universally_truthful_harmless,  # unused here; perfbench/tracing.py wraps it under this module
 )
 from .mechanisms import (
     Allocation,
@@ -115,7 +117,7 @@ from .multiagent import (
     vcg_single_agent_rule,
 )
 from .oracle import construct_tie_witness, rule_benefit, search_beneficial_misreport
-from .reverse import harmful_union_contains
+from .reverse import harmful_union_contains  # unused here; perfbench/tracing.py wraps it
 from .scenarios import (
     FacilityLine,
     VerificationKind,
@@ -322,7 +324,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("missing class line")
     if (theta is None) == (reported is None):
         raise ScenarioError("exactly one of theta or reported must be given")
-    _, _, specs, _, model = _CLASSES[mechanism_class]
+    _, specs, _, model = _CLASSES[mechanism_class]
     required = [key for key, (_, _, kind) in specs.items() if kind == "required"]
     options: dict[str, object] = {}
     for line_no, key, args in option_lines:
@@ -472,26 +474,22 @@ def _provenance(mechanism_class: str, operation: str) -> tuple[tuple[str, str], 
     )
 
 
-# A certificate for one query: the witness kind and its fields.
+# A certificate for one (true type, report) pair: witness kind and fields.
 Certificate = tuple[str, Fields]
-# What a class's setup returns: (operation, certify, region before the
-# type-space box or None, summary).  certify(q) gives q's checked
-# certificate, or None when q has none: a forward query is a member exactly
-# when it has none, a reverse query exactly when it has one.
-Setup = tuple[
-    str, Callable[[Vector], Certificate | None], ConvexRegion | None, tuple[tuple[str, str], ...]
-]
+Certify = Callable[[Vector], Certificate | None]
+# What a class's setup returns: (operation, prepare, region before the
+# type-space box or None, summary).  prepare(theta) does the work that
+# depends on the true type alone, once, and gives certify(x): the checked
+# certificate under which reporting x beats the truth theta, or None when x
+# is harmless for theta.  Forward mode prepares the anchor and certifies
+# each query, a member exactly when it has none; reverse mode prepares each
+# query and certifies the anchor, a member exactly when it has one.
+Setup = tuple[str, Callable[[Vector], Certify], ConvexRegion | None, tuple[tuple[str, str], ...]]
 
 
-def _separating(rule: SeparatingRule | None, true_type: Vector, report: Vector) -> Fields:
+def _separating(rule: SeparatingRule, true_type: Vector, report: Vector) -> Fields:
     """The fields of ``rule``, under which reporting ``report`` beats the
-    truth, checked by direct evaluation before it is shipped.
-
-    Called only where a closed form said harmful, so a caller finding no
-    rule means the two disagree.
-    """
-    if rule is None:
-        raise AssertionError("membership said harmful but no rule benefits")
+    truth, checked by direct evaluation before it is shipped."""
     gained, truthful = rule_benefit(rule, true_type, report)
     if not gained > truthful:
         raise AssertionError(f"certificate failed validation: {gained} <= {truthful}")
@@ -510,73 +508,66 @@ def _separating(rule: SeparatingRule | None, true_type: Vector, report: Vector) 
     return tuple(fields)
 
 
-def _forward_point_mass(
+def _point_mass(
     scenario: Scenario,
     operation: str,
     allocations: Sequence[Allocation],
     summary: tuple[tuple[str, str], ...],
 ) -> Setup:
-    """Every forward point-mass class: the class's harmless set, built once
-    per scenario (the one point-mass check), decides each query and gives
-    the region; each harmful query is certified in closed form by the
-    set's own ``rule``."""
-    theta = scenario.anchor
-    if scenario.mechanism_class == "universally_truthful":
-        result = universally_truthful_harmless(theta, allocations)
+    """Every point-mass class: the point masses are checked once per
+    scenario, and ``point_mass_rule``'s pass on their indices decides and
+    certifies each (theta, x) in closed form.  Forward mode builds the
+    harmless set's region from the same indices; reverse mode builds none."""
+    anchor = scenario.anchor
+    indices = point_mass_indices(allocations, anchor.dim)
+    region = None
+    if scenario.mode == "forward":
+        region = deterministic_harmless(anchor, allocations, indices).region
     else:
-        result = deterministic_harmless(theta, allocations)
+        operation = "harmful_union_contains"
 
-    def certify(q: Vector) -> Certificate | None:
-        if result.contains(q):
-            return None
-        return "separating", _separating(result.rule(q), theta, q)
+    def certify(theta: Vector, x: Vector) -> Certificate | None:
+        rule = _point_mass_rule(theta, x, allocations, indices)
+        return None if rule is None else ("separating", _separating(rule, theta, x))
 
-    return operation, certify, result.region, summary
+    return operation, lambda theta: partial(certify, theta), region, summary
 
 
 def _setup_point_mass(scenario: Scenario, options: dict) -> Setup:
-    """deterministic and universally_truthful classes, both modes."""
-    anchor = scenario.anchor
-    allocations = scenario.allocations or point_masses(anchor.dim)
+    """deterministic and universally_truthful classes."""
+    allocations = scenario.allocations or point_masses(scenario.anchor.dim)
     summary = (("allocations", str(len(allocations))),)
-    if scenario.mode == "reverse":
-        # The point masses are checked once here; each harmful candidate is
-        # certified from these indices.
-        indices = point_mass_indices(allocations, anchor.dim)
-
-        def certify(q: Vector) -> Certificate | None:
-            if not harmful_union_contains(anchor, allocations, q):
-                return None
-            rule = _point_mass_rule(q, anchor, allocations, indices)
-            return "separating", _separating(rule, q, anchor)
-
-        return "harmful_union_contains", certify, None, summary
-    return _forward_point_mass(
-        scenario, f"{scenario.mechanism_class}_harmless", allocations, summary
-    )
+    return _point_mass(scenario, f"{scenario.mechanism_class}_harmless", allocations, summary)
 
 
 def _setup_tie(scenario: Scenario, options: dict) -> Setup:
-    theta = scenario.anchor
-    if scenario.allocations:
-        # _checked has refused a set off the rank-one hypothesis; on the
-        # line the decisive pair answers every query as the whole set does.
-        allocations = decisive_pair(theta, scenario.allocations) or scenario.allocations[:2]
+    allocations = scenario.allocations
+    if allocations:
+        # _checked has seen the set on one line if any true type values it
+        # apart; then the decisive pair answers every report as the set does.
+        def prepare(theta: Vector) -> Certify:
+            pair = decisive_pair(theta, allocations)
+            if pair is None:
+                return lambda x: None  # theta values every allocation alike
+            d = pair[0].probs - pair[1].probs
+            level = d.dot(theta)
 
-        def certify(q: Vector) -> Certificate | None:
-            if tie_harmless_contains(theta, q, allocations):
-                return None
-            rule = search_beneficial_misreport(theta, q, allocations)
-            return "separating", _separating(rule, theta, q)
+            def certify(x: Vector) -> Certificate | None:
+                if d.dot(x) <= level:
+                    return None
+                rule = search_beneficial_misreport(theta, x, pair)
+                return "separating", _separating(rule, theta, x)
 
-        return "tie_harmless_contains", certify, None, (("family", "explicit"),)
+            return certify
+
+        return "tie_harmless_contains", prepare, None, (("family", "explicit"),)
     family = SimplexFamily.FULL_SIMPLEX
     if scenario.assignments is not None and scenario.assignments.null_index is not None:
         family = SimplexFamily.SUBSIMPLEX_WITH_NULL  # null first, as _checked has seen
 
-    def certify(q: Vector) -> Certificate | None:
+    def certify(theta: Vector, x: Vector) -> Certificate | None:
         # The witness construction decides membership itself: None is harmless.
-        witness = construct_tie_witness(theta, q, family)
+        witness = construct_tie_witness(theta, x, family)
         if witness is None:
             return None
         fields = (
@@ -589,7 +580,8 @@ def _setup_tie(scenario: Scenario, options: dict) -> Setup:
         )
         return "randomized_pair", fields
 
-    return "tie_harmless_contains", certify, None, (("family", family.value),)
+    summary = (("family", family.value),)
+    return "tie_harmless_contains", lambda theta: partial(certify, theta), None, summary
 
 
 def _setup_vcg(scenario: Scenario, options: dict) -> Setup:
@@ -601,7 +593,7 @@ def _setup_vcg(scenario: Scenario, options: dict) -> Setup:
         ("price_item1", str(prices[1])),
         ("price_item2", str(prices[2])),
     )
-    return _forward_point_mass(scenario, "vcg_harmless_contains", point_masses(3), summary)
+    return _point_mass(scenario, "vcg_harmless_contains", point_masses(3), summary)
 
 
 def _price_family(options: dict) -> PriceFamily:
@@ -611,12 +603,11 @@ def _price_family(options: dict) -> PriceFamily:
 
 
 def _setup_price_family(scenario: Scenario, options: dict) -> Setup:
-    theta = scenario.anchor
     family = _price_family(options)
 
-    def certify(q: Vector) -> Certificate | None:
+    def certify(theta: Vector, x: Vector) -> Certificate | None:
         # The vertex scan decides membership itself: None is harmless.
-        witness = find_beneficial_price(theta, family, q)
+        witness = find_beneficial_price(theta, family, x)
         if witness is None:
             return None
         fields = (
@@ -637,39 +628,35 @@ def _setup_price_family(scenario: Scenario, options: dict) -> Setup:
         ("price_low", f"{low1},{low2}"),
         ("price_high", f"{bound_token(high1)},{bound_token(high2)}"),
     )
-    return "price_family_harmless_contains", certify, None, summary
+    return "price_family_harmless_contains", lambda theta: partial(certify, theta), None, summary
 
 
 def _setup_kminded(scenario: Scenario, options: dict) -> Setup:
     k = options["k"]
-    return _forward_point_mass(
-        scenario, "kminded_harmless_contains", point_masses(k + 1), (("k", str(k)),)
-    )
+    summary = (("k", str(k)),)
+    return _point_mass(scenario, "kminded_harmless_contains", point_masses(k + 1), summary)
 
 
 def _setup_second_price(scenario: Scenario, options: dict) -> Setup:
-    reported = scenario.anchor
     threshold = options["threshold"]
     allocation_dependent = options.get("allocation_dependent", False)
 
-    def certify(q: Vector) -> Certificate | None:
-        if not second_price_harmful_contains(
-            reported[0], threshold, allocation_dependent, q[0]
-        ):
+    def certify(theta: Vector, x: Vector) -> Certificate | None:
+        # Does the bid x help the true value theta?
+        if not second_price_harmful_contains(x[0], threshold, allocation_dependent, theta[0]):
             return None
-        fields = (
-            ("threshold", "r", threshold),
-            ("reported", "r", reported[0]),
-            ("candidate", "r", q[0]),
+        return "threshold", (
+            ("threshold", "r", threshold), ("reported", "r", x[0]), ("candidate", "r", theta[0])
         )
-        return "threshold", fields
 
-    region = _second_price_region(reported[0], threshold, allocation_dependent)
+    region = None
+    if scenario.mode == "reverse":
+        region = _second_price_region(scenario.anchor[0], threshold, allocation_dependent)
     summary = (
         ("threshold", str(threshold)),
         ("allocation_dependent", "true" if allocation_dependent else "false"),
     )
-    return "second_price_harmful_contains", certify, region, summary
+    return "second_price_harmful_contains", lambda theta: partial(certify, theta), region, summary
 
 
 def _second_price_region(
@@ -692,33 +679,32 @@ def _facility_line(options: dict) -> FacilityLine:
 
 
 def _setup_facility(scenario: Scenario, options: dict) -> Setup:
-    theta = scenario.anchor
     line = _facility_line(options)
     kinds = [kind for listed in options.get("verification", ()) for kind in listed]
-    uncovered = facility_first_uncovered(theta[0], line, kinds)
-    agent_type = facility_type(theta[0], line)
     allocations = point_masses(2)
 
-    def certify(q: Vector) -> Certificate | None:
-        if facility_harmless_position(theta[0], line, q[0]):
+    def certify(theta: Vector, x: Vector) -> Certificate | None:
+        if facility_harmless_position(theta[0], line, x[0]):
             return None
-        report_type = facility_type(q[0], line)
+        agent_type = facility_type(theta[0], line)
+        report_type = facility_type(x[0], line)
         rule = point_mass_rule(agent_type, report_type, allocations)
-        fields = (
-            ("agent_type", "v", agent_type),
-            ("report_type", "v", report_type),
-        ) + _separating(rule, agent_type, report_type)
-        return "separating", fields
+        fields = (("agent_type", "v", agent_type), ("report_type", "v", report_type))
+        return "separating", fields + _separating(rule, agent_type, report_type)
 
-    preferred = facility_preferred(theta[0], line)
-    summary = [
-        ("covered", "true" if uncovered is None else "false"),
-        ("preferred", "indifferent" if preferred is None else str(preferred)),
-        ("verifications", ",".join(kind.value for kind in kinds) or "none"),
-    ]
-    if uncovered is not None:
-        summary.append(("first_uncovered", str(uncovered)))
-    return "facility_verification_covers", certify, None, tuple(summary)
+    summary = (("verifications", ",".join(kind.value for kind in kinds) or "none"),)
+    if scenario.mode == "forward":
+        # Coverage and the preferred facility belong to the anchor's position.
+        position = scenario.anchor[0]
+        uncovered = facility_first_uncovered(position, line, kinds)
+        preferred = facility_preferred(position, line)
+        summary = (
+            ("covered", "true" if uncovered is None else "false"),
+            ("preferred", "indifferent" if preferred is None else str(preferred)),
+        ) + summary
+        if uncovered is not None:
+            summary += (("first_uncovered", str(uncovered)),)
+    return "facility_verification_covers", lambda theta: partial(certify, theta), None, summary
 
 
 # The class table.  An option key maps to (count, read, kind): a line of the
@@ -734,33 +720,33 @@ _VERIFY_OPTIONS = {
                               "no_overbid_on_received": "no_overbid_on_received",
                               "harmless_complement": "harmless_complement"}, None),
 }
-# Each class: the mode it runs in (None for both), its setup, its own option
-# keys, its type rule: the types' dimension (None for any, or a function of
-# the options) with the message naming it, then tags for a null coordinate 0
-# worth 0, nonnegative values, explicit allocations read (point masses, or
-# any set whose differences span one line) and "positions" (a type is a
-# position on a line, not a value vector), and the library object, if any,
-# that checks option values against each other.
+# Each class, in both modes: its setup, its own option keys, its type rule:
+# the types' dimension (None for any, or a function of the options) with the
+# message naming it, then tags for a null coordinate 0 worth 0, nonnegative
+# values, explicit allocations read (point masses, or any set whose
+# differences span one line) and "positions" (a type is a position on a
+# line, not a value vector), and the library object, if any, that checks
+# option values against each other.
 _CLASSES = {
-    "deterministic": (None, _setup_point_mass, {}, (None, "", "point_masses"), None),
-    "universally_truthful": (None, _setup_point_mass, {}, (None, "", "point_masses"), None),
-    "truthful_in_expectation": ("forward", _setup_tie, {}, (None, "", "allocations"), None),
-    "vcg": ("forward", _setup_vcg, {"others": (2, _nonnegative, "repeatable")},
+    "deterministic": (_setup_point_mass, {}, (None, "", "point_masses"), None),
+    "universally_truthful": (_setup_point_mass, {}, (None, "", "point_masses"), None),
+    "truthful_in_expectation": (_setup_tie, {}, (None, "", "allocations"), None),
+    "vcg": (_setup_vcg, {"others": (2, _nonnegative, "repeatable")},
             (3, "vcg scenarios use three coordinates (null, item1, item2)", "null"), None),
-    "price_family": ("forward", _setup_price_family,
+    "price_family": (_setup_price_family,
                      {"price_low": (2, _nonnegative, None), "price_high": (2, _price_bound, None)},
                      (3, "price_family scenarios use three coordinates (null, item1, item2)"),
                      _price_family),
-    "second_price": ("reverse", _setup_second_price,
+    "second_price": (_setup_second_price,
                      {"threshold": (1, _parse_rational, "required"),
                       "allocation_dependent": (1, {"true": True, "false": False}, None)},
                      (1, "second_price scenarios use one-coordinate values", "nonnegative"),
                      None),
-    "kminded": ("forward", _setup_kminded, {"k": (1, {"1": 1, "2": 2}, "required")},
+    "kminded": (_setup_kminded, {"k": (1, {"1": 1, "2": 2}, "required")},
                 (lambda options: options["k"] + 1,
                  "kminded scenarios with k {k} use {dim} coordinates (null first)", "null"),
                 None),
-    "facility_line": ("forward", _setup_facility,
+    "facility_line": (_setup_facility,
                       {"facilities": (2, _parse_rational, "required"),
                        "benefit": (1, _parse_rational, None),
                        "verification": (None, {
@@ -775,16 +761,13 @@ MECHANISM_CLASSES = tuple(_CLASSES)
 
 def _checked(scenario: Scenario) -> tuple[Callable[[Scenario, dict], Setup], dict, tuple]:
     """The class's setup, the scenario's options as a dict and the type
-    rule's tags, once the class runs in the scenario's mode, its required
-    options are given and its type rule holds for the anchor, every query
-    and the explicit allocations.  Every verb calls this before it answers
-    a query."""
+    rule's tags, once the class's required options are given and its type
+    rule holds for the anchor, every query and the explicit allocations.
+    Every verb calls this before it answers a query."""
     cls = scenario.mechanism_class
     if cls not in _CLASSES:
         raise ScenarioError(f"unsupported mechanism class {cls!r}")
-    class_mode, setup, specs, (dim, message, *tags), _ = _CLASSES[cls]
-    if class_mode is not None and scenario.mode != class_mode:
-        raise ScenarioError(f"{cls} scenarios are {class_mode}-mode only")
+    setup, specs, (dim, message, *tags), _ = _CLASSES[cls]
     options = dict(scenario.options)
     for key, (_, _, kind) in specs.items():
         if kind == "required" and key not in options:
@@ -809,7 +792,11 @@ def _checked(scenario: Scenario) -> tuple[Callable[[Scenario, dict], Setup], dic
     if "point_masses" in tags and scenario.allocations:
         point_mass_indices(scenario.allocations, anchor.dim)
     if "allocations" in tags and scenario.allocations:
-        decisive_pair(anchor, scenario.allocations)
+        # The set must lie on one line once a true type values it apart: the
+        # anchor in forward mode, a query in reverse mode.
+        true_types = (anchor,) if scenario.mode == "forward" else scenario.queries
+        if any(decisive_pair(t, scenario.allocations) for t in true_types):
+            check_one_line(scenario.allocations)
     return setup, options, tags
 
 
@@ -817,17 +804,21 @@ def run_scenario(source: Scenario | str | os.PathLike[str]) -> ResultDocument:
     """Evaluate a scenario (or scenario file) and return its result document."""
     scenario = source if isinstance(source, Scenario) else load_scenario(source)
     setup, options, _ = _checked(scenario)
-    operation, certify, region, summary = setup(scenario, options)
+    operation, prepare, region, summary = setup(scenario, options)
     boxed = scenario.space_low is not None or scenario.space_high is not None
     if region is not None and boxed:
         box = box_region(scenario.space_low, scenario.space_high)
         region = ConvexRegion(region.halfspaces + box.halfspaces, region.extra_points)
     mode = scenario.mode
     forward = mode == "forward"
+    anchor = scenario.anchor
+    if forward:
+        certificates = map(prepare(anchor), scenario.queries)
+    else:
+        certificates = (prepare(q)(anchor) for q in scenario.queries)
     queries: list[QueryResult] = []
     witnesses: list[WitnessRecord] = []
-    for index, q in enumerate(scenario.queries):
-        certificate = certify(q)
+    for index, (q, certificate) in enumerate(zip(scenario.queries, certificates)):
         queries.append(QueryResult(q, (certificate is None) == forward))
         if certificate is not None:
             witnesses.append(WitnessRecord(index, *certificate))
@@ -837,7 +828,7 @@ def run_scenario(source: Scenario | str | os.PathLike[str]) -> ResultDocument:
         mechanism_class=cls,
         mode=mode,
         operation=operation,
-        anchor=scenario.anchor,
+        anchor=anchor,
         region=region,
         queries=tuple(queries),
         witnesses=tuple(witnesses),

@@ -16,21 +16,21 @@ Three rule classes are characterised in closed form:
   common denominator, with each normal e_o - e_p made of shared unit
   constants.  One O(m log m) pass over d = x - theta, grouped by theta's
   value levels, answers both questions: is x harmless, and if not, which
-  rule shows it (``point_mass_rule``: the oracle's pair).  Reverse
-  membership (``reverse.harmful_union_contains``) is that pass alone, with
-  no region built.  ``point_mass_indices`` is the one check that the
-  allocations are distinct point masses; ``deterministic_harmless`` runs it
-  once, and its ``rule`` certifies every report from those indices;
+  rule shows it (``point_mass_rule``: the oracle's pair), with no region
+  built, for either role of the pair (theta, x).  ``point_mass_indices`` is
+  the one check that the allocations are distinct point masses; a caller
+  that runs it once passes its indices to the pass and to
+  ``deterministic_harmless``;
 * all truthful-in-expectation rules over a simplex of randomized allocations,
   where x is harmless iff its projection onto the difference span is a
   scaling of theta's by a factor at most one.  Over the two simplex
   families one O(m) integer pass decides it (``_simplex_projection``,
   shared with ``oracle.construct_tie_witness``): is the residual of x's
   projection against theta's zero, and the factor at most one?  An explicit
-  allocation set must span one line, and then one pair of it
-  (``decisive_pair``, found in O(n m)) answers for the whole set: with
-  d = p - o, x is harmless iff d.x <= d.theta, one O(m) halfspace test per
-  query.
+  allocation set must span one line (``check_one_line``, once per set),
+  and then one pair of it (``decisive_pair``, found in O(n m) per theta)
+  answers for the whole set: with d = p - o, x is harmless iff
+  d.x <= d.theta, one O(m) halfspace test per report.
 """
 
 from __future__ import annotations
@@ -97,19 +97,12 @@ AllocationSpace = SimplexFamily | tuple[Allocation, ...]
 
 class HarmlessResult(Frozen):
     """Outcome of a harmless-set computation: one convex region plus extra
-    points, and a ``membership`` test that decides it exactly.  A class
-    with a closed-form certificate also gives ``rule``: the rule under
-    which reporting a non-member beats the truth, or None for a member."""
+    points, and a ``membership`` test that decides it exactly."""
 
-    __slots__ = ("membership", "region", "rule")
+    __slots__ = ("membership", "region")
 
-    def __init__(
-        self,
-        membership: Callable[[Vector], bool],
-        region: ConvexRegion,
-        rule: Callable[[Vector], SeparatingRule | None] | None = None,
-    ) -> None:
-        self._init(membership, region, rule)
+    def __init__(self, membership: Callable[[Vector], bool], region: ConvexRegion) -> None:
+        self._init(membership, region)
 
     def contains(self, x: Vector) -> bool:
         return self.membership(x)
@@ -143,18 +136,20 @@ def pairwise_harmless(theta: Vector, a_i: Allocation, a_j: Allocation) -> Harmle
     return HarmlessResult(lambda x: region_contains(region, x), region)
 
 
-def deterministic_harmless(theta: Vector, allocations: Sequence[Allocation]) -> HarmlessResult:
+def deterministic_harmless(
+    theta: Vector, allocations: Sequence[Allocation], indices: Sequence[int] | None = None
+) -> HarmlessResult:
     """Harmless set against every deterministic rule over point-mass allocations.
 
     Equals the intersection of the pairwise harmless sets: one strict
     half-space per pair theta is not indifferent between, in pair order,
     with theta itself as the single extra point.  Membership is
-    ``point_mass_rule``'s pass on the indices validated here: x is harmless
-    iff x == theta or no pair of allocations is split in x's favour.  The
-    allocations are validated once, here, and ``rule`` certifies from the
-    same indices.
+    ``point_mass_rule``'s pass: x is harmless iff x == theta or no pair of
+    allocations is split in x's favour.  The allocations are validated here
+    unless ``indices`` gives what ``point_mass_indices`` returned for them.
     """
-    indices = point_mass_indices(allocations, theta.dim)
+    if indices is None:
+        indices = point_mass_indices(allocations, theta.dim)
     region = ConvexRegion(tuple(_pairwise_halfspaces(theta, indices)), frozenset({theta}))
 
     def contains(x: Vector) -> bool:
@@ -162,10 +157,7 @@ def deterministic_harmless(theta: Vector, allocations: Sequence[Allocation]) -> 
             raise DimensionMismatch(f"type dims {theta.dim} vs {x.dim}")
         return x == theta or _beneficial_pair(theta, x, indices) is None
 
-    def rule(x: Vector) -> SeparatingRule | None:
-        return _point_mass_rule(theta, x, allocations, indices)
-
-    return HarmlessResult(contains, region, rule)
+    return HarmlessResult(contains, region)
 
 
 def point_mass_indices(allocations: Sequence[Allocation], dim: int) -> tuple[int, ...]:
@@ -286,14 +278,10 @@ def decisive_pair(
     first below p's.  None when theta values every allocation alike (the
     span is zero and every report is harmless).
 
-    The scaled differences form a subspace only when they span one line,
-    that is when every a_k - a_0 is a multiple of a_p - a_o; otherwise
-    :class:`SubspaceHypothesisError` is raised.  Two allocations on one
-    level are collinear with any third on another, so this is the test over
-    the non-indifferent pairs.  On the line every pair theta ranks splits
-    the same reports, so the pair has the set's span and
+    Once ``check_one_line`` has passed, every pair theta ranks splits the
+    same reports, so the pair has the set's span and
     ``oracle.search_beneficial_misreport`` returns the same rule over it as
-    over the set.  O(n m).
+    over the set.  O(n m): each allocation is valued once.
     """
     levels = [a.value_to(theta) for a in allocations]
     lowest = min(levels, default=0)
@@ -301,16 +289,26 @@ def decisive_pair(
     if p is None:
         return None
     o = next(k for k, level in enumerate(levels) if level < levels[p])
-    line = allocations[p].probs - allocations[o].probs
-    line_sq = line.dot(line)  # nonzero: theta values p and o apart
-    # a - a_0 is on the line iff Cauchy-Schwarz holds with equality.
-    differences = (a.probs - allocations[0].probs for a in allocations[1:])
+    return allocations[p], allocations[o]
+
+
+def check_one_line(allocations: Sequence[Allocation]) -> None:
+    """Raise :class:`SubspaceHypothesisError` unless the differences
+    a_k - a_0 all lie on one line, the only case in which the scaled
+    differences a type values apart form a subspace (two allocations on one
+    level are collinear with any third).  Each is compared with the first
+    nonzero one u by the exact Cauchy-Schwarz equality (a.u)^2 = (a.a)(u.u).
+    O(n m), and independent of the type."""
+    differences = [a.probs - allocations[0].probs for a in allocations[1:]]
+    line = next((u for u in differences if not u.is_zero()), None)
+    if line is None:
+        return
+    line_sq = line.dot(line)
     if any(u.dot(line) ** 2 != u.dot(u) * line_sq for u in differences):
         raise SubspaceHypothesisError(
             "scaled differences span more than one direction; "
             "the closed-form characterisation does not apply"
         )
-    return allocations[p], allocations[o]
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -357,7 +355,8 @@ def tie_harmless_contains(theta: Vector, x: Vector, space: AllocationSpace) -> b
     makes every report harmless).  An explicit set's span is the line of its
     decisive pair's difference d, oriented so that d.theta > 0; the factor
     is d.x / d.theta, so x is harmless iff d.x <= d.theta.  With no pair
-    every report is harmless.
+    every report is harmless; otherwise the set must pass
+    ``check_one_line``.
     """
     if theta.dim != x.dim:
         raise DimensionMismatch(f"type dims {theta.dim} vs {x.dim}")
@@ -365,6 +364,7 @@ def tie_harmless_contains(theta: Vector, x: Vector, space: AllocationSpace) -> b
         pair = decisive_pair(theta, space)
         if pair is None:
             return True
+        check_one_line(space)
         d = pair[0].probs - pair[1].probs
         return d.dot(x) <= d.dot(theta)
     _, norm_sq, cross, residual = _simplex_projection(theta, x, space)

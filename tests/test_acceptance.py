@@ -2,8 +2,9 @@
 
 Each test name carries its criterion number so a verbose run gives one
 pass/fail line per criterion. Randomness is seeded; every check is exact
-rational arithmetic with zero tolerance. The last three tests are timing
-gates at the input budgets: a reverse deterministic scenario, a
+rational arithmetic with zero tolerance. The last four tests are timing
+gates at the input budgets: a reverse deterministic scenario, a reverse
+expectation scenario over 64 explicit allocations on one segment, a
 full-simplex expectation scenario whose queries all ship a witness, and
 ``verify`` on a free menu, once for each grid verification kind.
 """
@@ -369,6 +370,30 @@ def test_reverse_deterministic_at_the_budgets_takes_under_two_seconds():
     members = [q.member for q in document.queries]
     assert not members[0]
     assert len(document.witnesses) == sum(members) > 0
+    assert elapsed < 2
+
+
+def test_reverse_explicit_expectation_at_the_budgets_takes_under_two_seconds():
+    # 64 dense allocations on one segment: the set is checked on one line
+    # once, each candidate's decisive pair is chosen once in O(n m), and
+    # the report is one halfspace test against it.
+    rng = random.Random(1117)
+    p, q = (
+        vec(*(Fraction(w, sum(ws)) for w in ws))
+        for ws in ([rng.randint(1, 9) for _ in range(cli.MAX_DIMENSION)] for _ in range(2))
+    )
+    steps = rng.sample(range(cli.MAX_REPEATS), cli.MAX_REPEATS)
+    allocations = [p + (q - p).scale(Fraction(t, cli.MAX_REPEATS - 1)) for t in steps]
+    reported = budget_type(rng)
+    lines = ["scenario reverse_explicit_budget", "class truthful_in_expectation"]
+    lines += [f"reported {tokens(reported)}"]
+    lines += [f"allocation {tokens(a)}" for a in allocations]
+    lines += [f"query {tokens(budget_type(rng))}" for _ in range(cli.MAX_QUERIES)]
+    document, elapsed = timed_run("\n".join(lines) + "\n")
+    members = [q.member for q in document.queries]
+    assert 0 < sum(members) < len(members)
+    assert len(document.witnesses) == sum(members)
+    assert {w.kind for w in document.witnesses} == {"separating"}
     assert elapsed < 2
 
 

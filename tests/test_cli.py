@@ -603,17 +603,23 @@ query 0 5 0
 
 
 def test_explicit_allocation_queries_see_only_the_decisive_pair(monkeypatch):
-    # The set is checked before any query; every query then asks membership
-    # and the oracle about the set's decisive pair alone.
+    # The set is checked before any query, and its decisive pair is found
+    # once for the true type, not per query; every harmful query then asks
+    # the oracle about the pair alone, and no query asks the set's membership.
     seen = []
-    for name in ("tie_harmless_contains", "search_beneficial_misreport"):
+    for name in ("decisive_pair", "search_beneficial_misreport"):
         original = getattr(cli, name)
 
-        def recorded(theta, q, allocations, original=original, name=name):
-            seen.append((name, allocations))
-            return original(theta, q, allocations)
+        def recorded(*args, original=original, name=name):
+            seen.append((name, args[-1]))
+            return original(*args)
 
         monkeypatch.setattr(cli, name, recorded)
+
+    def refuse(*args):
+        raise AssertionError("a query asked the set's membership")
+
+    monkeypatch.setattr(cli, "tie_harmless_contains", refuse)
     text = (
         "scenario s\nclass truthful_in_expectation\ntheta 1 2 4\n"
         "allocation 1 0 0\nallocation 1/2 1/2 0\nallocation 0 1 0\n"
@@ -624,24 +630,28 @@ def test_explicit_allocation_queries_see_only_the_decisive_pair(monkeypatch):
     assert [qr.member for qr in document.queries] == [True, False, True]
     pair = (scenario.allocations[1], scenario.allocations[0])
     assert seen == [
-        ("tie_harmless_contains", pair),
-        ("tie_harmless_contains", pair),
+        ("decisive_pair", scenario.allocations),
+        ("decisive_pair", scenario.allocations),
         ("search_beneficial_misreport", pair),
-        ("tie_harmless_contains", pair),
     ]
 
 
-# Per class: the mode it runs in (None for both), an anchor, and the
+# Per class: an anchor, which serves as theta or as reported, and the
 # options that make the scenario runnable.
-CLASS_MODES = {
-    "deterministic": (None, "0 1/2 3/2", ""),
-    "universally_truthful": (None, "0 1/2 3/2", ""),
-    "truthful_in_expectation": ("forward", "1 2 4", ""),
-    "vcg": ("forward", "0 2 1", "option others 1 0\n"),
-    "price_family": ("forward", "0 1/2 1", ""),
-    "second_price": ("reverse", "1", "option threshold 1/2\n"),
-    "kminded": ("forward", "0 1/2 3/2", "option k 2\n"),
-    "facility_line": ("forward", "1/2", "option facilities 0 2\n"),
+CLASS_ANCHORS = {
+    "deterministic": ("0 1/2 3/2", ""),
+    "universally_truthful": ("0 1/2 3/2", ""),
+    "truthful_in_expectation": ("1 2 4", ""),
+    "vcg": ("0 2 1", "option others 1 0\n"),
+    "price_family": ("0 1/2 1", ""),
+    "second_price": ("1", "option threshold 1/2\n"),
+    "kminded": ("0 1/2 3/2", "option k 2\n"),
+    "facility_line": ("1/2", "option facilities 0 2\n"),
+}
+# Each mode's anchor line and the verbs that read a file of that mode.
+MODE_VERBS = {
+    "forward": ("theta", ("harmless", "witness", "verify")),
+    "reverse": ("reported", ("harmful", "witness")),
 }
 # The verify verb's options, which every class accepts and run_scenario ignores.
 VERIFY_OPTIONS = (
@@ -652,20 +662,173 @@ VERIFY_OPTIONS = (
 
 @pytest.mark.parametrize("mode", ["forward", "reverse"])
 @pytest.mark.parametrize("cls", MECHANISM_CLASSES)
-def test_class_runs_only_in_its_modes(cls, mode):
-    runs_in, anchor, options = CLASS_MODES[cls]
-    anchor_line = f"{'theta' if mode == 'forward' else 'reported'} {anchor}"
+def test_class_runs_in_both_modes(cls, mode):
+    anchor, options = CLASS_ANCHORS[cls]
+    anchor_line = f"{MODE_VERBS[mode][0]} {anchor}"
     scenario = parse_scenario(
         f"scenario s\nclass {cls}\n{anchor_line}\n{options}{VERIFY_OPTIONS}query {anchor}\n"
     )
-    if runs_in in (None, mode):
-        document = run_scenario(scenario)
-        assert (document.mechanism_class, document.mode) == (cls, mode)
-        assert len(document.queries) == 1
+    document = run_scenario(scenario)
+    assert (document.mechanism_class, document.mode) == (cls, mode)
+    # A report equal to the true type is harmless, in either role.
+    assert [qr.member for qr in document.queries] == [mode == "forward"]
+    assert document.witnesses == ()
+    # Point-mass classes print their region forward, second_price its own
+    # reverse; the facility's coverage keys describe a true position.
+    point_mass = cls in ("deterministic", "universally_truthful", "vcg", "kminded")
+    regions = {"forward": point_mass, "reverse": cls == "second_price"}
+    assert (document.region is not None) == regions[mode]
+    if cls == "facility_line":
+        forward_keys = ["covered", "preferred", "verifications", "first_uncovered"]
+        keys = [key for key, _ in document.summary]
+        assert keys == (forward_keys if mode == "forward" else ["verifications"])
+
+
+# Per class: a report that beats the anchor as the true type.
+HARMFUL_REPORTS = {
+    "deterministic": "0 1 3/2",
+    "universally_truthful": "0 1 3/2",
+    "truthful_in_expectation": "2 4 8",
+    "vcg": "0 3 1",
+    "price_family": "0 1 1",
+    "second_price": "2",
+    "kminded": "0 1 3/2",
+    "facility_line": "0",
+}
+
+
+@pytest.mark.parametrize("cls", MECHANISM_CLASSES)
+def test_a_harmful_pair_has_one_certificate_in_either_role(cls):
+    # Forward, the true type is the anchor and the report a query; reverse,
+    # the report is the anchor and the true type a query.  The one pass
+    # gives the same certificate either way.
+    anchor, options = CLASS_ANCHORS[cls]
+    report = HARMFUL_REPORTS[cls]
+    documents = [
+        run_scenario(parse_scenario(
+            f"scenario s\nclass {cls}\n{MODE_VERBS[mode][0]} {first}\n{options}query {second}\n"
+        ))
+        for mode, first, second in (("forward", anchor, report), ("reverse", report, anchor))
+    ]
+    forward, reverse = documents
+    assert [qr.member for qr in forward.queries] == [False]
+    assert [qr.member for qr in reverse.queries] == [True]
+    assert len(forward.witnesses) == 1
+    assert reverse.witnesses == forward.witnesses
+
+
+def test_an_explicit_set_off_one_line_is_refused_for_a_true_type_that_values_it_apart():
+    # The true types are the queries in reverse mode: a report that values
+    # every allocation alike does not make the set's line test run, and a
+    # candidate that does, does.
+    head = "scenario s\nclass truthful_in_expectation\n"
+    allocations = "allocation 1 0 0\nallocation 0 1 0\nallocation 0 0 1\n"
+    for anchor, query in (("theta 0 1 2", "1 1 1"), ("reported 1 1 1", "0 1 2")):
+        with pytest.raises(MechanismError, match="span more than one direction"):
+            run_scenario(parse_scenario(f"{head}{anchor}\n{allocations}query {query}\n"))
+    answered = (("theta 1 1 1", "0 1 2", True), ("reported 0 1 2", "1 1 1", False))
+    for anchor, query, member in answered:
+        document = run_scenario(parse_scenario(f"{head}{anchor}\n{allocations}query {query}\n"))
+        assert [qr.member for qr in document.queries] == [member]
+        assert document.witnesses == ()
+
+
+def _tokens(values):
+    return " ".join(str(v) for v in values)
+
+
+SMALL_VALUES = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+NONNEGATIVE_VALUES = st.builds(Fraction, st.integers(0, 6), st.integers(1, 3))
+FRACTIONS_OF_ONE = st.sampled_from([Fraction(k, 4) for k in range(5)])
+
+
+def _point_mass_lines(dim, indices):
+    return [f"allocation {_tokens(int(i == k) for i in range(dim))}" for k in indices]
+
+
+@st.composite
+def role_cases(draw):
+    """A class, option and allocation lines that suit it, and a (true type,
+    report) pair of its types: the report is the truth, a scaling of it
+    plus a shift (the shapes that reach each boundary), or anything."""
+    cls = draw(st.sampled_from(MECHANISM_CLASSES))
+    values = NONNEGATIVE_VALUES if cls == "second_price" else SMALL_VALUES
+    null = cls in ("vcg", "price_family", "kminded")
+    dim = {"vcg": 3, "price_family": 3, "second_price": 1, "facility_line": 1}.get(cls)
+    if dim is None:
+        dim = draw(st.integers(2, 4) if cls != "kminded" else st.sampled_from([2, 3]))
+    pairs = st.lists(NONNEGATIVE_VALUES, min_size=2, max_size=2)
+    lines = []
+    if cls == "kminded":
+        lines.append(f"option k {dim - 1}")
+    elif cls == "vcg":
+        lines += [f"option others {_tokens(draw(pairs))}" for _ in range(draw(st.integers(0, 2)))]
+    elif cls == "price_family":
+        lows = draw(pairs)
+        highs = [draw(st.sampled_from(["inf", low + draw(NONNEGATIVE_VALUES)])) for low in lows]
+        lines += [f"option price_low {_tokens(lows)}", f"option price_high {_tokens(highs)}"]
+    elif cls == "second_price":
+        lines.append(f"option threshold {draw(NONNEGATIVE_VALUES)}")
+        lines.append(f"option allocation_dependent {draw(st.sampled_from(['true', 'false']))}")
+    elif cls == "facility_line":
+        g1, g2 = sorted(draw(st.lists(SMALL_VALUES, min_size=2, max_size=2, unique=True)))
+        lines += [f"option facilities {g1} {g2}", f"option benefit {draw(NONNEGATIVE_VALUES)}"]
+        kinds = ["no_underbid_distance", "direction_imposing"]
+        lines += [f"option verification {kind}" for kind in kinds if draw(st.booleans())]
+    elif cls in ("deterministic", "universally_truthful") and draw(st.booleans()):
+        indices = draw(st.permutations(range(dim)))[: draw(st.integers(2, dim))]
+        lines += _point_mass_lines(dim, indices)
+    elif cls == "truthful_in_expectation":
+        family = draw(st.sampled_from(["full_simplex", "subsimplex", "segment", "point_masses"]))
+        if family == "subsimplex":
+            null = True
+            lines += [f"assignments null {_tokens(f'a{i}' for i in range(1, dim))}"]
+            lines += ["null_assignment null"]
+        elif family == "segment":
+            weights = st.lists(st.integers(0, 3), min_size=dim, max_size=dim).filter(any)
+            ends = draw(st.tuples(weights, weights))
+            p, q = (Vector(tuple(Fraction(w, sum(ws)) for w in ws)) for ws in ends)
+            steps = draw(st.lists(FRACTIONS_OF_ONE, min_size=2, max_size=4))
+            lines += [f"allocation {_tokens(p + (q - p).scale(t))}" for t in steps]
+        elif family == "point_masses":  # off one line from three on, so often refused
+            lines += _point_mass_lines(dim, range(dim))
+    theta = draw(st.lists(values, min_size=dim, max_size=dim))
+    shape = draw(st.sampled_from(["any", "affine", "any", "truth"]))
+    if shape == "truth":
+        x = list(theta)
+    elif shape == "affine" and cls != "second_price":
+        scale = draw(st.sampled_from([0, Fraction(1, 2), 1, Fraction(3, 2), 2]))
+        shift = draw(SMALL_VALUES)
+        x = [scale * t + shift for t in theta]
     else:
-        with pytest.raises(ScenarioError) as err:
-            run_scenario(scenario)
-        assert str(err.value) == f"{cls} scenarios are {runs_in}-mode only"
+        x = draw(st.lists(values, min_size=dim, max_size=dim))
+    if null:
+        theta[0] = x[0] = Fraction(0)
+    return cls, "".join(f"{line}\n" for line in lines), theta, x
+
+
+@settings(max_examples=300)
+@given(role_cases())
+def test_reverse_membership_is_the_forward_answer_with_roles_swapped(case):
+    # reported x with candidate theta asks "does x help theta?": the
+    # negation of forward membership for (theta, x), with the same
+    # certificate.  A pair one mode refuses, the other refuses alike.
+    cls, options, theta, x = case
+
+    def run(anchor_key, anchor, query):
+        text = f"scenario s\nclass {cls}\n{anchor_key} {_tokens(anchor)}\n{options}"
+        try:
+            return run_scenario(parse_scenario(f"{text}query {_tokens(query)}\n"))
+        except (ScenarioError, MechanismError) as exc:
+            return str(exc)
+
+    forward, reverse = run("theta", theta, x), run("reported", x, theta)
+    if isinstance(forward, str) or isinstance(reverse, str):
+        assert forward == reverse
+        return
+    assert [qr.member for qr in reverse.queries] == [not qr.member for qr in forward.queries]
+    assert reverse.witnesses == forward.witnesses
+    assert len(forward.witnesses) == (not forward.queries[0].member)
 
 
 # Files that break a class's type rule or hold a bad option value, each
@@ -744,30 +907,29 @@ def test_every_verb_refuses_a_class_rule_breach(text, query, message, with_query
 
 
 TABLE_KEYS = [
-    (cls, key) for cls in MECHANISM_CLASSES for key in (*cli._CLASSES[cls][2], *cli._VERIFY_OPTIONS)
+    (cls, key) for cls in MECHANISM_CLASSES for key in (*cli._CLASSES[cls][1], *cli._VERIFY_OPTIONS)
 ]
 
 
 @pytest.mark.parametrize("cls, key", TABLE_KEYS, ids=[f"{cls}-{key}" for cls, key in TABLE_KEYS])
 def test_a_malformed_option_value_names_its_line(cls, key, tmp_path, capsys):
-    runs_in, anchor, options = CLASS_MODES[cls]
-    anchor_key = "reported" if runs_in == "reverse" else "theta"
-    lines = ["scenario s", f"class {cls}", f"{anchor_key} {anchor}"]
-    lines += [line for line in options.splitlines() if line.split()[1] != key]
-    count = {**cli._VERIFY_OPTIONS, **cli._CLASSES[cls][2]}[key][0]
-    lines.append(f"option {key} " + " ".join(["x"] * (count or 1)))
-    scenario = tmp_path / "s.scn"
-    scenario.write_text("\n".join(lines) + "\n")
-    verb = "harmful" if runs_in == "reverse" else "harmless"
-    assert main([verb, "--scenario", str(scenario)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: line {len(lines)}: option {key}: "), err
+    anchor, options = CLASS_ANCHORS[cls]
+    for anchor_key, (verb, *_) in MODE_VERBS.values():
+        lines = ["scenario s", f"class {cls}", f"{anchor_key} {anchor}"]
+        lines += [line for line in options.splitlines() if line.split()[1] != key]
+        count = {**cli._VERIFY_OPTIONS, **cli._CLASSES[cls][1]}[key][0]
+        lines.append(f"option {key} " + " ".join(["x"] * (count or 1)))
+        scenario = tmp_path / "s.scn"
+        scenario.write_text("\n".join(lines) + "\n")
+        assert main([verb, "--scenario", str(scenario)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {len(lines)}: option {key}: "), err
 
 
 REQUIRED_KEYS = [
     (cls, key)
     for cls in MECHANISM_CLASSES
-    for key, (_, _, kind) in cli._CLASSES[cls][2].items()
+    for key, (_, _, kind) in cli._CLASSES[cls][1].items()
     if kind == "required"
 ]
 
@@ -776,16 +938,15 @@ REQUIRED_KEYS = [
     "cls, key", REQUIRED_KEYS, ids=[f"{cls}-{key}" for cls, key in REQUIRED_KEYS]
 )
 def test_a_missing_required_option_is_refused(cls, key, tmp_path, capsys):
-    runs_in, anchor, options = CLASS_MODES[cls]
-    anchor_key = "reported" if runs_in == "reverse" else "theta"
-    lines = ["scenario s", f"class {cls}", f"{anchor_key} {anchor}"]
-    lines += [line for line in options.splitlines() if line.split()[1] != key]
-    scenario = tmp_path / "s.scn"
-    scenario.write_text("\n".join(lines) + "\n")
-    verbs = ("harmful", "witness") if runs_in == "reverse" else ("harmless", "witness", "verify")
-    for verb in verbs:
-        assert main([verb, "--scenario", str(scenario)]) == 1, verb
-        assert capsys.readouterr().err == f"error: {cls} scenarios need option {key}\n", verb
+    anchor, options = CLASS_ANCHORS[cls]
+    for anchor_key, verbs in MODE_VERBS.values():
+        lines = ["scenario s", f"class {cls}", f"{anchor_key} {anchor}"]
+        lines += [line for line in options.splitlines() if line.split()[1] != key]
+        scenario = tmp_path / "s.scn"
+        scenario.write_text("\n".join(lines) + "\n")
+        for verb in verbs:
+            assert main([verb, "--scenario", str(scenario)]) == 1, verb
+            assert capsys.readouterr().err == f"error: {cls} scenarios need option {key}\n", verb
 
 
 @pytest.mark.parametrize(

@@ -63,25 +63,26 @@ VALID_OPTIONS = {
         ))
     ],
 }
-# Per class: its anchor line (None: either), dimensions, whether coordinate 0
-# is a null worth 0, whether values are nonnegative, and the options it reads.
+# Per class: dimensions, whether coordinate 0 is a null worth 0, whether
+# values are nonnegative, and the options it reads.  Every class runs in
+# both modes, so a scenario's anchor line is drawn for any class.
 CLASS_SHAPES = {
-    "deterministic": (None, (2, 3), False, False, ()),
-    "universally_truthful": (None, (2, 3), False, False, ()),
-    "truthful_in_expectation": ("theta", (2, 3), False, False, ()),
-    "vcg": ("theta", (3,), True, False, ("others",)),
-    "price_family": ("theta", (3,), True, False, ("price_low", "price_high")),
-    "second_price": ("reported", (1,), False, True, ("threshold", "allocation_dependent")),
-    "kminded": ("theta", (2, 3), True, False, ("k",)),
-    "facility_line": ("theta", (1,), False, False, ("facilities", "benefit", "verification")),
+    "deterministic": ((2, 3), False, False, ()),
+    "universally_truthful": ((2, 3), False, False, ()),
+    "truthful_in_expectation": ((2, 3), False, False, ()),
+    "vcg": ((3,), True, False, ("others",)),
+    "price_family": ((3,), True, False, ("price_low", "price_high")),
+    "second_price": ((1,), False, True, ("threshold", "allocation_dependent")),
+    "kminded": ((2, 3), True, False, ("k",)),
+    "facility_line": ((1,), False, False, ("facilities", "benefit", "verification")),
 }
 
 
 def test_option_keys_match_the_class_table():
-    table = {cls: set(row[2]) for cls, row in cli._CLASSES.items()}
+    table = {cls: set(row[1]) for cls, row in cli._CLASSES.items()}
     keys = set(cli._VERIFY_OPTIONS).union(*table.values())
     assert set(VALID_OPTIONS) == keys
-    assert {cls: set(shape[4]) for cls, shape in CLASS_SHAPES.items()} == table
+    assert {cls: set(shape[3]) for cls, shape in CLASS_SHAPES.items()} == table
     assert set(re.findall(r"option ([a-z_]+)", cli.__doc__)) == keys
 
 
@@ -131,16 +132,16 @@ def directive_lines(draw, dim):
 
 @st.composite
 def scenario_texts(draw, corrupt=None):
-    """A scenario of a random class.  Half are shaped to run: the class's
-    anchor, dimension and value ranges, its options and one verify rule.
-    The other half may break any rule of the grammar: another anchor or
-    dimension, options with random values, and random directive lines."""
+    """A scenario of a random class with either anchor line.  Half are
+    shaped to run: the class's dimension and value ranges, its options and
+    one verify rule.  The other half may break any rule of the grammar:
+    another dimension, options with random values, and random directive
+    lines."""
     if corrupt is None:
         corrupt = draw(st.booleans())
     cls = draw(st.sampled_from(MECHANISM_CLASSES))
-    anchor, dims, null, nonnegative, keys = CLASS_SHAPES[cls]
-    if anchor is None or (corrupt and draw(st.booleans())):
-        anchor = draw(st.sampled_from(["theta", "reported"]))
+    dims, null, nonnegative, keys = CLASS_SHAPES[cls]
+    anchor = draw(st.sampled_from(["theta", "reported"]))
     dim = draw(st.sampled_from((1, 2, 3) if corrupt and draw(st.booleans()) else dims))
     points = [draw(vectors(dim, null, nonnegative)) for _ in range(draw(st.integers(1, 4)))]
     lines = ["scenario fuzz", f"class {cls}", f"{anchor} {points[0]}"]

@@ -16,6 +16,7 @@ from mechverify.geometry import Sense, vec
 from mechverify.harmless import (
     SimplexFamily,
     SubspaceHypothesisError,
+    check_one_line,
     decisive_pair,
     deterministic_harmless,
     pairwise_harmless,
@@ -160,9 +161,13 @@ def test_decisive_pair_of_an_explicit_set():
     assert decisive_pair(vec(1, 3), (a1, a2)) == (a2, a1)
     # Indifferent pairs contribute nothing.
     assert decisive_pair(vec(2, 2), (a1, a2)) is None
-    # Two difference directions violate the hypothesis behind the closed form.
+    # Two difference directions violate the hypothesis behind the closed
+    # form; the test is the set's, whatever the type.
+    assert decisive_pair(vec(0, 1, 2), point_masses(3)) == point_masses(3)[1::-1]
     with pytest.raises(SubspaceHypothesisError):
-        decisive_pair(vec(0, 1, 2), point_masses(3))
+        check_one_line(point_masses(3))
+    check_one_line((a1, a2))
+    check_one_line((a1, a1))
 
 
 def test_tie_full_simplex_closed_form():

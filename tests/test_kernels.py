@@ -37,6 +37,7 @@ from mechverify.geometry import (
 from mechverify.harmless import (
     SimplexFamily,
     SubspaceHypothesisError,
+    check_one_line,
     decisive_pair,
     deterministic_harmless,
     pairwise_harmless,
@@ -402,11 +403,14 @@ def span_member(theta, x, allocations):
 def test_decisive_pair_answers_for_the_whole_set(case):
     theta, x, allocations = case
     try:
-        pair = decisive_pair(theta, allocations) or allocations[:2]
+        pair = decisive_pair(theta, allocations)
+        if pair is not None:
+            check_one_line(allocations)
     except SubspaceHypothesisError:
         assert all_pairs_refuse(theta, allocations)
         return
     assert not all_pairs_refuse(theta, allocations)
+    pair = pair or allocations[:2]
     member = tie_harmless_contains(theta, x, pair)
     assert member == span_member(theta, x, allocations)
     expected = search_beneficial_misreport(theta, x, allocations)
@@ -546,8 +550,8 @@ def test_forward_point_masses_are_checked_once_and_build_no_public_hyperplane(mo
 
 
 def test_reverse_point_masses_are_checked_once_per_scenario(monkeypatch):
-    # One check in the setup serves every harmful candidate's certificate;
-    # harmful_union_contains stays on the path and checks once per query.
+    # One check in the setup serves every candidate: the one pass decides
+    # and certifies each from the same indices.
     calls = []
     check = harmless.point_mass_indices
 
@@ -566,4 +570,4 @@ def test_reverse_point_masses_are_checked_once_per_scenario(monkeypatch):
     )
     assert [q.member for q in document.queries] == [True] * 5 + [False]
     assert len(document.witnesses) == 5
-    assert len(calls) <= 7
+    assert len(calls) == 1

@@ -92,7 +92,7 @@ CASES = [
     (
         HarmlessResult,
         dict(membership=always, region=ConvexRegion()),
-        dict(membership=always, region=ConvexRegion(), rule=None),
+        dict(membership=always, region=ConvexRegion()),
     ),
     (
         TieWitness,
