@@ -2,8 +2,9 @@
 
 Sweeps agent positions along the line and reports, for each subset of the
 two positional verifications, whether every helpful misreport is blocked.
-Each cell is an exact decision, not a sample: "covered", or the smallest
-decisive probe that is helpful and unblocked (see facility_first_uncovered).
+Each cell is an exact decision, not a sample, made by the four closed-form
+cases of facility_first_uncovered: "covered", or the smallest decisive probe
+that is helpful and unblocked.
 The expected picture: agents outside both facilities need no verification at
 all, agents strictly between them need both.
 """

@@ -81,6 +81,7 @@ from .geometry import (
     Hyperplane,
     Sense,
     Vector,
+    _vector,
     box_region,
     empty_region,
     frac,
@@ -93,7 +94,6 @@ from .harmless import (
     decisive_pair,
     deterministic_harmless,
     point_mass_indices,
-    point_mass_rule,
     tie_harmless_contains,  # unused here; perfbench/tracing.py wraps it under this module
     universally_truthful_harmless,  # unused here; perfbench/tracing.py wraps it under this module
 )
@@ -122,7 +122,7 @@ from .scenarios import (
     FacilityLine,
     VerificationKind,
     facility_first_uncovered,
-    facility_harmless_position,
+    facility_harmless_test,
     facility_preferred,
     facility_type,
     second_price_harmful_contains,
@@ -137,7 +137,7 @@ class ScenarioError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 # An assignment or axis index: ASCII digits only (str.isdigit and int()
 # also take other scripts' digits and superscripts).
 _INDEX = re.compile(r"[0-9]+")
@@ -145,19 +145,29 @@ _INDEX = re.compile(r"[0-9]+")
 
 def _parse_rational(token: str, line: int | None = None) -> Fraction:
     """An integer or p/q with an optional sign; nothing else (no decimals,
-    exponents or digit separators)."""
-    if not _RATIONAL.fullmatch(token):
-        raise ScenarioError(f"bad rational {token!r}", line)
-    try:
-        return Fraction(token)
-    except ZeroDivisionError:
-        raise ScenarioError(f"bad rational {token!r}", line) from None
+    exponents or digit separators).  The integers are the pattern's own
+    groups, so no second, general parse runs."""
+    match = _RATIONAL.fullmatch(token)
+    if match is not None:
+        numerator, denominator = match.groups()
+        try:
+            # int() refuses more digits than sys.get_int_max_str_digits().
+            if denominator is None:
+                return Fraction(int(numerator))
+            return Fraction(int(numerator), int(denominator))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ScenarioError(f"bad rational {token!r}", line)
 
 
-def _parse_vector(tokens: Sequence[str], line: int | None = None) -> Vector:
+def _parse_vector(tokens: Sequence[str], line: int, values: dict[str, Fraction]) -> Vector:
+    """The coordinates; ``values`` holds the scenario's tokens read so far."""
     if not tokens:
         raise ScenarioError("expected at least one coordinate", line)
-    return Vector(tuple(_parse_rational(t, line) for t in tokens))
+    for token in tokens:
+        if token not in values:
+            values[token] = _parse_rational(token, line)
+    return _vector(tuple([values[token] for token in tokens]))
 
 
 class Scenario(Frozen):
@@ -260,6 +270,8 @@ def parse_scenario(text: str) -> Scenario:
     option_lines: list[tuple[int, str, list[str]]] = []
     # Lines read so far of each repeatable directive, and of each option key.
     repeats: dict[str, int] = {}
+    # Coordinate tokens read so far: "0" is the ZERO the serializer skips.
+    values = {"0": ZERO}
 
     for line_no, raw in enumerate(text.splitlines(), 1):
         stripped = raw.split("#", 1)[0].strip()
@@ -279,7 +291,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(f"more than {seen} {counted} lines (the budget)", line_no)
             repeats[counted] = seen + 1
         if key in ("theta", "reported", "space_low", "space_high"):
-            once[key] = _parse_vector(args, line_no)
+            once[key] = _parse_vector(args, line_no, values)
         elif key == "scenario":
             if len(args) != 1:
                 raise ScenarioError("scenario takes exactly one name token", line_no)
@@ -299,10 +311,10 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError("null_assignment takes one label", line_no)
             once[key] = args[0]
         elif key == "query":
-            queries.append(_parse_vector(args, line_no))
+            queries.append(_parse_vector(args, line_no, values))
         elif key == "allocation":
             try:
-                allocations.append(Allocation(_parse_vector(args, line_no)))
+                allocations.append(Allocation(_parse_vector(args, line_no, values)))
             except MechanismError as exc:
                 raise ScenarioError(str(exc), line_no) from None
         elif key == "option":
@@ -683,14 +695,20 @@ def _setup_facility(scenario: Scenario, options: dict) -> Setup:
     kinds = [kind for listed in options.get("verification", ()) for kind in listed]
     allocations = point_masses(2)
 
-    def certify(theta: Vector, x: Vector) -> Certificate | None:
-        if facility_harmless_position(theta[0], line, x[0]):
-            return None
+    def prepare(theta: Vector) -> Certify:
+        # theta's preferred facility, clamped position and type, once.
+        harmless = facility_harmless_test(theta[0], line)
         agent_type = facility_type(theta[0], line)
-        report_type = facility_type(x[0], line)
-        rule = point_mass_rule(agent_type, report_type, allocations)
-        fields = (("agent_type", "v", agent_type), ("report_type", "v", report_type))
-        return "separating", fields + _separating(rule, agent_type, report_type)
+
+        def certify(x: Vector) -> Certificate | None:
+            if harmless(x[0]):
+                return None
+            report_type = facility_type(x[0], line)
+            rule = _point_mass_rule(agent_type, report_type, allocations, (0, 1))
+            fields = (("agent_type", "v", agent_type), ("report_type", "v", report_type))
+            return "separating", fields + _separating(rule, agent_type, report_type)
+
+        return certify
 
     summary = (("verifications", ",".join(kind.value for kind in kinds) or "none"),)
     if scenario.mode == "forward":
@@ -704,7 +722,7 @@ def _setup_facility(scenario: Scenario, options: dict) -> Setup:
         ) + summary
         if uncovered is not None:
             summary += (("first_uncovered", str(uncovered)),)
-    return "facility_verification_covers", lambda theta: partial(certify, theta), None, summary
+    return "facility_verification_covers", prepare, None, summary
 
 
 # The class table.  An option key maps to (count, read, kind): a line of the

@@ -8,7 +8,7 @@ requirements these settings are known to need.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from enum import Enum
 from fractions import Fraction
 
@@ -119,8 +119,10 @@ def facility_preferred(agent_position, line: FacilityLine) -> Fraction | None:
     return right if abs(z - right) < abs(z - left) else left
 
 
-def facility_harmless_position(agent_position, line: FacilityLine, misreport_position) -> bool:
-    """Is reporting the given position harmless for the agent?
+def facility_harmless_test(agent_position, line: FacilityLine) -> Callable[[Fraction], bool]:
+    """``facility_harmless_position`` for one agent: the preferred facility
+    and the agent's clamped position are worked out once, and each reported
+    position then costs one clamp and one comparison.
 
     Fixed-tie-breaking convention: a misreport is harmless when its induced
     type is weakly less keen on the agent's preferred facility, boundary
@@ -132,16 +134,19 @@ def facility_harmless_position(agent_position, line: FacilityLine, misreport_pos
     c(r) >= c(z) (g* = g1) or c(r) <= c(z) (g* = g2).
     """
     z = frac(agent_position)
-    reported = frac(misreport_position)
     preferred = facility_preferred(z, line)
-    if preferred is None:
-        return True
     left, right = line.locations
-    clamped_report = min(max(reported, left), right)
     clamped_agent = min(max(z, left), right)
+    if preferred is None:
+        return lambda reported: True
     if preferred == left:
-        return clamped_report >= clamped_agent
-    return clamped_report <= clamped_agent
+        return lambda reported: min(max(reported, left), right) >= clamped_agent
+    return lambda reported: min(max(reported, left), right) <= clamped_agent
+
+
+def facility_harmless_position(agent_position, line: FacilityLine, misreport_position) -> bool:
+    """Is reporting the given position harmless for the agent?"""
+    return facility_harmless_test(agent_position, line)(frac(misreport_position))
 
 
 def facility_first_uncovered(
@@ -159,33 +164,27 @@ def facility_first_uncovered(
     benefit, which closes the half-space and, for agents outside both
     facilities, makes every report harmless.
 
-    The decision is exact.  Whether a report r is harmful changes only at
-    g1, g2 and the agent z; ``no_underbid_distance`` changes only at z and
-    2*g* - z; ``direction_imposing`` changes only at g*.  So every predicate
-    is constant on each open gap between consecutive breakpoints
-    B = {g1, g2, z, 2*g* - z} and on the two rays beyond them.  Probing every
-    point of B, the midpoint of every gap and min B - 1, max B + 1 therefore
-    visits every piece of the line: the verifications cover all misreports
-    iff no probe other than z is harmful and unblocked, and otherwise the
-    smallest such probe is returned.
+    The decision is exact, in closed form.  No report helps an agent at or
+    outside a facility or at the midpoint, and the two kinds together block
+    every report that helps.  Otherwise, with mirror = 2*g* - z, the reports
+    r < z help when g* = g1; ``no_underbid_distance`` alone leaves the ray
+    (-inf, mirror] of them uncovered, ``direction_imposing`` alone [g1, z),
+    neither kind all of them.  When g* = g2 the reports r > z help, and the
+    kinds leave [mirror, inf) and (z, g2].  The position returned is the
+    smallest probe in that set, the probes being B = {g1, g2, z, mirror},
+    the midpoints of its gaps and min B - 1, max B + 1: g1 or mirror - 1
+    when g* = g1, mirror or (z + g2)/2 when g* = g2.
     """
     z = frac(agent_position)
-    kinds = tuple(verifications)
+    kinds = set(verifications)
     preferred = facility_preferred(z, line)
-    if preferred is None:
-        # Indifferent agents cannot be helped: everything is harmless.
+    left, right = line.locations
+    if preferred is None or not left < z < right or kinds >= set(VerificationKind):
         return None
-    breakpoints = sorted({*line.locations, z, 2 * preferred - z})
-    probes = breakpoints + [(a + b) / 2 for a, b in zip(breakpoints, breakpoints[1:])]
-    probes += [breakpoints[0] - 1, breakpoints[-1] + 1]
-    for position in sorted(probes):
-        if position == z or facility_harmless_position(z, line, position):
-            continue
-        if not any(
-            distance_verification_blocks(kind, z, position, preferred) for kind in kinds
-        ):
-            return position
-    return None
+    mirror = 2 * preferred - z
+    if preferred == left:
+        return left if VerificationKind.DIRECTION_IMPOSING in kinds else mirror - 1
+    return mirror if VerificationKind.NO_UNDERBID_DISTANCE in kinds else (z + right) / 2
 
 
 def facility_verification_covers(

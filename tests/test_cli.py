@@ -1405,7 +1405,12 @@ def test_serialized_lines_are_well_formed(rule):
             assert check(line.split(), document.anchor.dim), (rule, line)
 
 
-@pytest.mark.parametrize("token", ["1e400", "1_000", "1.5"])
+# One digit more than int() reads from a string by default
+# (sys.get_int_max_str_digits()), in the numerator and in the denominator.
+OVERLONG = "1" * 4301
+
+
+@pytest.mark.parametrize("token", ["1e400", "1_000", "1.5", OVERLONG, f"1/{OVERLONG}"])
 def test_rationals_are_integers_or_p_over_q(token, tmp_path, cli_env):
     text = f"scenario s\nclass deterministic\ntheta {token} 1\nquery 0 1\n"
     with pytest.raises(ScenarioError) as info:
@@ -1415,6 +1420,36 @@ def test_rationals_are_integers_or_p_over_q(token, tmp_path, cli_env):
     result = run_cli(["harmless", "--scenario", "s.scn"], tmp_path, cli_env)
     assert result.returncode == 1
     assert "bad rational" in result.stderr
+
+
+# Tokens of the rational grammar: an optional sign, digits with leading
+# zeros allowed, and an optional /q with q >= 1.
+digit_strings = st.text("0123456789", min_size=1, max_size=12)
+rational_tokens = st.builds(
+    lambda sign, p, q: sign + p + ("" if q is None else "/" + q),
+    st.sampled_from(["", "+", "-"]),
+    digit_strings,
+    st.none() | digit_strings.filter(lambda q: int(q) > 0),
+)
+
+
+@given(rational_tokens)
+def test_parse_rational_matches_fraction(token):
+    assert cli._parse_rational(token) == Fraction(token)
+
+
+@given(st.lists(rational_tokens, min_size=1, max_size=6))
+def test_parsed_vector_matches_fractions(tokens):
+    scenario = parse_scenario(f"scenario s\nclass deterministic\ntheta {' '.join(tokens)}\n")
+    assert scenario.theta == Vector(Fraction(t) for t in tokens)
+
+
+@given(st.sampled_from(["", "+", "-"]), digit_strings, st.sampled_from(["0", "00"]))
+def test_zero_denominators_are_bad_rationals(sign, p, q):
+    token = f"{sign}{p}/{q}"
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(f"scenario s\nclass deterministic\ntheta 1 {token}\n")
+    assert str(info.value) == f"line 3: bad rational {token!r}"
 
 
 def test_signed_rationals_still_parse():

@@ -30,7 +30,7 @@ from mechverify.mechanisms import MechanismError
 VALID_NUMBERS = st.sampled_from(["0", "1", "-1", "2", "3", "1/2", "-3/4", "+5", "7/3", "0/4"])
 NONNEGATIVE = st.sampled_from(["0", "1", "2", "1/2", "7/3"])
 MALFORMED_NUMBERS = st.sampled_from(
-    ["1e400", "1_000", "1.5", "x", "1/0", "inf", "-", "/2", "--1", "٣", "1/-2"]
+    ["1e400", "1_000", "1.5", "x", "1/0", "inf", "-", "/2", "--1", "٣", "1/-2", "7" * 4301]
 )
 NUMBERS = st.one_of(VALID_NUMBERS, MALFORMED_NUMBERS)
 WORDS = st.sampled_from(

@@ -15,6 +15,7 @@ from mechverify.scenarios import (
     distance_verification_blocks,
     facility_first_uncovered,
     facility_harmless_position,
+    facility_harmless_test,
     facility_preferred,
     facility_type,
     facility_verification_covers,
@@ -213,6 +214,17 @@ def test_facility_harmless_matches_the_keenness_comparison(case):
     assert facility_harmless_position(z, line, reported) == expected
 
 
+@given(facility_positions(), st.lists(positions, max_size=8))
+def test_prepared_facility_harmless_test_matches_each_position_call(case, reports):
+    # One prepared test per agent answers every report as the per-position
+    # function and the keenness comparison do.
+    line, z, reported = case
+    harmless = facility_harmless_test(z, line)
+    for r in [reported, *reports]:
+        expected = keenness_facility_harmless(z, line, r)
+        assert harmless(r) == facility_harmless_position(z, line, r) == expected
+
+
 def test_facility_coverage_three_configurations():
     line = FacilityLine((0, 2), 4)
     between = Fraction(1, 2)
@@ -257,6 +269,37 @@ POSITIONAL_SUBSETS = (
     (VerificationKind.DIRECTION_IMPOSING,),
     (VerificationKind.NO_UNDERBID_DISTANCE, VerificationKind.DIRECTION_IMPOSING),
 )
+
+
+def probe_scan_uncovered(z, line, kinds):
+    """The first uncovered position by the probe scan, kept naive as the
+    closed form's oracle.  Every predicate is constant on each open gap
+    between consecutive breakpoints B = {g1, g2, z, 2*g* - z} and on the two
+    rays beyond them, so the probes (every point of B, the midpoint of every
+    gap and min B - 1, max B + 1) visit every piece of the line; the answer
+    is the smallest probe other than z that is harmful and unblocked.
+    Harmfulness is the keenness comparison."""
+    preferred = facility_preferred(z, line)
+    if preferred is None:
+        return None
+    breakpoints = sorted({*line.locations, z, 2 * preferred - z})
+    probes = breakpoints + [(a + b) / 2 for a, b in zip(breakpoints, breakpoints[1:])]
+    probes += [breakpoints[0] - 1, breakpoints[-1] + 1]
+    for position in sorted(probes):
+        if position == z or keenness_facility_harmless(z, line, position):
+            continue
+        if not any(distance_verification_blocks(k, z, position, preferred) for k in kinds):
+            return position
+    return None
+
+
+@settings(max_examples=500)
+@given(facility_positions(), st.sampled_from(POSITIONAL_SUBSETS))
+def test_facility_first_uncovered_is_the_probe_scan(case, kinds):
+    # Agents at a facility, at the midpoint, outside or anywhere, under
+    # every subset of the two kinds.
+    line, z, _ = case
+    assert facility_first_uncovered(z, line, kinds) == probe_scan_uncovered(z, line, kinds)
 
 
 def grid_uncovered(z, line, kinds):
