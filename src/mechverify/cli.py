@@ -87,6 +87,7 @@ from .geometry import (
     frac,
 )
 from .harmless import (
+    PointMassRegion,
     SimplexFamily,
     _point_mass_rule,
     check_null_coordinate,
@@ -338,21 +339,31 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("exactly one of theta or reported must be given")
     _, specs, _, model = _CLASSES[mechanism_class]
     required = [key for key, (_, _, kind) in specs.items() if kind == "required"]
-    options: dict[str, object] = {}
-    for line_no, key, args in option_lines:
-        spec = specs.get(key) or _VERIFY_OPTIONS.get(key)
-        if spec is None:
-            raise ScenarioError(f"unknown option {key!r} for class {mechanism_class}", line_no)
-        if key in options and spec[2] != "repeatable":
-            raise ScenarioError(f"option {key!r} given more than once", line_no)
-        try:
-            value = _option_value(args, spec)
-            options[key] = options.get(key, ()) + (value,) if spec[2] == "repeatable" else value
-            # Values that must agree are checked by the line that breaks them.
-            if model is not None and all(k in options for k in required):
-                model(options)
-        except ValueError as exc:
-            raise ScenarioError(f"option {key}: {exc}", line_no) from None
+
+    def read_options(every_line: bool) -> dict[str, object]:
+        options: dict[str, object] = {}
+        for n, (line_no, key, args) in enumerate(option_lines, 1):
+            spec = specs.get(key) or _VERIFY_OPTIONS.get(key)
+            if spec is None:
+                raise ScenarioError(f"unknown option {key!r} for class {mechanism_class}", line_no)
+            if key in options and spec[2] != "repeatable":
+                raise ScenarioError(f"option {key!r} given more than once", line_no)
+            try:
+                value = _option_value(args, spec)
+                options[key] = options.get(key, ()) + (value,) if spec[2] == "repeatable" else value
+                # Values that must agree: checked once all are read, or after each line.
+                checked = every_line or n == len(option_lines)
+                if checked and model is not None and all(k in options for k in required):
+                    model(options)
+            except ValueError as exc:
+                raise ScenarioError(f"option {key}: {exc}", line_no) from None
+        return options
+
+    try:
+        options = read_options(every_line=False)
+    except ScenarioError:
+        read_options(every_line=True)  # names the first line that breaks the values
+        raise
 
     assignments = None
     if labels is not None:
@@ -463,7 +474,7 @@ class ResultDocument(Frozen):
         mode: str,
         operation: str,
         anchor: Vector,
-        region: ConvexRegion | None = None,
+        region: ConvexRegion | PointMassRegion | None = None,
         queries: tuple[QueryResult, ...] = (),
         witnesses: tuple[WitnessRecord, ...] = (),
         summary: tuple[tuple[str, str], ...] = (),
@@ -513,7 +524,7 @@ def _separating(rule: SeparatingRule, true_type: Vector, report: Vector) -> Fiel
         ("gained", "r", gained),
         ("truthful", "r", truthful),
     ]
-    pinned = sorted(rule.overrides.items(), key=lambda item: item[0].coords)
+    pinned = sorted(rule.overrides, key=lambda item: item[0].coords)
     for n, (point, target) in enumerate(pinned):
         fields.append((f"override_point_{n}", "v", point))
         fields.append((f"override_target_{n}", "v", target.probs))
@@ -955,8 +966,6 @@ def run_verify(source: Scenario | str | os.PathLike[str]) -> ResultDocument:
         mode="forward",
         operation=operation,
         anchor=theta,
-        region=None,
-        queries=(),
         witnesses=witnesses,
         summary=tuple(summary),
         provenance=_provenance(cls, operation),
@@ -996,23 +1005,36 @@ def _witness_line(witness: WitnessRecord) -> str:
     return " ".join(tokens)
 
 
+def _pair_lines(region: PointMassRegion) -> list[str]:
+    """The generic lines of ``region.halfspaces`` from the pairs alone: one
+    zero row, 1 spliced in once per coordinate and -1 once per pair (normal
+    coordinate k at character 2k), and each offset formatted once per gap."""
+    zeros = ",".join(["0"] * region.dim)
+    rows = [f"{zeros[:2 * k]}1{zeros[2 * k + 1:]}" for k in range(region.dim)]
+    gaps = {g for *_, g in region.pairs}
+    tails = {g: f" offset={Fraction(-g, region.scale)} sense=strict" for g in gaps}
+    return [
+        f"region_halfspace normal={rows[o][:2 * p]}-1{rows[o][2 * p + 1:]}{tails[g]}"
+        for o, p, g in region.pairs
+    ]
+
+
 def serialize_result(document: ResultDocument) -> str:
     """Render a result document, every rational exact; the same document
     always gives the same bytes."""
     lines = _header_lines(document)
     if document.region is not None:
         region = document.region
-        lines.append(
-            f"region halfspaces={len(region.halfspaces)} extras={len(region.extra_points)}"
-        )
-        for hs in region.halfspaces:
-            lines.append(
-                "region_halfspace normal={} offset={} sense={}".format(
-                    _vector_token(hs.hyperplane.normal),
-                    hs.hyperplane.offset,
-                    hs.sense.value,
-                )
-            )
+        if isinstance(region, PointMassRegion):
+            body = _pair_lines(region)
+        else:  # the generic rendering: every coordinate of every halfspace
+            body = [
+                f"region_halfspace normal={_vector_token(hs.hyperplane.normal)} "
+                f"offset={hs.hyperplane.offset} sense={hs.sense.value}"
+                for hs in region.halfspaces
+            ]
+        lines.append(f"region halfspaces={len(body)} extras={len(region.extra_points)}")
+        lines += body
         for point in sorted(region.extra_points, key=lambda p: p.coords):
             lines.append(f"region_extra {_vector_token(point)}")
     for qr in document.queries:
@@ -1041,6 +1063,9 @@ def serialize_witnesses(document: ResultDocument) -> str:
 
 _SVG_SIZE = 480
 _SVG_MARGIN = 50
+# A constraint's boundary line, and its parallel through the indifference point.
+_SOLID = 'stroke="#1a1a1a" stroke-width="1.5"'
+_DASHED = 'stroke="#555555" stroke-width="1" stroke-dasharray="6 4"'
 
 
 def _fmt(value) -> str:
@@ -1208,26 +1233,14 @@ def render_regions(
         return (nx / lead, ny / lead, offset / lead)
 
     seen: set = set()
-    segments: list[tuple[str, tuple[Fraction, Fraction], tuple[Fraction, Fraction]]] = []
     for nx, ny, solid, dashed in sliced:
-        for style, offset in (("solid", solid), ("dashed", dashed)):
-            key = (style, canonical(nx, ny, offset))
-            if key in seen:
-                continue
+        for attrs, offset in ((_SOLID, solid), (_DASHED, dashed)):
+            key = (attrs, canonical(nx, ny, offset))
+            segment = None if key in seen else _line_segment(nx, ny, offset, box)
             seen.add(key)
-            segment = _line_segment(nx, ny, offset, box)
             if segment is not None:
-                segments.append((style, *segment))
-    for style, start, end in segments:
-        sx, sy = to_px(start)
-        ex, ey = to_px(end)
-        if style == "solid":
-            attrs = 'stroke="#1a1a1a" stroke-width="1.5"'
-        else:
-            attrs = 'stroke="#555555" stroke-width="1" stroke-dasharray="6 4"'
-        lines.append(
-            f'<line x1="{_fmt(sx)}" y1="{_fmt(sy)}" x2="{_fmt(ex)}" y2="{_fmt(ey)}" {attrs}/>'
-        )
+                x1, y1, x2, y2 = [_fmt(c) for p in segment for c in to_px(p)]
+                lines.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {attrs}/>')
 
     if xmin <= anchor[i] <= xmax and ymin <= anchor[j] <= ymax:
         ax, ay = to_px((anchor[i], anchor[j]))
@@ -1237,20 +1250,16 @@ def render_regions(
             f'<text x="{_fmt(ax + 8)}" y="{_fmt(ay - 8)}" font-family="sans-serif" '
             f'font-size="12" fill="#c0392b">{label}</text>'
         )
-    lines.append(
+    lines += [
         f'<text x="{_SVG_SIZE // 2}" y="30" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="14" fill="#111111">{document.scenario_name}</text>'
-    )
-    lines.append(
+        f'font-size="14" fill="#111111">{document.scenario_name}</text>',
         f'<text x="{_SVG_SIZE - _SVG_MARGIN}" y="{_SVG_SIZE - _SVG_MARGIN + 32}" '
         f'text-anchor="end" font-family="sans-serif" font-size="12" '
-        f'fill="#333333">coordinate {i}</text>'
-    )
-    lines.append(
+        f'fill="#333333">coordinate {i}</text>',
         f'<text x="{_SVG_MARGIN - 36}" y="{_SVG_MARGIN + 4}" font-family="sans-serif" '
-        f'font-size="12" fill="#333333">coordinate {j}</text>'
-    )
-    lines.append("</svg>")
+        f'font-size="12" fill="#333333">coordinate {j}</text>',
+        "</svg>",
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -1269,8 +1278,7 @@ def _parse_bounds(token: str) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     parts = token.split(",")
     if len(parts) != 4:
         raise ScenarioError(f"bounds must be xmin,xmax,ymin,ymax, not {token!r}")
-    values = tuple(_parse_rational(p.strip()) for p in parts)
-    return values[0], values[1], values[2], values[3]
+    return tuple([_parse_rational(p.strip()) for p in parts])
 
 
 _VERB_HELP = {

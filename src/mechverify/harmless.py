@@ -11,16 +11,15 @@ Three rule classes are characterised in closed form:
 * all deterministic (equivalently, universally truthful) rules over a finite
   set of point-mass allocations -- an intersection of one strict half-space
   x_o - x_p > theta_o - theta_p per pair with theta_p > theta_o, each
-  carrying the true type as a boundary member.  The region lists all of
-  them (up to m(m-1)/2), built from theta's values as integers over one
-  common denominator, with each normal e_o - e_p made of shared unit
-  constants.  One O(m log m) pass over d = x - theta, grouped by theta's
-  value levels, answers both questions: is x harmless, and if not, which
-  rule shows it (``point_mass_rule``: the oracle's pair), with no region
-  built, for either role of the pair (theta, x).  ``point_mass_indices`` is
-  the one check that the allocations are distinct point masses; a caller
-  that runs it once passes its indices to the pass and to
-  ``deterministic_harmless``;
+  carrying the true type as a boundary member.  ``PointMassRegion`` holds
+  them (up to m(m-1)/2) as ranked pairs with integer level gaps over theta's
+  common denominator, and builds ``Halfspace`` values only when read.  One
+  O(m log m) pass over d = x - theta, grouped by theta's value levels,
+  answers both questions: is x harmless, and if not, which rule shows it
+  (``point_mass_rule``: the oracle's pair), with no region built, for
+  either role of the pair (theta, x).  ``point_mass_indices`` is the one
+  check that the allocations are distinct point masses; a caller that runs
+  it once passes its indices to the pass and to ``deterministic_harmless``;
 * all truthful-in-expectation rules over a simplex of randomized allocations,
   where x is harmless iff its projection onto the difference span is a
   scaling of theta's by a factor at most one.  Over the two simplex
@@ -101,11 +100,35 @@ class HarmlessResult(Frozen):
 
     __slots__ = ("membership", "region")
 
-    def __init__(self, membership: Callable[[Vector], bool], region: ConvexRegion) -> None:
+    def __init__(
+        self, membership: Callable[[Vector], bool], region: ConvexRegion | PointMassRegion
+    ) -> None:
         self._init(membership, region)
 
     def contains(self, x: Vector) -> bool:
         return self.membership(x)
+
+
+class PointMassRegion(Frozen):
+    """A deterministic harmless region: x_other - x_preferred > -gap / scale
+    for each ranked pair (other, preferred, gap), gap an integer level gap of
+    theta, plus theta in ``extra_points``.  ``halfspaces`` builds on read."""
+
+    __slots__ = ("dim", "scale", "pairs", "extra_points")
+
+    def __init__(self, dim: int, scale: int, pairs: tuple, extra_points: frozenset) -> None:
+        self._init(dim, scale, pairs, extra_points)
+
+    @property
+    def halfspaces(self) -> tuple[Halfspace, ...]:
+        # Each offset once per gap; each normal of the shared unit constants.
+        offsets = {gap: Fraction(-gap, self.scale) for gap in {gap for *_, gap in self.pairs}}
+        zeros, halves = [ZERO] * self.dim, []
+        for other, preferred, gap in self.pairs:
+            normal = zeros.copy()
+            normal[other], normal[preferred] = ONE, MINUS_ONE
+            halves.append(_halfspace(_vector(tuple(normal)), offsets[gap], Sense.STRICT_GREATER))
+        return tuple(halves)
 
 
 def pairwise_harmless(theta: Vector, a_i: Allocation, a_j: Allocation) -> HarmlessResult:
@@ -143,14 +166,20 @@ def deterministic_harmless(
 
     Equals the intersection of the pairwise harmless sets: one strict
     half-space per pair theta is not indifferent between, in pair order,
-    with theta itself as the single extra point.  Membership is
+    with theta itself as the single extra point, held as a
+    ``PointMassRegion`` of ranked pairs.  Membership is
     ``point_mass_rule``'s pass: x is harmless iff x == theta or no pair of
     allocations is split in x's favour.  The allocations are validated here
     unless ``indices`` gives what ``point_mass_indices`` returned for them.
     """
     if indices is None:
         indices = point_mass_indices(allocations, theta.dim)
-    region = ConvexRegion(tuple(_pairwise_halfspaces(theta, indices)), frozenset({theta}))
+    scale, (levels,) = _common_numerators([theta[i] for i in indices])
+    pairs = tuple(
+        (j, i, a - b) if a > b else (i, j, b - a)
+        for (i, a), (j, b) in combinations(zip(indices, levels), 2) if a != b
+    )
+    region = PointMassRegion(theta.dim, scale, pairs, frozenset({theta}))
 
     def contains(x: Vector) -> bool:
         if x.dim != theta.dim:
@@ -225,9 +254,9 @@ def _point_mass_rule(
     if pair is None:
         return None
     p, o, on_boundary = pair
-    overrides = {theta: allocations[o]}
+    overrides = ((theta, allocations[o]),)
     if on_boundary:
-        overrides[x] = allocations[p]
+        overrides += ((x, allocations[p]),)
     price = theta[indices[p]] - theta[indices[o]]
     return SeparatingRule(allocations[p], allocations[o], price, TieSide.TO_I, overrides)
 
@@ -236,30 +265,6 @@ def check_null_coordinate(*types: Vector) -> None:
     """Coordinate 0 is the null assignment, and every type values it at 0."""
     if any(t[0] != 0 for t in types):
         raise MechanismError("the null coordinate (index 0) must be worth 0")
-
-
-def _pairwise_halfspaces(theta: Vector, indices: Sequence[int]):
-    """x_o - x_p > theta_o - theta_p for each pair of point-mass coordinates
-    (in combination order) with theta_p > theta_o.  theta's values are
-    compared as integers over one common denominator
-    (``_common_numerators``), each offset is built once per level gap, and
-    each normal e_o - e_p holds the shared unit constants.  o != p, as
-    ``point_mass_indices`` has checked, so no normal is zero."""
-    scale, (levels,) = _common_numerators([theta[i] for i in indices])
-    zeros = [ZERO] * theta.dim
-    offsets: dict[int, Fraction] = {}
-    for (i, level_i), (j, level_j) in combinations(zip(indices, levels), 2):
-        if level_i == level_j:
-            continue
-        preferred, other = (i, j) if level_i > level_j else (j, i)
-        gap = abs(level_i - level_j)
-        offset = offsets.get(gap)
-        if offset is None:
-            offset = offsets[gap] = Fraction(-gap, scale)
-        normal = zeros.copy()
-        normal[other] = ONE
-        normal[preferred] = MINUS_ONE
-        yield _halfspace(_vector(tuple(normal)), offset, Sense.STRICT_GREATER)
 
 
 def universally_truthful_harmless(

@@ -114,14 +114,12 @@ class TieSide(Enum):
 class SeparatingRule(Frozen):
     """Two-allocation rule: a_i above the hyperplane, a_j below.
 
-    The hyperplane is (a_i - a_j) . x = relative_price.  ``overrides`` may pin
-    individual boundary points to either allocation; other boundary points
-    get ``tie_assignment``.
+    The hyperplane is (a_i - a_j) . x = relative_price.  ``overrides`` pins
+    distinct boundary points to either allocation as (point, target) pairs,
+    hashing none (a mapping gives its items); others get ``tie_assignment``.
     """
 
     __slots__ = ("a_i", "a_j", "relative_price", "tie_assignment", "overrides")
-    # Unhashable: ``overrides`` is a dict.
-    __hash__ = None
 
     def __init__(
         self,
@@ -129,22 +127,24 @@ class SeparatingRule(Frozen):
         a_j: Allocation,
         relative_price: RationalLike,
         tie_assignment: TieSide = TieSide.TO_I,
-        overrides: Mapping[Vector, Allocation] | None = None,
+        overrides: Iterable[tuple[Vector, Allocation]] | Mapping[Vector, Allocation] = (),
     ) -> None:
         relative_price = frac(relative_price)
         if a_i.dim != a_j.dim:
             raise DimensionMismatch(f"allocation dimensions {a_i.dim} vs {a_j.dim}")
         if a_i == a_j:
             raise MechanismError("separating rule needs two distinct allocations")
-        overrides = {} if overrides is None else dict(overrides)
+        overrides = tuple(overrides.items() if isinstance(overrides, Mapping) else overrides)
         self._init(a_i, a_j, relative_price, tie_assignment, overrides)
         if overrides:
             n = self.normal
-            for point, target in overrides.items():
+            for k, (point, target) in enumerate(overrides):
                 if n.dot(point) != relative_price:
                     raise MechanismError(f"override point {point} is off the boundary")
                 if target not in (a_i, a_j):
                     raise MechanismError("override target must be one of the rule's pair")
+                if any(point == seen for seen, _ in overrides[:k]):
+                    raise MechanismError(f"override point {point} is pinned twice")
 
     @property
     def normal(self) -> Vector:
@@ -162,9 +162,8 @@ def allocate_scored(rule: SeparatingRule, x: Vector, s: Fraction) -> Allocation:
         return rule.a_i
     if s < rule.relative_price:
         return rule.a_j
-    if rule.overrides:
-        pinned = rule.overrides.get(x)  # hashing x costs O(m)
-        if pinned is not None:
+    for point, pinned in rule.overrides:
+        if point == x:
             return pinned
     return rule.a_i if rule.tie_assignment is TieSide.TO_I else rule.a_j
 

@@ -80,9 +80,9 @@ def search_beneficial_misreport(
             gain = score(p) - score(o)  # x's score on the normal preferred - other
             if gain < boundary_level:
                 continue
-            overrides = {theta: other}
+            overrides = ((theta, other),)
             if gain == boundary_level:
-                overrides[x] = preferred
+                overrides += ((x, preferred),)
             rule = SeparatingRule(
                 a_i=preferred,
                 a_j=other,
@@ -262,7 +262,7 @@ def grid_harmless(
                     a_other,
                     critical,
                     TieSide.TO_I,
-                    overrides={theta: a_other},
+                    overrides=((theta, a_other),),
                 )
                 if allocate_separating(critical_rule, x).value_to(theta) > allocate_separating(
                     critical_rule, theta

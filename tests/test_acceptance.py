@@ -2,8 +2,9 @@
 
 Each test name carries its criterion number so a verbose run gives one
 pass/fail line per criterion. Randomness is seeded; every check is exact
-rational arithmetic with zero tolerance. The last four tests are timing
-gates at the input budgets: a reverse deterministic scenario, a reverse
+rational arithmetic with zero tolerance. The last five tests are timing
+gates at the input budgets: a reverse deterministic scenario, a forward
+deterministic scenario with half its queries harmful, a reverse
 expectation scenario over 64 explicit allocations on one segment, a
 full-simplex expectation scenario whose queries all ship a witness, and
 ``verify`` on a free menu, once for each grid verification kind.
@@ -371,6 +372,24 @@ def test_reverse_deterministic_at_the_budgets_takes_under_two_seconds():
     assert not members[0]
     assert len(document.witnesses) == sum(members) > 0
     assert elapsed < 2
+
+
+def test_forward_deterministic_at_the_budgets_takes_under_half_a_second():
+    # The region's m(m-1)/2 halfspaces are held as ranked pairs and printed
+    # from them; half the queries are harmless scalings of theta, and each
+    # other query is one O(m log m) pass with a certificate.
+    rng = random.Random(1117)
+    theta = budget_type(rng)
+    half = cli.MAX_QUERIES // 2
+    harmless = [theta.scale(Fraction(k, half + 1)) for k in range(1, half + 1)]
+    harmful = [budget_type(rng) for _ in range(half)]
+    lines = ["scenario forward_budget", "class deterministic", f"theta {tokens(theta)}"]
+    lines += [f"query {tokens(q)}" for q in harmless + harmful]
+    document, elapsed = timed_run("\n".join(lines) + "\n")
+    assert [q.member for q in document.queries] == [True] * half + [False] * half
+    assert len(document.witnesses) == half
+    assert len(document.region.pairs) == cli.MAX_DIMENSION * (cli.MAX_DIMENSION - 1) // 2
+    assert elapsed < 0.5
 
 
 def test_reverse_explicit_expectation_at_the_budgets_takes_under_two_seconds():

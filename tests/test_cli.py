@@ -986,6 +986,30 @@ def test_option_lines_are_checked_at_their_line(text, message):
     assert str(err.value) == message
 
 
+def test_option_values_are_checked_together_once(monkeypatch):
+    # Parsing runs the class's cross-value check once, on all the values,
+    # and the setup builds the line once more.
+    builds = []
+    init = scenarios.FacilityLine.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(scenarios.FacilityLine, "__init__", counted)
+    document = run_scenario(load_scenario(SCENARIO_DIR / "two_facilities.scn"))
+    assert len(document.queries) == 3
+    assert len(builds) <= 2
+    # On an error the lines are checked again one by one, so the first line
+    # that breaks the values is named, before a later malformed line.
+    text = "scenario s\nclass facility_line\ntheta 1/2\noption facilities 2 0\noption benefit x\n"
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert str(err.value) == (
+        "line 4: option facilities: facility locations must be distinct and sorted"
+    )
+
+
 def test_parse_scenario_reads_typed_options():
     # An option line may come before the class line; values arrive typed.
     text = (

@@ -16,7 +16,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mechverify import harmless
-from mechverify.cli import _vector_token, parse_scenario, run_scenario
+from mechverify.cli import (
+    ResultDocument,
+    _vector_token,
+    parse_scenario,
+    render_regions,
+    run_scenario,
+    serialize_result,
+)
 from mechverify.geometry import (
     MINUS_ONE,
     ONE,
@@ -35,6 +42,7 @@ from mechverify.geometry import (
     vec,
 )
 from mechverify.harmless import (
+    PointMassRegion,
     SimplexFamily,
     SubspaceHypothesisError,
     check_one_line,
@@ -161,7 +169,8 @@ def test_deterministic_membership_matches_pairwise_region(pair, data):
     allocations = data.draw(point_mass_subsets(theta.dim))
     reference = reference_region(theta, allocations)
     result = deterministic_harmless(theta, allocations)
-    assert result.region == reference
+    assert result.region.halfspaces == reference.halfspaces
+    assert result.region.extra_points == reference.extra_points
     assert result.contains(x) == region_contains(reference, x)
 
 
@@ -178,10 +187,41 @@ def test_deterministic_region_over_mixed_denominators(data):
     theta = data.draw(vectors(m, mixed))
     allocations = data.draw(point_mass_subsets(m))
     region = deterministic_harmless(theta, allocations).region
-    assert region == reference_region(theta, allocations)
+    reference = reference_region(theta, allocations)
+    assert region.halfspaces == reference.halfspaces
+    assert region.extra_points == reference.extra_points
     for h in region.halfspaces:
         assert type(h.hyperplane.offset) is Fraction
         assert all(type(c) is Fraction for c in h.hyperplane.normal)
+
+
+def _tokens(v):
+    return " ".join(str(c) for c in v)
+
+
+@given(st.data())
+def test_printed_point_mass_region_matches_the_generic_rendering(data):
+    # theta on tied levels over mixed denominators, the point masses or an
+    # explicit subset in any order, with or without a box: the region lines
+    # printed from the ranked pairs, header count included, are the generic
+    # rendering of the materialized halfspaces.
+    m = data.draw(dims)
+    tied = st.sampled_from([Fraction(-1, 2), Fraction(1, 3), Fraction(3, 4)])
+    theta = data.draw(vectors(m, st.one_of(tied, mixed)))
+    lines = ["scenario p", "class deterministic", f"theta {_tokens(theta)}"]
+    if data.draw(st.booleans()):
+        lines += [f"allocation {_tokens(a.probs)}" for a in data.draw(point_mass_subsets(m))]
+    if data.draw(st.booleans()):
+        lines.append(f"space_low {_tokens([-5] * m)}")
+    document = run_scenario(parse_scenario("\n".join(lines) + "\n"))
+    region = document.region
+    fields = [getattr(document, name) for name in ResultDocument.__slots__]
+    fields[ResultDocument.__slots__.index("region")] = ConvexRegion(
+        region.halfspaces, region.extra_points
+    )
+    printed = serialize_result(document)
+    assert printed == serialize_result(ResultDocument(*fields))
+    assert f"region halfspaces={len(region.halfspaces)} extras=1\n" in printed
 
 
 # Zeros that are the shared ZERO, zeros that are other objects (as parsed,
@@ -268,7 +308,7 @@ def test_point_mass_rule_picks_the_oracles_pair_on_the_boundary():
         point_mass(0, 3),
         Fraction(1),
         TieSide.TO_I,
-        {theta: point_mass(0, 3), x: point_mass(2, 3)},
+        ((theta, point_mass(0, 3)), (x, point_mass(2, 3))),
     )
     assert rule_fields(rule) == rule_fields(search_beneficial_misreport(theta, x, allocations))
     assert point_mass_rule(theta, theta, allocations) is None
@@ -497,9 +537,9 @@ def _refuse(*args, **kwargs):
 
 
 def test_closed_form_paths_build_no_region_and_no_span(monkeypatch):
-    # Reverse point-mass membership builds no pairwise halfspaces, and an
-    # explicit expectation set answers by d.x <= d.theta with no Gram-Schmidt.
-    monkeypatch.setattr("mechverify.harmless._pairwise_halfspaces", _refuse)
+    # Point-mass membership and printing build no halfspaces, and an explicit
+    # expectation set answers by d.x <= d.theta with no Gram-Schmidt.
+    monkeypatch.setattr(PointMassRegion, "halfspaces", property(_refuse))
     monkeypatch.setattr("mechverify.geometry._orthogonal_basis", _refuse)
     reverse = run_scenario(
         parse_scenario(
@@ -517,10 +557,24 @@ def test_closed_form_paths_build_no_region_and_no_span(monkeypatch):
     )
     assert [q.member for q in explicit.queries] == [False, True]
     assert len(explicit.witnesses) == 1
-    # The forward class still builds the region it prints.
-    forward = parse_scenario("scenario f\nclass deterministic\ntheta 0 1 2\n")
+    # The forward class prints its region from the ranked pairs alone.
+    forward = run_scenario(
+        parse_scenario("scenario f\nclass deterministic\ntheta 0 1 2\nquery 0 2 1\n")
+    )
+    assert [q.member for q in forward.queries] == [False]
+    assert "region halfspaces=3 extras=1" in serialize_result(forward)
+
+
+def test_plot_and_a_boxed_region_still_build_the_halfspaces(monkeypatch):
+    # A plot slices the halfspaces, and a box is merged with them, so both
+    # materialize the point-mass region.
+    monkeypatch.setattr(PointMassRegion, "halfspaces", property(_refuse))
+    forward = run_scenario(parse_scenario("scenario f\nclass deterministic\ntheta 0 1 2\n"))
     with pytest.raises(AssertionError, match="generic machinery"):
-        run_scenario(forward)
+        render_regions(forward, (0, 1))
+    boxed = parse_scenario("scenario b\nclass deterministic\ntheta 0 1 2\nspace_low 0 0 0\n")
+    with pytest.raises(AssertionError, match="generic machinery"):
+        run_scenario(boxed)
 
 
 def test_forward_point_masses_are_checked_once_and_build_no_public_hyperplane(monkeypatch):

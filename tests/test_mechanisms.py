@@ -141,6 +141,11 @@ def test_separating_rule_overrides_must_sit_on_boundary():
         SeparatingRule(a1, a2, Fraction(1), overrides={vec(5, 1): a2})
     with pytest.raises(MechanismError):
         SeparatingRule(a1, a2, Fraction(1), overrides={vec(2, 1): Allocation(vec("1/2", "1/2"))})
+    # Overrides are (point, target) pairs, and each point is pinned once.
+    pairs = SeparatingRule(a1, a2, Fraction(1), overrides=((vec(2, 1), a2), (vec(3, 2), a2)))
+    assert allocate_separating(pairs, vec(3, 2)) == a2
+    with pytest.raises(MechanismError, match="pinned twice"):
+        SeparatingRule(a1, a2, Fraction(1), overrides=((vec(2, 1), a2), (vec(2, 1), a1)))
 
 
 def test_separating_rule_rejects_equal_allocations():
