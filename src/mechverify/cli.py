@@ -81,6 +81,7 @@ from .geometry import (
     Hyperplane,
     Sense,
     Vector,
+    _common_numerators,
     _vector,
     box_region,
     empty_region,
@@ -409,6 +410,8 @@ def _validate_dimensions(scenario: Scenario) -> None:
     for label, v in named:
         if v.dim != dim:
             raise ScenarioError(f"{label} dimension {v.dim} does not match {dim}")
+    if low is None and high is None:
+        return  # no box: every point lies in the type space
     for lo, hi in zip(low or (), high or ()):
         if lo > hi:
             raise ScenarioError(f"space_low {lo} exceeds space_high {hi}")
@@ -536,13 +539,14 @@ def _point_mass(
     operation: str,
     allocations: Sequence[Allocation],
     summary: tuple[tuple[str, str], ...],
+    indices: tuple[int, ...] | None = None,
 ) -> Setup:
     """Every point-mass class: the point masses are checked once per
-    scenario, and ``point_mass_rule``'s pass on their indices decides and
-    certifies each (theta, x) in closed form.  Forward mode builds the
-    harmless set's region from the same indices; reverse mode builds none."""
+    scenario (``indices``, or here), and ``point_mass_rule``'s pass on their
+    indices decides and certifies each (theta, x) in closed form.  Forward
+    mode builds the harmless set's region from the same indices."""
     anchor = scenario.anchor
-    indices = point_mass_indices(allocations, anchor.dim)
+    indices = indices or point_mass_indices(allocations, anchor.dim)
     region = None
     if scenario.mode == "forward":
         region = deterministic_harmless(anchor, allocations, indices).region
@@ -556,20 +560,21 @@ def _point_mass(
     return operation, lambda theta: partial(certify, theta), region, summary
 
 
-def _setup_point_mass(scenario: Scenario, options: dict) -> Setup:
+def _setup_point_mass(scenario: Scenario, options: dict, indices: tuple | None = None) -> Setup:
     """deterministic and universally_truthful classes."""
     allocations = scenario.allocations or point_masses(scenario.anchor.dim)
     summary = (("allocations", str(len(allocations))),)
-    return _point_mass(scenario, f"{scenario.mechanism_class}_harmless", allocations, summary)
+    operation = f"{scenario.mechanism_class}_harmless"
+    return _point_mass(scenario, operation, allocations, summary, indices)
 
 
-def _setup_tie(scenario: Scenario, options: dict) -> Setup:
+def _setup_tie(scenario: Scenario, options: dict, pair_of: Callable | None = None) -> Setup:
     allocations = scenario.allocations
     if allocations:
-        # _checked has seen the set on one line if any true type values it
-        # apart; then the decisive pair answers every report as the set does.
+        # _checked gives pair_of(theta), theta's decisive pair, which answers
+        # every report as the set does.
         def prepare(theta: Vector) -> Certify:
-            pair = decisive_pair(theta, allocations)
+            pair = pair_of(theta)
             if pair is None:
                 return lambda x: None  # theta values every allocation alike
             d = pair[0].probs - pair[1].probs
@@ -792,7 +797,8 @@ def _checked(scenario: Scenario) -> tuple[Callable[[Scenario, dict], Setup], dic
     """The class's setup, the scenario's options as a dict and the type
     rule's tags, once the class's required options are given and its type
     rule holds for the anchor, every query and the explicit allocations.
-    Every verb calls this before it answers a query."""
+    The setup is bound to what the rule found: point-mass indices or
+    decisive pairs.  Every verb calls this before it answers a query."""
     cls = scenario.mechanism_class
     if cls not in _CLASSES:
         raise ScenarioError(f"unsupported mechanism class {cls!r}")
@@ -818,14 +824,17 @@ def _checked(scenario: Scenario) -> tuple[Callable[[Scenario, dict], Setup], dic
         raise ScenarioError(f"{cls} scenarios use nonnegative values")
     if scenario.allocations and not {"allocations", "point_masses"} & set(tags):
         raise ScenarioError(f"{cls} scenarios read no allocation lines")
-    if "point_masses" in tags and scenario.allocations:
-        point_mass_indices(scenario.allocations, anchor.dim)
-    if "allocations" in tags and scenario.allocations:
+    allocations = scenario.allocations
+    if "point_masses" in tags and allocations:
+        setup = partial(setup, indices=point_mass_indices(allocations, anchor.dim))
+    if "allocations" in tags and allocations:
         # The set must lie on one line once a true type values it apart: the
-        # anchor in forward mode, a query in reverse mode.
+        # anchor in forward mode, a query in reverse mode; the setup reads
+        # each true type's decisive pair off that line.
         true_types = (anchor,) if scenario.mode == "forward" else scenario.queries
-        if any(decisive_pair(t, scenario.allocations) for t in true_types):
-            check_one_line(scenario.allocations)
+        valued_apart = any(decisive_pair(t, allocations) for t in true_types)
+        pair_of = check_one_line(allocations) if valued_apart else lambda theta: None
+        setup = partial(setup, pair_of=pair_of)
     return setup, options, tags
 
 
@@ -901,7 +910,8 @@ def _verification(token: str, rule: Rule) -> Callable[[Vector, Vector], bool]:
     received_index = point_mass_choice(rule)
 
     def overstates_received(true: Vector, reported: Vector) -> bool:  # no_overbid_on_received
-        k = received_index(reported)  # the report receives e_k, worth x_k to type x
+        scale, (row,) = _common_numerators(reported.coords)
+        k = received_index(reported, scale, row)  # e_k, worth x_k to type x
         return reported[k] > true[k]
 
     return overstates_received
@@ -925,14 +935,21 @@ def run_verify(source: Scenario | str | os.PathLike[str]) -> ResultDocument:
     theta = scenario.anchor
     rule = _verify_rule(theta.dim, options)
     token = options.get("verification_kind", "none")
-    grid = list(dict.fromkeys((theta, *scenario.queries)))
+    # The distinct types, first occurrences first, on one integer table: no hashed Fraction.
+    types = (theta, *scenario.queries)
+    scale, rows = _common_numerators(*[t.coords for t in types])
+    first: dict[tuple[int, ...], Vector] = {}
+    for t, row in zip(types, rows):
+        first.setdefault(tuple(row), t)
+    grid = list(first.values())
     if token == "harmless_complement":
         if theta.dim < 2:
             raise MechanismError("need at least two allocations")
         truthful, violation = True, None
     else:
         verification = _verification(token, rule)
-        truthful, violation = is_truthful_with_verification(rule, verification, grid)
+        table = scale, list(first)  # the grid's rows
+        truthful, violation = is_truthful_with_verification(rule, verification, grid, table)
     operation = "is_truthful_with_verification"
     witnesses: tuple[WitnessRecord, ...] = ()
     summary = [

@@ -41,8 +41,8 @@ class Frozen:
 
     A subclass names its fields in ``__slots__`` and sets each once, in
     ``__init__``, through ``_init``.  Equality, hashing and repr run over
-    those fields in order, and any later assignment raises
-    ``AttributeError``.  Such a class is cheap to build at import.
+    ``_fields()`` (a derived last slot may stay out), and any later
+    assignment raises ``AttributeError``.  Such a class is cheap to build.
     """
 
     __slots__ = ()
@@ -63,7 +63,7 @@ class Frozen:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
         return f"{self.__class__.__name__}({fields})"
 
     def __setattr__(self, name: str, value) -> None:
@@ -111,11 +111,12 @@ class Vector(Frozen):
         """The exact sum of coordinate products, as one Fraction: the nonzero
         products' integer numerators are summed over the lcm of their
         denominators, with no Fraction addition per term.  A zero in self
-        costs one numerator read, so a point mass is cheap on the left."""
+        costs one identity test (the shared ZERO) or one numerator read, so
+        a point mass is cheap on the left."""
         _check_dim(self, other)
         numerators, denominators = [], []
         for a, b in zip(self.coords, other.coords):
-            n = a.numerator
+            n = a is not ZERO and a.numerator
             if n:
                 n *= b.numerator
                 if n:

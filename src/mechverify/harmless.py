@@ -27,9 +27,9 @@ Three rule classes are characterised in closed form:
   shared with ``oracle.construct_tie_witness``): is the residual of x's
   projection against theta's zero, and the factor at most one?  An explicit
   allocation set must span one line (``check_one_line``, once per set),
-  and then one pair of it (``decisive_pair``, found in O(n m) per theta)
-  answers for the whole set: with d = p - o, x is harmless iff
-  d.x <= d.theta, one O(m) halfspace test per report.
+  and then one pair of it (``decisive_pair``, O(n m) per theta, or O(n + m)
+  on the line ``check_one_line`` returns) answers for the whole set: with
+  d = p - o, x is harmless iff d.x <= d.theta, one O(m) test per report.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ from .mechanisms import (
     SeparatingRule,
     TieSide,
     apply_rule,  # unused here; perfbench/tracing.py wraps it under this module
+    point_mass_index,
 )
 
 
@@ -191,15 +192,18 @@ def deterministic_harmless(
 
 def point_mass_indices(allocations: Sequence[Allocation], dim: int) -> tuple[int, ...]:
     """Each allocation's coordinate, once each is checked to be a point mass
-    of dimension ``dim``, there are at least two and they are distinct."""
-    for a in allocations:
+    of dimension ``dim``, there are at least two and they are distinct;
+    O(m) on ``point_masses(dim)``, whose e_k sits at position k."""
+    indices = []
+    for position, a in enumerate(allocations):
         if a.dim != dim:
             raise DimensionMismatch(f"allocation dim {a.dim} vs type dim {dim}")
-        if 1 not in a.probs.coords:  # nonnegative and summing to 1: one 1 is a point mass
+        k = point_mass_index(a, position)
+        if k is None:
             raise MechanismError(
                 f"deterministic harmless sets are over point-mass allocations; got {a.probs}"
             )
-    indices = [a.probs.coords.index(1) for a in allocations]
+        indices.append(k)
     if len(indices) < 2:
         raise MechanismError("need at least two allocations")
     if len(set(indices)) != len(indices):
@@ -288,7 +292,11 @@ def decisive_pair(
     ``oracle.search_beneficial_misreport`` returns the same rule over it as
     over the set.  O(n m): each allocation is valued once.
     """
-    levels = [a.value_to(theta) for a in allocations]
+    return _ranked_pair([a.value_to(theta) for a in allocations], allocations)
+
+
+def _ranked_pair(levels: Sequence, allocations: Sequence[Allocation]) -> tuple | None:
+    """``decisive_pair`` on the allocations' levels for theta."""
     lowest = min(levels, default=0)
     p = next((k for k, level in enumerate(levels) if level > lowest), None)
     if p is None:
@@ -297,23 +305,36 @@ def decisive_pair(
     return allocations[p], allocations[o]
 
 
-def check_one_line(allocations: Sequence[Allocation]) -> None:
+def check_one_line(allocations: Sequence[Allocation]) -> Callable[[Vector], tuple | None]:
     """Raise :class:`SubspaceHypothesisError` unless the differences
     a_k - a_0 all lie on one line, the only case in which the scaled
     differences a type values apart form a subspace (two allocations on one
     level are collinear with any third).  Each is compared with the first
     nonzero one u by the exact Cauchy-Schwarz equality (a.u)^2 = (a.a)(u.u).
-    O(n m), and independent of the type."""
+    O(n m), and independent of the type.
+
+    Returns ``decisive_pair`` on the line: a_k = a_0 + t_k u, so theta's
+    levels order as t_k sign(u.theta); t_k |u|^2 = (a_k - a_0).u is taken
+    once, as integers, and a theta costs one dot product and an O(n) scan."""
     differences = [a.probs - allocations[0].probs for a in allocations[1:]]
     line = next((u for u in differences if not u.is_zero()), None)
     if line is None:
-        return
+        return lambda theta: None
     line_sq = line.dot(line)
-    if any(u.dot(line) ** 2 != u.dot(u) * line_sq for u in differences):
+    along = [u.dot(line) for u in differences]
+    if any(s * s != u.dot(u) * line_sq for s, u in zip(along, differences)):
         raise SubspaceHypothesisError(
             "scaled differences span more than one direction; "
             "the closed-form characterisation does not apply"
         )
+    _, (steps,) = _common_numerators([ZERO, *along])
+
+    def pair(theta: Vector) -> tuple[Allocation, Allocation] | None:
+        c = line.dot(theta)
+        sign = (c > 0) - (c < 0)
+        return _ranked_pair([sign * t for t in steps], allocations)
+
+    return pair
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:

@@ -13,7 +13,7 @@ Utilities are raw allocation values: with verification substituting for
 payments, the benefit comparison between a misreport and the truth never
 involves money.  The grid check ``is_truthful_with_verification`` takes
 rules that give every type a point mass e_k, whose value to a type x is
-x_k: it reads that value by index instead of valuing the allocation.
+x_k: it reads that value by index, in integers, not by valuing e_k.
 
 Every :class:`Allocation` -- parsed, built by the oracle or a point mass --
 passes one check: its probabilities, as integers over their common
@@ -28,6 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .geometry import (
+    ONE,
     DimensionMismatch,
     Frozen,
     RationalLike,
@@ -117,9 +118,10 @@ class SeparatingRule(Frozen):
     The hyperplane is (a_i - a_j) . x = relative_price.  ``overrides`` pins
     distinct boundary points to either allocation as (point, target) pairs,
     hashing none (a mapping gives its items); others get ``tie_assignment``.
+    ``normal`` = a_i - a_j is built once, in a slot outside the fields.
     """
 
-    __slots__ = ("a_i", "a_j", "relative_price", "tie_assignment", "overrides")
+    __slots__ = ("a_i", "a_j", "relative_price", "tie_assignment", "overrides", "normal")
 
     def __init__(
         self,
@@ -135,20 +137,17 @@ class SeparatingRule(Frozen):
         if a_i == a_j:
             raise MechanismError("separating rule needs two distinct allocations")
         overrides = tuple(overrides.items() if isinstance(overrides, Mapping) else overrides)
-        self._init(a_i, a_j, relative_price, tie_assignment, overrides)
-        if overrides:
-            n = self.normal
-            for k, (point, target) in enumerate(overrides):
-                if n.dot(point) != relative_price:
-                    raise MechanismError(f"override point {point} is off the boundary")
-                if target not in (a_i, a_j):
-                    raise MechanismError("override target must be one of the rule's pair")
-                if any(point == seen for seen, _ in overrides[:k]):
-                    raise MechanismError(f"override point {point} is pinned twice")
+        self._init(a_i, a_j, relative_price, tie_assignment, overrides, a_i.probs - a_j.probs)
+        for k, (point, target) in enumerate(overrides):
+            if self.normal.dot(point) != relative_price:
+                raise MechanismError(f"override point {point} is off the boundary")
+            if target not in (a_i, a_j):
+                raise MechanismError("override target must be one of the rule's pair")
+            if any(point == seen for seen, _ in overrides[:k]):
+                raise MechanismError(f"override point {point} is pinned twice")
 
-    @property
-    def normal(self) -> Vector:
-        return self.a_i.probs - self.a_j.probs
+    def _fields(self) -> tuple:
+        return self.a_i, self.a_j, self.relative_price, self.tie_assignment, self.overrides
 
 
 def allocate_separating(rule: SeparatingRule, x: Vector) -> Allocation:
@@ -183,10 +182,9 @@ class TaxationRule(Frozen):
         dims = {a.dim for a, _ in entries}
         if len(dims) > 1:
             raise DimensionMismatch(f"mixed allocation dimensions: {sorted(dims)}")
-        allocs = [a for a, _ in entries]
-        for i, a in enumerate(allocs):
-            if a in allocs[:i]:
-                raise MechanismError("taxation entries must have distinct allocations")
+        probs = [a.probs.coords for a, _ in entries]
+        if any(p in probs[:i] for i, p in enumerate(probs)):
+            raise MechanismError("taxation entries must have distinct allocations")
         self._init(entries)
 
 
@@ -208,40 +206,50 @@ def apply_rule(rule: Rule, x: Vector) -> Allocation:
     return rule(x)
 
 
-def point_mass_index(allocation: Allocation) -> int:
-    """The k with allocation = e_k.  A nonnegative allocation summing to 1
-    with a coordinate 1 is that point mass; any other is a lottery."""
-    try:
-        return allocation.probs.coords.index(1)
-    except ValueError:
-        raise MechanismError(f"expected a point-mass allocation; got {allocation.probs}") from None
+def point_mass_index(allocation: Allocation, hint: int = 0) -> int | None:
+    """The k with allocation = e_k, or None for a lottery: a nonnegative
+    allocation summing to 1 is e_k iff k is its one nonzero coordinate.
+    The cached ``point_masses`` hold e_k's 1 as the shared ONE, found at
+    ``hint`` = k by identity, with no Fraction compared."""
+    coords = allocation.probs.coords
+    if hint < len(coords) and coords[hint] is ONE:
+        return hint
+    nonzero = [k for k, c in enumerate(coords) if c]
+    return nonzero[0] if len(nonzero) == 1 else None
 
 
-def point_mass_choice(rule: Rule) -> Callable[[Vector], int]:
-    """x -> the k with apply_rule(rule, x) = e_k; MechanismError for an x
-    that the rule gives a lottery.
+def point_mass_choice(rule: Rule) -> Callable[[Vector, int, Sequence[int]], int]:
+    """(x, scale, row) -> the k with apply_rule(rule, x) = e_k, where row is
+    x's coordinates as integers over scale; MechanismError for an x that
+    the rule gives a lottery.
 
-    A menu whose entries are all point masses is read once, here: each call
-    is then the first argmax of x_k - p_k over its n entries (ties as
-    ``best_entry`` breaks them), with no allocation valued.  Any other rule
-    is applied to x and its result checked.
+    A menu whose entries are all point masses is read once, here, its prices
+    as integers q over one denominator P: each call is then the first argmax
+    of row_k P - q scale, a positive multiple of x_k - p_k (ties to the
+    earliest entry, as ``best_entry`` breaks them), with no Fraction built.
+    Any other rule is applied to x and its result checked.
     """
-    if isinstance(rule, TaxationRule) and all(1 in a.probs.coords for a, _ in rule.entries):
-        probs = rule.entries[0][0].probs
-        indices = [point_mass_index(a) for a, _ in rule.entries]
-        prices = [p for _, p in rule.entries]
+    if isinstance(rule, TaxationRule):
+        indices = [point_mass_index(a, k) for k, (a, _) in enumerate(rule.entries)]
+        if None not in indices:
+            probs = rule.entries[0][0].probs
+            price_scale, (prices,) = _common_numerators([p for _, p in rule.entries])
+            entries = list(zip(indices, prices))
 
-        def choose_entry(x: Vector) -> int:
-            _check_dim(probs, x)
-            utilities = [x.coords[k] - p for k, p in zip(indices, prices)]
-            return indices[utilities.index(max(utilities))]
+            def choose_entry(x: Vector, scale: int, row: Sequence[int]) -> int:
+                _check_dim(probs, x)
+                utilities = [row[k] * price_scale - q * scale for k, q in entries]
+                return indices[utilities.index(max(utilities))]
 
-        return choose_entry
+            return choose_entry
 
-    def choose_applied(x: Vector) -> int:
+    def choose_applied(x: Vector, scale: int, row: Sequence[int]) -> int:
         received = apply_rule(rule, x)
         _check_dim(received.probs, x)
-        return point_mass_index(received)
+        k = point_mass_index(received)
+        if k is None:
+            raise MechanismError(f"expected a point-mass allocation; got {received.probs}")
+        return k
 
     return choose_applied
 
@@ -250,6 +258,7 @@ def is_truthful_with_verification(
     rule: Rule,
     verification: Callable[[Vector, Vector], bool],
     grid: Sequence[Vector],
+    table: tuple[int, Sequence[Sequence[int]]] | None = None,
 ) -> tuple[bool, tuple[Vector, Vector] | None]:
     """Check truthfulness on a finite grid of types, minus verified misreports.
 
@@ -262,19 +271,19 @@ def is_truthful_with_verification(
 
     The rule must give every grid type a point mass (MechanismError
     otherwise; entries or sides that no grid type receives may be
-    lotteries), so the value of e_k to theta is theta_k, read by index.
-    Each type's k is chosen once (``point_mass_choice``: a rule other than
-    a point-mass menu is applied once per grid point).  A type's better
-    indices, those k with theta_k above its own, are found once per
-    distinct received index, so each pair is one set lookup with no
-    Fraction built or compared.
+    lotteries), so the value of e_k to theta is theta_k, read by index from
+    the grid's ``_common_numerators`` table (``table``, or built here).
+    Each type's k is chosen once (``point_mass_choice``).  A type's better
+    indices, those k with row_k above its own, are found once per distinct
+    received index, so each pair is one set lookup with no Fraction built.
     """
-    indices = list(map(point_mass_choice(rule), grid))
+    scale, rows = table or _common_numerators(*[x.coords for x in grid])
+    choose = point_mass_choice(rule)
+    indices = [choose(x, scale, row) for x, row in zip(grid, rows)]
     received = set(indices)
-    for theta, own in zip(grid, indices):
-        coords = theta.coords
-        truthful_value = coords[own]
-        better = {k for k in received if coords[k] > truthful_value}
+    for theta, row, own in zip(grid, rows, indices):
+        truthful_value = row[own]
+        better = {k for k in received if row[k] > truthful_value}
         if not better:
             continue
         for reported, k in zip(grid, indices):

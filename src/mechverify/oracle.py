@@ -188,18 +188,18 @@ def construct_tie_witness(
         Allocation(Vector([Fraction(n, denominator) for n in row])) for row in (low, high)
     )
 
-    # The rule's normal is taken once; both reports are allocated on it.
-    normal = high.probs - low.probs
+    # theta values each allocation once; the gap is the price.  On the rule's
+    # one normal x must receive high and theta low.
+    gained, truthful = high.value_to(theta), low.value_to(theta)
     rule = SeparatingRule(
         a_i=high,
         a_j=low,
-        relative_price=normal.dot(theta),
+        relative_price=gained - truthful,
         tie_assignment=TieSide.TO_J,
     )
-    received = allocate_scored(rule, x, normal.dot(x))
-    gained = received.value_to(theta)
-    truthful = allocate_scored(rule, theta, rule.relative_price).value_to(theta)
-    if not (gained > truthful and received == high):
+    received = allocate_scored(rule, x, rule.normal.dot(x))
+    kept = allocate_scored(rule, theta, rule.relative_price)
+    if not (gained > truthful and received is high and kept is low):
         raise AssertionError("tie witness failed validation")
     return TieWitness(
         low=low,

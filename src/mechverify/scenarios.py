@@ -111,12 +111,14 @@ def distance_verification_blocks(
 
 
 def facility_preferred(agent_position, line: FacilityLine) -> Fraction | None:
-    """The nearer facility, or None when the agent is exactly between."""
+    """The nearer facility, or None when the agent is exactly between: the
+    sign of |z - g1| - |z - g2| is that of 2z - g1 - g2, wherever z sits."""
     z = frac(agent_position)
     left, right = line.locations
-    if abs(z - left) == abs(z - right):
+    side = 2 * z - left - right
+    if not side:
         return None
-    return right if abs(z - right) < abs(z - left) else left
+    return left if side < 0 else right
 
 
 def facility_harmless_test(agent_position, line: FacilityLine) -> Callable[[Fraction], bool]:

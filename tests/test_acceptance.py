@@ -394,8 +394,8 @@ def test_forward_deterministic_at_the_budgets_takes_under_half_a_second():
 
 def test_reverse_explicit_expectation_at_the_budgets_takes_under_two_seconds():
     # 64 dense allocations on one segment: the set is checked on one line
-    # once, each candidate's decisive pair is chosen once in O(n m), and
-    # the report is one halfspace test against it.
+    # once, each candidate's decisive pair is read off that line in
+    # O(n + m), and the report is one halfspace test against it.
     rng = random.Random(1117)
     p, q = (
         vec(*(Fraction(w, sum(ws)) for w in ws))

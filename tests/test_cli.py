@@ -604,8 +604,9 @@ query 0 5 0
 
 def test_explicit_allocation_queries_see_only_the_decisive_pair(monkeypatch):
     # The set is checked before any query, and its decisive pair is found
-    # once for the true type, not per query; every harmful query then asks
-    # the oracle about the pair alone, and no query asks the set's membership.
+    # once for the true type, by the check itself, not per query and not
+    # again in the setup; every harmful query then asks the oracle about the
+    # pair alone, and no query asks the set's membership.
     seen = []
     for name in ("decisive_pair", "search_beneficial_misreport"):
         original = getattr(cli, name)
@@ -630,7 +631,6 @@ def test_explicit_allocation_queries_see_only_the_decisive_pair(monkeypatch):
     assert [qr.member for qr in document.queries] == [True, False, True]
     pair = (scenario.allocations[1], scenario.allocations[0])
     assert seen == [
-        ("decisive_pair", scenario.allocations),
         ("decisive_pair", scenario.allocations),
         ("search_beneficial_misreport", pair),
     ]
@@ -1829,6 +1829,17 @@ def test_cli_rejects_with_exact_messages(verb, text, message, tmp_path, capsys):
     assert main([verb, "--scenario", str(scenario)]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", message)
+
+
+@pytest.mark.parametrize("verb, anchor", [("harmless", "theta"), ("harmful", "reported")])
+def test_one_coordinate_point_mass_scenario_is_refused(verb, anchor, tmp_path, capsys):
+    # One coordinate is one point mass: there is no pair for a rule to split,
+    # in either mode, however the point masses are read.
+    scenario = tmp_path / "s.scn"
+    scenario.write_text(f"scenario s\nclass deterministic\n{anchor} 1\nquery 2\n")
+    assert main([verb, "--scenario", str(scenario)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: need at least two allocations\n")
 
 
 def test_plot_refuses_a_bounds_box_without_area(tmp_path, capsys):

@@ -22,6 +22,7 @@ from mechverify.cli import (
     parse_scenario,
     render_regions,
     run_scenario,
+    run_verify,
     serialize_result,
 )
 from mechverify.geometry import (
@@ -33,6 +34,7 @@ from mechverify.geometry import (
     Hyperplane,
     Span,
     Vector,
+    _common_numerators,
     _vector,
     ones_vector,
     project_onto_span,
@@ -52,7 +54,16 @@ from mechverify.harmless import (
     point_mass_rule,
     tie_harmless_contains,
 )
-from mechverify.mechanisms import Allocation, MechanismError, TieSide, point_mass, point_masses
+from mechverify.mechanisms import (
+    Allocation,
+    MechanismError,
+    TaxationRule,
+    TieSide,
+    best_entry,
+    point_mass,
+    point_mass_choice,
+    point_masses,
+)
 from mechverify.oracle import search_beneficial_misreport
 
 FAMILIES = (SimplexFamily.FULL_SIMPLEX, SimplexFamily.SUBSIMPLEX_WITH_NULL)
@@ -460,6 +471,40 @@ def test_decisive_pair_answers_for_the_whole_set(case):
         assert rule_fields(rule) == rule_fields(expected)
 
 
+@st.composite
+def collinear_sets(draw):
+    """1-6 allocations a + t (b - a) over m <= 5 coordinates, t in quarters
+    and often repeated (tied levels), and theta: any type, a constant one,
+    or one orthogonal to b - a (u.theta = 0 then, and every level ties)."""
+    m = draw(st.integers(min_value=2, max_value=5))
+    weights = st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any)
+    a, b = (Vector(tuple(Fraction(w, sum(ws)) for w in ws)) for ws in draw(st.tuples(weights, weights)))
+    ts = draw(st.lists(st.sampled_from([Fraction(k, 4) for k in range(5)]), min_size=1, max_size=6))
+    allocations = tuple(Allocation(a.scale(1 - t) + b.scale(t)) for t in ts)
+    theta = draw(vectors(m, small))
+    shape = draw(st.sampled_from(["any", "constant", "orthogonal"]))
+    if shape == "constant":
+        theta = ones_vector(m).scale(draw(small))
+    elif shape == "orthogonal" and b != a:
+        u = b - a
+        theta = theta - u.scale(theta.dot(u) / u.dot(u))
+    return theta, allocations
+
+
+@given(collinear_sets())
+def test_the_line_scan_finds_the_decisive_pair(case):
+    # check_one_line's scan over t_k, from one dot product u.theta, names
+    # the same two allocations (by position) as valuing every one of them.
+    theta, allocations = case
+
+    def positions(pair):
+        if pair is None:
+            return None
+        return tuple(next(k for k, a in enumerate(allocations) if a is chosen) for chosen in pair)
+
+    assert positions(check_one_line(allocations)(theta)) == positions(decisive_pair(theta, allocations))
+
+
 # -- metamorphic properties ---------------------------------------------------
 
 
@@ -625,3 +670,82 @@ def test_reverse_point_masses_are_checked_once_per_scenario(monkeypatch):
     assert [q.member for q in document.queries] == [True] * 5 + [False]
     assert len(document.witnesses) == 5
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("anchor", ["theta", "reported"])
+def test_allocation_lines_are_checked_once(anchor, monkeypatch):
+    # _checked's point-mass check of the listed allocations serves the
+    # setup too, in either mode.
+    calls = []
+    check = harmless.point_mass_indices
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr("mechverify.harmless.point_mass_indices", counted)
+    monkeypatch.setattr("mechverify.cli.point_mass_indices", counted)
+    document = run_scenario(
+        parse_scenario(
+            f"scenario a\nclass deterministic\n{anchor} 0 1 2\n"
+            "allocation 0 0 1\nallocation 1 0 0\nquery 0 3 2\nquery 2 1 0\n"
+        )
+    )
+    assert len(document.queries) == 2
+    assert len(calls) == 1
+
+
+# -- the verify grid ----------------------------------------------------------
+
+
+def test_verify_dedupes_the_grid_on_integer_rows(monkeypatch):
+    # (0, 2/4, 0) is (0, 1/2, 0) written again: the grid keeps the first, so
+    # the violating true type (0, 1/2, 1) sits at grid position 2, not 3,
+    # and no Fraction is hashed to find that out.
+    scenario = parse_scenario(
+        "scenario g\nclass deterministic\ntheta 0 0 2\n"
+        "query 0 1/2 0\nquery 0 2/4 0\nquery 0 1/2 1\n"
+        "option rule_prices 0 1/4 1\n"
+    )
+    hashed = []
+    fraction_hash = Fraction.__hash__
+
+    def counted(self):
+        hashed.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    document = run_verify(scenario)
+    monkeypatch.undo()
+    assert hashed == []
+    assert ("truthful", "false") in document.summary
+    assert ("grid_size", "3") in document.summary
+    (witness,) = document.witnesses
+    assert witness.query_index == 2
+    assert witness.fields[:2] == (
+        ("true_type", "v", vec(0, Fraction(1, 2), 1)),
+        ("beneficial_report", "v", vec(0, 0, 2)),
+    )
+
+
+menu_values = st.sampled_from([Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)])
+
+
+@given(st.data())
+def test_integer_menu_choice_is_best_entrys(data):
+    # Prices over mixed denominators, drawn free or as x_k minus a shared
+    # utility, so that ties between entries are common: the first argmax on
+    # integers is the entry best_entry picks.
+    m = data.draw(st.integers(min_value=2, max_value=5))
+    x = data.draw(vectors(m, menu_values))
+    order = data.draw(st.permutations(range(m)))[: data.draw(st.integers(1, m))]
+    tied = data.draw(menu_values)
+    price = st.one_of(menu_values, st.just(None))
+    prices = [data.draw(price) for _ in order]
+    rule = TaxationRule(
+        tuple((point_mass(k, m), x[k] - tied if p is None else p) for k, p in zip(order, prices))
+    )
+    scale, (row,) = _common_numerators(x.coords)
+    allocation, _ = best_entry(rule, x)
+    assert point_mass_choice(rule)(x, scale, row) == allocation.probs.coords.index(1)
+

@@ -208,6 +208,20 @@ def facility_positions(draw):
 
 @settings(max_examples=300)
 @given(facility_positions())
+def test_facility_preferred_is_the_nearer_facility_by_distance(case):
+    # The definition, |z - g| for each facility, against the sign of
+    # 2z - g1 - g2, at the facilities, the midpoint and beyond either one.
+    line, z, _ = case
+    left, right = line.locations
+    if abs(z - left) == abs(z - right):
+        expected = None
+    else:
+        expected = left if abs(z - left) < abs(z - right) else right
+    assert facility_preferred(z, line) == expected
+
+
+@settings(max_examples=300)
+@given(facility_positions())
 def test_facility_harmless_matches_the_keenness_comparison(case):
     line, z, reported = case
     expected = keenness_facility_harmless(z, line, reported)

@@ -190,6 +190,19 @@ def test_fields_take_part_in_equality():
     assert overrides[Vector((0, 0))] == Allocation(vec(1, 0))
 
 
+def test_separating_rule_normal_is_derived_not_a_field():
+    # The normal is built once with the rule; equality, hashing, repr and
+    # copies run over the five declared fields alone.
+    built = rule(overrides={vec(0, 0): a0()})
+    assert built.normal == vec(-1, 1)
+    assert "normal" not in repr(built)
+    assert repr(built).endswith(f"overrides={built.overrides!r})")
+    assert pickle.loads(pickle.dumps(built)).normal == built.normal
+    assert copy.copy(built) == built and hash(copy.copy(built)) == hash(built)
+    with pytest.raises(AttributeError):
+        built.normal = vec(1, -1)
+
+
 def test_vector_still_coerces_and_rejects_empty():
     assert Vector(["1/2", 3]).coords == (Fraction(1, 2), Fraction(3))
     for build in (lambda: Vector(()), lambda: vec()):
