@@ -71,6 +71,7 @@ import sys
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import partial
+from math import gcd
 
 from .geometry import (
     ZERO,
@@ -90,7 +91,7 @@ from .geometry import (
 from .harmless import (
     PointMassRegion,
     SimplexFamily,
-    _point_mass_rule,
+    _point_mass_rules,
     check_null_coordinate,
     check_one_line,
     decisive_pair,
@@ -543,8 +544,8 @@ def _point_mass(
 ) -> Setup:
     """Every point-mass class: the point masses are checked once per
     scenario (``indices``, or here), and ``point_mass_rule``'s pass on their
-    indices decides and certifies each (theta, x) in closed form.  Forward
-    mode builds the harmless set's region from the same indices."""
+    indices, theta's side prepared once, decides and certifies each (theta,
+    x) in closed form.  Forward mode builds the region from the same indices."""
     anchor = scenario.anchor
     indices = indices or point_mass_indices(allocations, anchor.dim)
     region = None
@@ -553,11 +554,14 @@ def _point_mass(
     else:
         operation = "harmful_union_contains"
 
-    def certify(theta: Vector, x: Vector) -> Certificate | None:
-        rule = _point_mass_rule(theta, x, allocations, indices)
+    def certify(theta: Vector, rule_for: Callable, x: Vector) -> Certificate | None:
+        rule = rule_for(x)
         return None if rule is None else ("separating", _separating(rule, theta, x))
 
-    return operation, lambda theta: partial(certify, theta), region, summary
+    def prepare(theta: Vector) -> Certify:
+        return partial(certify, theta, _point_mass_rules(theta, allocations, indices))
+
+    return operation, prepare, region, summary
 
 
 def _setup_point_mass(scenario: Scenario, options: dict, indices: tuple | None = None) -> Setup:
@@ -711,16 +715,18 @@ def _setup_facility(scenario: Scenario, options: dict) -> Setup:
     kinds = [kind for listed in options.get("verification", ()) for kind in listed]
     allocations = point_masses(2)
 
-    def prepare(theta: Vector) -> Certify:
-        # theta's preferred facility, clamped position and type, once.
-        harmless = facility_harmless_test(theta[0], line)
+    def prepare(theta: Vector, preferred=...) -> Certify:
+        # theta's harmless test (on its preferred facility, found here unless
+        # given), type and levels, once.
+        harmless = facility_harmless_test(theta[0], line, _preferred=preferred)
         agent_type = facility_type(theta[0], line)
+        rule_for = _point_mass_rules(agent_type, allocations, (0, 1))
 
         def certify(x: Vector) -> Certificate | None:
             if harmless(x[0]):
                 return None
             report_type = facility_type(x[0], line)
-            rule = _point_mass_rule(agent_type, report_type, allocations, (0, 1))
+            rule = rule_for(report_type)
             fields = (("agent_type", "v", agent_type), ("report_type", "v", report_type))
             return "separating", fields + _separating(rule, agent_type, report_type)
 
@@ -728,16 +734,18 @@ def _setup_facility(scenario: Scenario, options: dict) -> Setup:
 
     summary = (("verifications", ",".join(kind.value for kind in kinds) or "none"),)
     if scenario.mode == "forward":
-        # Coverage and the preferred facility belong to the anchor's position.
+        # Coverage, the summary and the anchor's harmless test share the
+        # anchor's preferred facility, found once.
         position = scenario.anchor[0]
-        uncovered = facility_first_uncovered(position, line, kinds)
         preferred = facility_preferred(position, line)
+        uncovered = facility_first_uncovered(position, line, kinds, _preferred=preferred)
         summary = (
             ("covered", "true" if uncovered is None else "false"),
             ("preferred", "indifferent" if preferred is None else str(preferred)),
         ) + summary
         if uncovered is not None:
             summary += (("first_uncovered", str(uncovered)),)
+        prepare = partial(prepare, preferred=preferred)  # forward mode prepares the anchor alone
     return "facility_verification_covers", prepare, None, summary
 
 
@@ -898,23 +906,31 @@ def _verify_rule(dim: int, options: dict) -> Rule:
     return SeparatingRule(allocations[i], allocations[j], options["rule_price"], tie)
 
 
-def _verification(token: str, rule: Rule) -> Callable[[Vector, Vector], bool]:
-    """The predicate of a verification_kind other than ``harmless_complement``
-    (which ``run_verify`` answers by the theorem): is (true type, report)
-    caught?"""
+def _verification(token: str, rule: Rule) -> tuple[Callable[[Vector, Vector], bool], Callable]:
+    """(predicate, choose) for a verification_kind other than
+    ``harmless_complement`` (which ``run_verify`` answers by the theorem):
+    is (true type, report) caught, and ``point_mass_choice(rule)``, the one
+    read of the rule, for the grid pass.  ``no_overbid_on_received`` reads
+    back the entry the pass chose for the report."""
+    choose = point_mass_choice(rule)
     if token == "none":
-        return lambda true, reported: False
+        return (lambda true, reported: False), choose
     if token == "no_overbid":
-        return lambda true, reported: any(r > t for t, r in zip(true, reported))
+        return (lambda true, reported: any(r > t for t, r in zip(true, reported))), choose
+    chosen: dict[int, tuple[Vector, int]] = {}  # id(x) -> (x, k): x held, so its id stays x's
 
-    received_index = point_mass_choice(rule)
+    def record(x: Vector, scale: int, row: Sequence[int]) -> int:
+        chosen[id(x)] = x, choose(x, scale, row)
+        return chosen[id(x)][1]
 
     def overstates_received(true: Vector, reported: Vector) -> bool:  # no_overbid_on_received
-        scale, (row,) = _common_numerators(reported.coords)
-        k = received_index(reported, scale, row)  # e_k, worth x_k to type x
+        if id(reported) not in chosen:  # a report the pass has not chosen for
+            scale, (row,) = _common_numerators(reported.coords)
+            record(reported, scale, row)
+        k = chosen[id(reported)][1]  # e_k, worth x_k to type x
         return reported[k] > true[k]
 
-    return overstates_received
+    return overstates_received, record
 
 
 def run_verify(source: Scenario | str | os.PathLike[str]) -> ResultDocument:
@@ -947,9 +963,9 @@ def run_verify(source: Scenario | str | os.PathLike[str]) -> ResultDocument:
             raise MechanismError("need at least two allocations")
         truthful, violation = True, None
     else:
-        verification = _verification(token, rule)
+        verification, choose = _verification(token, rule)
         table = scale, list(first)  # the grid's rows
-        truthful, violation = is_truthful_with_verification(rule, verification, grid, table)
+        truthful, violation = is_truthful_with_verification(rule, verification, grid, table, choose)
     operation = "is_truthful_with_verification"
     witnesses: tuple[WitnessRecord, ...] = ()
     summary = [
@@ -1022,14 +1038,21 @@ def _witness_line(witness: WitnessRecord) -> str:
     return " ".join(tokens)
 
 
+def _offset_token(gap: int, scale: int) -> str:
+    """``str(Fraction(-gap, scale))`` from integers, gap and scale positive."""
+    common = gcd(gap, scale)
+    return f"-{gap // common}" + ("" if scale == common else f"/{scale // common}")
+
+
 def _pair_lines(region: PointMassRegion) -> list[str]:
     """The generic lines of ``region.halfspaces`` from the pairs alone: one
     zero row, 1 spliced in once per coordinate and -1 once per pair (normal
     coordinate k at character 2k), and each offset formatted once per gap."""
-    zeros = ",".join(["0"] * region.dim)
-    rows = [f"{zeros[:2 * k]}1{zeros[2 * k + 1:]}" for k in range(region.dim)]
+    dim = region.theta.dim
+    zeros = ",".join(["0"] * dim)
+    rows = [f"{zeros[:2 * k]}1{zeros[2 * k + 1:]}" for k in range(dim)]
     gaps = {g for *_, g in region.pairs}
-    tails = {g: f" offset={Fraction(-g, region.scale)} sense=strict" for g in gaps}
+    tails = {g: f" offset={_offset_token(g, region.scale)} sense=strict" for g in gaps}
     return [
         f"region_halfspace normal={rows[o][:2 * p]}-1{rows[o][2 * p + 1:]}{tails[g]}"
         for o, p, g in region.pairs
@@ -1044,16 +1067,17 @@ def serialize_result(document: ResultDocument) -> str:
         region = document.region
         if isinstance(region, PointMassRegion):
             body = _pair_lines(region)
+            extras = [region.theta]  # the one extra point, with no set built
         else:  # the generic rendering: every coordinate of every halfspace
             body = [
                 f"region_halfspace normal={_vector_token(hs.hyperplane.normal)} "
                 f"offset={hs.hyperplane.offset} sense={hs.sense.value}"
                 for hs in region.halfspaces
             ]
-        lines.append(f"region halfspaces={len(body)} extras={len(region.extra_points)}")
+            extras = sorted(region.extra_points, key=lambda p: p.coords)
+        lines.append(f"region halfspaces={len(body)} extras={len(extras)}")
         lines += body
-        for point in sorted(region.extra_points, key=lambda p: p.coords):
-            lines.append(f"region_extra {_vector_token(point)}")
+        lines += [f"region_extra {_vector_token(point)}" for point in extras]
     for qr in document.queries:
         lines.append(
             f"query {_vector_token(qr.query)} member={'true' if qr.member else 'false'}"

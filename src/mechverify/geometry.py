@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 RationalLike = Fraction | int | str
 
@@ -210,6 +210,20 @@ def _common_numerators(*rows: Sequence[Fraction]) -> tuple[int, list[list[int]]]
     operation per comparison."""
     scale = lcm(*{c.denominator for row in rows for c in row})
     return scale, [[c.numerator * (scale // c.denominator) for c in row] for row in rows]
+
+
+def _row_dot(scale: int, terms: Sequence[tuple[int, int]], coords: Sequence[Fraction]) -> Fraction:
+    """Sum of n * coords[k] / scale over a sparse integer row's terms (k, n),
+    as one Fraction: the products are summed as integers over a running
+    lcm of the denominators read, so no Fraction operation runs per term."""
+    total, common = 0, 1
+    for k, n in terms:
+        d = (c := coords[k]).denominator
+        if common % d:
+            grow = d // gcd(common, d)
+            total, common = total * grow, common * grow
+        total += n * c.numerator * (common // d)
+    return Fraction(total, scale * common)
 
 
 class Sense(Enum):

@@ -13,13 +13,11 @@ Three rule classes are characterised in closed form:
   x_o - x_p > theta_o - theta_p per pair with theta_p > theta_o, each
   carrying the true type as a boundary member.  ``PointMassRegion`` holds
   them (up to m(m-1)/2) as ranked pairs with integer level gaps over theta's
-  common denominator, and builds ``Halfspace`` values only when read.  One
-  O(m log m) pass over d = x - theta, grouped by theta's value levels,
-  answers both questions: is x harmless, and if not, which rule shows it
-  (``point_mass_rule``: the oracle's pair), with no region built, for
-  either role of the pair (theta, x).  ``point_mass_indices`` is the one
-  check that the allocations are distinct point masses; a caller that runs
-  it once passes its indices to the pass and to ``deterministic_harmless``;
+  common denominator, and builds ``Halfspace`` values only when read.  With
+  theta's levels ordered once (``_level_order``), one O(m) pass over
+  d = x - theta answers both questions for each x: is it harmless, and if
+  not, which rule shows it (``point_mass_rule``: the oracle's pair), with
+  no region built.  ``point_mass_indices`` checks the allocations once;
 * all truthful-in-expectation rules over a simplex of randomized allocations,
   where x is harmless iff its projection onto the difference span is a
   scaling of theta's by a factor at most one.  Over the two simplex
@@ -34,12 +32,13 @@ Three rule classes are characterised in closed form:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import inf
-from operator import mul
+from operator import itemgetter, mul
 
 from .geometry import (
     MINUS_ONE,
@@ -113,18 +112,23 @@ class HarmlessResult(Frozen):
 class PointMassRegion(Frozen):
     """A deterministic harmless region: x_other - x_preferred > -gap / scale
     for each ranked pair (other, preferred, gap), gap an integer level gap of
-    theta, plus theta in ``extra_points``.  ``halfspaces`` builds on read."""
+    theta, plus theta as the one extra point.  ``halfspaces`` and
+    ``extra_points`` build on read."""
 
-    __slots__ = ("dim", "scale", "pairs", "extra_points")
+    __slots__ = ("theta", "scale", "pairs")
 
-    def __init__(self, dim: int, scale: int, pairs: tuple, extra_points: frozenset) -> None:
-        self._init(dim, scale, pairs, extra_points)
+    def __init__(self, theta: Vector, scale: int, pairs: tuple) -> None:
+        self._init(theta, scale, pairs)
+
+    @property
+    def extra_points(self) -> frozenset:
+        return frozenset({self.theta})
 
     @property
     def halfspaces(self) -> tuple[Halfspace, ...]:
         # Each offset once per gap; each normal of the shared unit constants.
         offsets = {gap: Fraction(-gap, self.scale) for gap in {gap for *_, gap in self.pairs}}
-        zeros, halves = [ZERO] * self.dim, []
+        zeros, halves = [ZERO] * self.theta.dim, []
         for other, preferred, gap in self.pairs:
             normal = zeros.copy()
             normal[other], normal[preferred] = ONE, MINUS_ONE
@@ -175,30 +179,30 @@ def deterministic_harmless(
     """
     if indices is None:
         indices = point_mass_indices(allocations, theta.dim)
-    scale, (levels,) = _common_numerators([theta[i] for i in indices])
+    _, scale, levels, *_ = prepared = _level_order(theta, indices)
     pairs = tuple(
         (j, i, a - b) if a > b else (i, j, b - a)
         for (i, a), (j, b) in combinations(zip(indices, levels), 2) if a != b
     )
-    region = PointMassRegion(theta.dim, scale, pairs, frozenset({theta}))
+    region = PointMassRegion(theta, scale, pairs)
 
     def contains(x: Vector) -> bool:
         if x.dim != theta.dim:
             raise DimensionMismatch(f"type dims {theta.dim} vs {x.dim}")
-        return x == theta or _beneficial_pair(theta, x, indices) is None
+        return x == theta or _beneficial_pair(prepared, x) is None
 
     return HarmlessResult(contains, region)
 
 
 def point_mass_indices(allocations: Sequence[Allocation], dim: int) -> tuple[int, ...]:
     """Each allocation's coordinate, once each is checked to be a point mass
-    of dimension ``dim``, there are at least two and they are distinct;
-    O(m) on ``point_masses(dim)``, whose e_k sits at position k."""
+    of dimension ``dim`` (read off its integer row), there are at least two
+    and they are distinct; O(m)."""
     indices = []
-    for position, a in enumerate(allocations):
+    for a in allocations:
         if a.dim != dim:
             raise DimensionMismatch(f"allocation dim {a.dim} vs type dim {dim}")
-        k = point_mass_index(a, position)
+        k = point_mass_index(a)
         if k is None:
             raise MechanismError(
                 f"deterministic harmless sets are over point-mass allocations; got {a.probs}"
@@ -211,21 +215,31 @@ def point_mass_indices(allocations: Sequence[Allocation], dim: int) -> tuple[int
     return tuple(indices)
 
 
-def _beneficial_pair(theta: Vector, x: Vector, indices: Sequence[int]) -> tuple | None:
-    """``point_mass_rule``'s pair as positions (p, o) in ``indices``, with
-    whether d_p == d_o, or None.  One pass: sorted by theta's value level,
-    the running minimum of d where a level begins is the smallest d below
-    it, and p is the first position whose d reaches that floor.  Values are
-    integers over one common denominator (``_common_numerators``): they
-    order as the rationals do, without a Fraction operation per comparison."""
-    _, (levels, reports) = _common_numerators([theta[i] for i in indices], [x[i] for i in indices])
-    shifts = [r - t for r, t in zip(reports, levels)]
-    below, running = {}, inf
-    for level, d in sorted(zip(levels, shifts)):
-        below.setdefault(level, running)
-        running = min(running, d)
-    for p, (level, d) in enumerate(zip(levels, shifts)):
-        if d >= below[level]:
+def _level_order(theta: Vector, indices: Sequence[int]) -> tuple:
+    """theta's side of ``_beneficial_pair``, once per true type: (pick,
+    scale, levels, order, starts).  pick reads the coordinates at
+    ``indices``, levels are theta's there over their lcm scale, and
+    order[:starts[p]] are the positions theta values below p."""
+    pick = itemgetter(*indices)
+    scale, (levels,) = _common_numerators(pick(theta.coords))
+    order = sorted(range(len(levels)), key=levels.__getitem__)
+    ranked = [levels[p] for p in order]
+    return pick, scale, levels, order, [bisect_left(ranked, level) for level in levels]
+
+
+def _beneficial_pair(prepared: tuple, x: Vector) -> tuple | None:
+    """``point_mass_rule``'s pair as positions (p, o) in the indices, with
+    whether d_p == d_o, or None, for theta's ``_level_order``.  One O(m)
+    pass, no sort: d = x - theta as integers over both denominators; the
+    running minimum of d in level order, read where p's level begins, is
+    the smallest d below p, and p is the first position reaching it."""
+    pick, scale, levels, order, starts = prepared
+    x_scale, (reports,) = _common_numerators(pick(x.coords))
+    shifts = [r * scale - t * x_scale for r, t in zip(reports, levels)]
+    floors = [inf, *accumulate([shifts[p] for p in order], min)]
+    for p, (d, start) in enumerate(zip(shifts, starts)):
+        if d >= floors[start]:
+            level = levels[p]
             o = next(o for o, (lo, do) in enumerate(zip(levels, shifts)) if lo < level and do <= d)
             return p, o, d == shifts[o]
     return None
@@ -240,7 +254,7 @@ def point_mass_rule(
     x_p - x_o = theta_p - theta_o, so with d = x - theta a report beats the
     truth exactly when some pair has theta_p > theta_o and d_p >= d_o.  The
     first such (preferred, other) pair in the given order, found by one
-    O(m log m) pass over d grouped by theta's value levels, is split at
+    O(m) pass over d grouped by theta's value levels, is split at
     theta_p - theta_o, boundary to the preferred side, with theta pinned to
     the worse allocation and, when d_p == d_o, x to the better: the rule
     ``oracle.search_beneficial_misreport`` returns.
@@ -252,17 +266,30 @@ def _point_mass_rule(
     theta: Vector, x: Vector, allocations: Sequence[Allocation], indices: Sequence[int]
 ) -> SeparatingRule | None:
     """``point_mass_rule`` on indices ``point_mass_indices`` has returned."""
-    if x.dim != theta.dim:
-        raise DimensionMismatch(f"type dims {theta.dim} vs {x.dim}")
-    pair = None if x == theta else _beneficial_pair(theta, x, indices)
-    if pair is None:
-        return None
-    p, o, on_boundary = pair
-    overrides = ((theta, allocations[o]),)
-    if on_boundary:
-        overrides += ((x, allocations[p]),)
-    price = theta[indices[p]] - theta[indices[o]]
-    return SeparatingRule(allocations[p], allocations[o], price, TieSide.TO_I, overrides)
+    return _point_mass_rules(theta, allocations, indices)(x)
+
+
+def _point_mass_rules(
+    theta: Vector, allocations: Sequence[Allocation], indices: Sequence[int]
+) -> Callable[[Vector], SeparatingRule | None]:
+    """``_point_mass_rule`` for one theta and any x: theta's levels and their
+    order (``_level_order``) are found here, once."""
+    _, scale, levels, *_ = prepared = _level_order(theta, indices)
+
+    def rule(x: Vector) -> SeparatingRule | None:
+        if x.dim != theta.dim:
+            raise DimensionMismatch(f"type dims {theta.dim} vs {x.dim}")
+        pair = None if x == theta else _beneficial_pair(prepared, x)
+        if pair is None:
+            return None
+        p, o, on_boundary = pair
+        overrides = ((theta, allocations[o]),)
+        if on_boundary:
+            overrides += ((x, allocations[p]),)
+        price = Fraction(levels[p] - levels[o], scale)
+        return SeparatingRule(allocations[p], allocations[o], price, TieSide.TO_I, overrides)
+
+    return rule
 
 
 def check_null_coordinate(*types: Vector) -> None:

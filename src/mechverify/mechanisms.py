@@ -15,9 +15,9 @@ involves money.  The grid check ``is_truthful_with_verification`` takes
 rules that give every type a point mass e_k, whose value to a type x is
 x_k: it reads that value by index, in integers, not by valuing e_k.
 
-Every :class:`Allocation` -- parsed, built by the oracle or a point mass --
-passes one check: its probabilities, as integers over their common
-denominator (``geometry._common_numerators``), lie in [0, 1] and sum to 1.
+Every :class:`Allocation` passes one check: its probabilities, as integers
+over their common denominator (``geometry._common_numerators``), lie in
+[0, 1] and sum to 1; it keeps those integers as its row, and is valued on it.
 """
 
 from __future__ import annotations
@@ -26,15 +26,17 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .geometry import (
-    ONE,
     DimensionMismatch,
     Frozen,
     RationalLike,
     Vector,
     _check_dim,
     _common_numerators,
+    _row_dot,
+    _vector,
     frac,
     unit_vector,
 )
@@ -65,9 +67,12 @@ class AssignmentSet(Frozen):
 
 
 class Allocation(Frozen):
-    """A probability distribution over assignments (point mass = deterministic)."""
+    """A probability distribution over assignments (point mass = deterministic).
 
-    __slots__ = ("probs",)
+    ``row``, a slot outside the fields, keeps the check's integers: (scale,
+    terms), the nonzero probabilities as terms (k, n) with n / scale = p_k."""
+
+    __slots__ = ("probs", "row")
 
     def __init__(self, probs: Vector) -> None:
         # Each probability is n / scale: in [0, 1] iff 0 <= n <= scale.
@@ -82,15 +87,19 @@ class Allocation(Frozen):
             raise MechanismError(
                 f"allocation probabilities sum to {Fraction(total, scale)}, not 1"
             )
-        self._init(probs)
+        self._init(probs, (scale, tuple([(k, n) for k, n in enumerate(numerators) if n])))
+
+    def _fields(self) -> tuple:
+        return (self.probs,)
 
     @property
     def dim(self) -> int:
         return self.probs.dim
 
     def value_to(self, theta: Vector) -> Fraction:
-        """Expected value of this allocation to a type."""
-        return self.probs.dot(theta)
+        """Expected value to a type, off the integer row (a point mass: one term)."""
+        _check_dim(self.probs, theta)
+        return _row_dot(*self.row, theta.coords)
 
 
 def point_mass(index: int, dim: int) -> Allocation:
@@ -118,10 +127,12 @@ class SeparatingRule(Frozen):
     The hyperplane is (a_i - a_j) . x = relative_price.  ``overrides`` pins
     distinct boundary points to either allocation as (point, target) pairs,
     hashing none (a mapping gives its items); others get ``tie_assignment``.
-    ``normal`` = a_i - a_j is built once, in a slot outside the fields.
+    a_i - a_j is kept as (scale, terms), the two allocations' integer rows
+    merged, in a slot outside the fields, and x is scored on those terms;
+    ``normal`` builds the Vector on read.
     """
 
-    __slots__ = ("a_i", "a_j", "relative_price", "tie_assignment", "overrides", "normal")
+    __slots__ = ("a_i", "a_j", "relative_price", "tie_assignment", "overrides", "difference")
 
     def __init__(
         self,
@@ -134,12 +145,19 @@ class SeparatingRule(Frozen):
         relative_price = frac(relative_price)
         if a_i.dim != a_j.dim:
             raise DimensionMismatch(f"allocation dimensions {a_i.dim} vs {a_j.dim}")
-        if a_i == a_j:
+        if a_i.row == a_j.row:  # equal rows are equal allocations
             raise MechanismError("separating rule needs two distinct allocations")
         overrides = tuple(overrides.items() if isinstance(overrides, Mapping) else overrides)
-        self._init(a_i, a_j, relative_price, tie_assignment, overrides, a_i.probs - a_j.probs)
+        (scale_i, terms_i), (scale_j, terms_j) = a_i.row, a_j.row
+        scale = lcm(scale_i, scale_j)
+        merged = {k: n * (scale // scale_i) for k, n in terms_i}
+        for k, n in terms_j:
+            merged[k] = merged.get(k, 0) - n * (scale // scale_j)
+        terms = tuple([(k, n) for k, n in merged.items() if n])
+        self._init(a_i, a_j, relative_price, tie_assignment, overrides, (scale, terms))
         for k, (point, target) in enumerate(overrides):
-            if self.normal.dot(point) != relative_price:
+            _check_dim(a_i.probs, point)
+            if _row_dot(scale, terms, point.coords) != relative_price:
                 raise MechanismError(f"override point {point} is off the boundary")
             if target not in (a_i, a_j):
                 raise MechanismError("override target must be one of the rule's pair")
@@ -149,14 +167,17 @@ class SeparatingRule(Frozen):
     def _fields(self) -> tuple:
         return self.a_i, self.a_j, self.relative_price, self.tie_assignment, self.overrides
 
+    @property
+    def normal(self) -> Vector:
+        """a_i - a_j, built from the integer terms."""
+        scale, terms = self.difference
+        numerators = dict(terms)
+        return _vector(tuple([Fraction(numerators.get(k, 0), scale) for k in range(self.a_i.dim)]))
+
 
 def allocate_separating(rule: SeparatingRule, x: Vector) -> Allocation:
-    return allocate_scored(rule, x, rule.normal.dot(x))
-
-
-def allocate_scored(rule: SeparatingRule, x: Vector, s: Fraction) -> Allocation:
-    """``allocate_separating`` for a caller that already has x's score
-    s = rule.normal . x."""
+    _check_dim(rule.a_i.probs, x)
+    s = _row_dot(*rule.difference, x.coords)  # x's score, (a_i - a_j) . x
     if s > rule.relative_price:
         return rule.a_i
     if s < rule.relative_price:
@@ -182,8 +203,7 @@ class TaxationRule(Frozen):
         dims = {a.dim for a, _ in entries}
         if len(dims) > 1:
             raise DimensionMismatch(f"mixed allocation dimensions: {sorted(dims)}")
-        probs = [a.probs.coords for a, _ in entries]
-        if any(p in probs[:i] for i, p in enumerate(probs)):
+        if len({a.row for a, _ in entries}) < len(entries):  # equal rows, equal allocations
             raise MechanismError("taxation entries must have distinct allocations")
         self._init(entries)
 
@@ -206,16 +226,11 @@ def apply_rule(rule: Rule, x: Vector) -> Allocation:
     return rule(x)
 
 
-def point_mass_index(allocation: Allocation, hint: int = 0) -> int | None:
-    """The k with allocation = e_k, or None for a lottery: a nonnegative
-    allocation summing to 1 is e_k iff k is its one nonzero coordinate.
-    The cached ``point_masses`` hold e_k's 1 as the shared ONE, found at
-    ``hint`` = k by identity, with no Fraction compared."""
-    coords = allocation.probs.coords
-    if hint < len(coords) and coords[hint] is ONE:
-        return hint
-    nonzero = [k for k, c in enumerate(coords) if c]
-    return nonzero[0] if len(nonzero) == 1 else None
+def point_mass_index(allocation: Allocation) -> int | None:
+    """The k with allocation = e_k, or None for a lottery: a point mass is
+    the one allocation whose integer row has a single term."""
+    _, terms = allocation.row
+    return terms[0][0] if len(terms) == 1 else None
 
 
 def point_mass_choice(rule: Rule) -> Callable[[Vector, int, Sequence[int]], int]:
@@ -230,7 +245,7 @@ def point_mass_choice(rule: Rule) -> Callable[[Vector, int, Sequence[int]], int]
     Any other rule is applied to x and its result checked.
     """
     if isinstance(rule, TaxationRule):
-        indices = [point_mass_index(a, k) for k, (a, _) in enumerate(rule.entries)]
+        indices = [point_mass_index(a) for a, _ in rule.entries]
         if None not in indices:
             probs = rule.entries[0][0].probs
             price_scale, (prices,) = _common_numerators([p for _, p in rule.entries])
@@ -259,6 +274,7 @@ def is_truthful_with_verification(
     verification: Callable[[Vector, Vector], bool],
     grid: Sequence[Vector],
     table: tuple[int, Sequence[Sequence[int]]] | None = None,
+    choose: Callable[[Vector, int, Sequence[int]], int] | None = None,
 ) -> tuple[bool, tuple[Vector, Vector] | None]:
     """Check truthfulness on a finite grid of types, minus verified misreports.
 
@@ -273,12 +289,12 @@ def is_truthful_with_verification(
     otherwise; entries or sides that no grid type receives may be
     lotteries), so the value of e_k to theta is theta_k, read by index from
     the grid's ``_common_numerators`` table (``table``, or built here).
-    Each type's k is chosen once (``point_mass_choice``).  A type's better
-    indices, those k with row_k above its own, are found once per distinct
-    received index, so each pair is one set lookup with no Fraction built.
+    Each type's k is chosen once, by ``choose`` (or ``point_mass_choice``).
+    A type's better indices, those k with row_k above its own, are found
+    once per distinct received index: each pair is one set lookup.
     """
     scale, rows = table or _common_numerators(*[x.coords for x in grid])
-    choose = point_mass_choice(rule)
+    choose = choose or point_mass_choice(rule)
     indices = [choose(x, scale, row) for x, row in zip(grid, rows)]
     received = set(indices)
     for theta, row, own in zip(grid, rows, indices):

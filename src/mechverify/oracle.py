@@ -23,7 +23,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
 
-from .geometry import Frozen, Vector
+from .geometry import Frozen, Vector, _vector
 from .harmless import (
     SimplexFamily,
     _dot,
@@ -35,7 +35,6 @@ from .mechanisms import (
     MechanismError,
     SeparatingRule,
     TieSide,
-    allocate_scored,
     allocate_separating,
 )
 
@@ -83,18 +82,10 @@ def search_beneficial_misreport(
             overrides = ((theta, other),)
             if gain == boundary_level:
                 overrides += ((x, preferred),)
-            rule = SeparatingRule(
-                a_i=preferred,
-                a_j=other,
-                relative_price=boundary_level,
-                tie_assignment=TieSide.TO_I,
-                overrides=overrides,
-            )
+            rule = SeparatingRule(preferred, other, boundary_level, TieSide.TO_I, overrides)
             gained, truthful = rule_benefit(rule, theta, x)
             if not gained > truthful:
-                raise AssertionError(
-                    f"witness failed validation: {gained} <= {truthful}"
-                )
+                raise AssertionError(f"witness failed validation: {gained} <= {truthful}")
             return rule
     return None
 
@@ -185,29 +176,18 @@ def construct_tie_witness(
         low = [denominator - sum(low_tail), *low_tail]
         high = [denominator - sum(high_tail), *high_tail]
     low, high = (
-        Allocation(Vector([Fraction(n, denominator) for n in row])) for row in (low, high)
+        Allocation(_vector(tuple([Fraction(n, denominator) for n in row]))) for row in (low, high)
     )
 
-    # theta values each allocation once; the gap is the price.  On the rule's
-    # one normal x must receive high and theta low.
+    # theta values each allocation once; the gap is the price.  Scored on the
+    # rule's integer terms, x must receive high and theta low.
     gained, truthful = high.value_to(theta), low.value_to(theta)
-    rule = SeparatingRule(
-        a_i=high,
-        a_j=low,
-        relative_price=gained - truthful,
-        tie_assignment=TieSide.TO_J,
-    )
-    received = allocate_scored(rule, x, rule.normal.dot(x))
-    kept = allocate_scored(rule, theta, rule.relative_price)
+    rule = SeparatingRule(high, low, gained - truthful, TieSide.TO_J)
+    received = allocate_separating(rule, x)
+    kept = allocate_separating(rule, theta)
     if not (gained > truthful and received is high and kept is low):
         raise AssertionError("tie witness failed validation")
-    return TieWitness(
-        low=low,
-        high=high,
-        rule=rule,
-        gained_value=gained,
-        truthful_value=truthful,
-    )
+    return TieWitness(low, high, rule, gained, truthful)
 
 
 def grid_harmless(

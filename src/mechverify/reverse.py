@@ -5,7 +5,7 @@ report under a rule when the report's allocation beats the candidate's own,
 valued by the candidate.  Against a whole family the union (some rule
 benefits) is what verification must rule out; by symmetry of the benefit
 relation the report is in it exactly when it lies outside the candidate's
-forward harmless set, which ``point_mass_rule``'s O(m log m) pass decides
+forward harmless set, which ``point_mass_rule``'s O(m) pass decides
 without building the set's region.
 """
 

@@ -24,6 +24,9 @@ class VerificationKind(Enum):
     DIRECTION_IMPOSING = "direction_imposing"
 
 
+_ALL_KINDS = frozenset(VerificationKind)
+
+
 def second_price_harmful_contains(
     reported_value,
     threshold,
@@ -121,7 +124,9 @@ def facility_preferred(agent_position, line: FacilityLine) -> Fraction | None:
     return left if side < 0 else right
 
 
-def facility_harmless_test(agent_position, line: FacilityLine) -> Callable[[Fraction], bool]:
+def facility_harmless_test(
+    agent_position, line: FacilityLine, *, _preferred=...
+) -> Callable[[Fraction], bool]:
     """``facility_harmless_position`` for one agent: the preferred facility
     and the agent's clamped position are worked out once, and each reported
     position then costs one clamp and one comparison.
@@ -133,10 +138,11 @@ def facility_harmless_test(agent_position, line: FacilityLine) -> Callable[[Frac
     With c(y) the position y clamped to [g1, g2], a position's keenness for
     the other facility, |y - g*| - |y - g_other|, is 2 c(y) - g1 - g2 when
     g* = g1 and its negative when g* = g2.  So the report r is harmless iff
-    c(r) >= c(z) (g* = g1) or c(r) <= c(z) (g* = g2).
+    c(r) >= c(z) (g* = g1) or c(r) <= c(z) (g* = g2).  A caller that has
+    found g* (``facility_preferred``) passes it as ``_preferred``.
     """
     z = frac(agent_position)
-    preferred = facility_preferred(z, line)
+    preferred = facility_preferred(z, line) if _preferred is ... else _preferred
     left, right = line.locations
     clamped_agent = min(max(z, left), right)
     if preferred is None:
@@ -155,6 +161,8 @@ def facility_first_uncovered(
     agent_position,
     line: FacilityLine,
     verifications: Iterable[VerificationKind],
+    *,
+    _preferred=...,
 ) -> Fraction | None:
     """Smallest decisive position that could help the agent yet evades every
     verification, or None when the verifications cover every position.
@@ -175,13 +183,14 @@ def facility_first_uncovered(
     kinds leave [mirror, inf) and (z, g2].  The position returned is the
     smallest probe in that set, the probes being B = {g1, g2, z, mirror},
     the midpoints of its gaps and min B - 1, max B + 1: g1 or mirror - 1
-    when g* = g1, mirror or (z + g2)/2 when g* = g2.
+    when g* = g1, mirror or (z + g2)/2 when g* = g2.  A caller that has
+    found g* (``facility_preferred``) passes it as ``_preferred``.
     """
     z = frac(agent_position)
     kinds = set(verifications)
-    preferred = facility_preferred(z, line)
+    preferred = facility_preferred(z, line) if _preferred is ... else _preferred
     left, right = line.locations
-    if preferred is None or not left < z < right or kinds >= set(VerificationKind):
+    if preferred is None or not left < z < right or kinds >= _ALL_KINDS:
         return None
     mirror = 2 * preferred - z
     if preferred == left:

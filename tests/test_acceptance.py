@@ -360,7 +360,7 @@ def timed_run(text, run=run_scenario):
 
 
 def test_reverse_deterministic_at_the_budgets_takes_under_two_seconds():
-    # Each candidate's membership is one O(m log m) pass: no candidate's
+    # Each candidate's membership is one O(m) pass: no candidate's
     # m(m-1)/2 halfspaces are built.
     rng = random.Random(1117)
     reported = budget_type(rng)
@@ -377,7 +377,7 @@ def test_reverse_deterministic_at_the_budgets_takes_under_two_seconds():
 def test_forward_deterministic_at_the_budgets_takes_under_half_a_second():
     # The region's m(m-1)/2 halfspaces are held as ranked pairs and printed
     # from them; half the queries are harmless scalings of theta, and each
-    # other query is one O(m log m) pass with a certificate.
+    # other query is one O(m) pass with a certificate.
     rng = random.Random(1117)
     theta = budget_type(rng)
     half = cli.MAX_QUERIES // 2

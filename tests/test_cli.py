@@ -1281,7 +1281,7 @@ def test_harmless_complement_runs_no_grid_search(monkeypatch, tmp_path, capsys):
         raise AssertionError("verify searched the grid")
 
     monkeypatch.setattr(cli, "is_truthful_with_verification", refuse)
-    monkeypatch.setattr(cli, "_point_mass_rule", refuse)
+    monkeypatch.setattr(cli, "_point_mass_rules", refuse)
     text = (SCENARIO_DIR / "menu_check.scn").read_text()
     guarded = parse_scenario(text + "option verification_kind harmless_complement\n")
     document = run_verify(guarded)
@@ -1865,3 +1865,63 @@ def test_cli_repeat_runs_are_byte_identical(tmp_path, cli_env):
     svg2 = run_cli(["plot", "--scenario", "pair.scn", "--axes", "1,2"], tmp_path, cli_env)
     assert svg1.returncode == svg2.returncode == 0
     assert svg1.stdout == svg2.stdout
+
+
+def test_facility_scenarios_find_each_preferred_facility_once(monkeypatch):
+    # Forward: coverage, the summary and the anchor's harmless test share
+    # one facility_preferred call, and no call iterates VerificationKind;
+    # reverse: one call per candidate position.
+    calls, iterated = [], []
+    preferred = scenarios.facility_preferred
+    enum_iter = type(scenarios.VerificationKind).__iter__
+
+    def counted(*args):
+        calls.append(args)
+        return preferred(*args)
+
+    def counted_iter(cls):
+        if cls is scenarios.VerificationKind:
+            iterated.append(cls)
+        return enum_iter(cls)
+
+    monkeypatch.setattr(scenarios, "facility_preferred", counted)
+    monkeypatch.setattr(cli, "facility_preferred", counted)
+    monkeypatch.setattr(type(scenarios.VerificationKind), "__iter__", counted_iter)
+    text = (SCENARIO_DIR / "two_facilities.scn").read_text()
+    document = run_scenario(parse_scenario(text))
+    assert len(calls) == 1 and iterated == []
+    assert ("preferred", "0") in document.summary and ("covered", "true") in document.summary
+    assert [q.member for q in document.queries] == [True, True, False]
+    calls.clear()
+    reverse = text.replace("theta 1/2", "reported 1/4")
+    document = run_scenario(parse_scenario(reverse))
+    assert len(calls) == len(document.queries) == 3 and iterated == []
+
+
+def test_received_overbid_check_reads_the_menu_once(monkeypatch):
+    # The grid pass chooses each type's entry once, and the predicate reads
+    # the report's entry back instead of choosing it again.
+    reads, choices = [], []
+    choice = cli.point_mass_choice
+
+    def counted(rule):
+        reads.append(rule)
+        choose = choice(rule)
+
+        def counted_choose(x, scale, row):
+            choices.append(x)
+            return choose(x, scale, row)
+
+        return counted_choose
+
+    monkeypatch.setattr(cli, "point_mass_choice", counted)
+    monkeypatch.setattr("mechverify.mechanisms.point_mass_choice", counted)
+    text = (
+        "scenario v\nclass deterministic\ntheta 0 1/4 1\noption rule_prices 0 1/4 1\n"
+        "option verification_kind no_overbid_on_received\n"
+        "query 0 1/2 3/2\nquery 0 0 0\nquery 0 1 2\nquery 0 2 1\nquery 0 1/3 1/2\n"
+    )
+    document = run_verify(parse_scenario(text))
+    assert len(reads) == 1
+    assert len(choices) == int(dict(document.summary)["grid_size"]) == 6
+    assert ("truthful", "true") in document.summary

@@ -10,14 +10,16 @@ point-mass certificates.
 
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mechverify import harmless
+from mechverify import harmless, mechanisms
 from mechverify.cli import (
     ResultDocument,
+    _offset_token,
     _vector_token,
     parse_scenario,
     render_regions,
@@ -57,8 +59,10 @@ from mechverify.harmless import (
 from mechverify.mechanisms import (
     Allocation,
     MechanismError,
+    SeparatingRule,
     TaxationRule,
     TieSide,
+    allocate_separating,
     best_entry,
     point_mass,
     point_mass_choice,
@@ -66,6 +70,7 @@ from mechverify.mechanisms import (
 )
 from mechverify.oracle import search_beneficial_misreport
 
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 FAMILIES = (SimplexFamily.FULL_SIMPLEX, SimplexFamily.SUBSIMPLEX_WITH_NULL)
 
 dims = st.integers(min_value=2, max_value=8)
@@ -749,3 +754,126 @@ def test_integer_menu_choice_is_best_entrys(data):
     allocation, _ = best_entry(rule, x)
     assert point_mass_choice(rule)(x, scale, row) == allocation.probs.coords.index(1)
 
+
+
+# -- prepared true types and integer rows ------------------------------------
+
+
+def sorted_pass(theta, x, indices):
+    """The sort-based pass the prepared one replaced, kept as its oracle:
+    theta's and x's values over one joint denominator, d = x - theta sorted
+    by theta's level for every report, the running minimum of d where a
+    level begins taken as the smallest d below it."""
+    _, (levels, reports) = _common_numerators([theta[i] for i in indices], [x[i] for i in indices])
+    shifts = [r - t for r, t in zip(reports, levels)]
+    below, running = {}, None
+    for level, d in sorted(zip(levels, shifts)):
+        below.setdefault(level, running)
+        running = d if running is None else min(running, d)
+    for p, (level, d) in enumerate(zip(levels, shifts)):
+        if below[level] is not None and d >= below[level]:
+            o = next(o for o, (lo, do) in enumerate(zip(levels, shifts)) if lo < level and do <= d)
+            return p, o, d == shifts[o]
+    return None
+
+
+@given(st.data())
+def test_prepared_pair_matches_the_sorted_pass(data):
+    # One theta on few tied levels over mixed denominators, prepared once,
+    # against several reports: free ones, x = theta + c*1 (every pair on
+    # its boundary) and near ones, over the point masses or a subset.
+    m = data.draw(st.integers(min_value=2, max_value=9))
+    tied = st.sampled_from([Fraction(-1, 2), Fraction(1, 3), Fraction(3, 4)])
+    theta = data.draw(vectors(m, st.one_of(tied, mixed)))
+    order = data.draw(st.permutations(range(m)))
+    indices = tuple(order[: data.draw(st.integers(min_value=2, max_value=m))])
+    prepared = harmless._level_order(theta, indices)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        shape = data.draw(st.sampled_from(["free", "shift", "near"]))
+        if shape == "free":
+            x = data.draw(vectors(m, mixed))
+        elif shape == "shift":
+            x = theta + ones_vector(m).scale(data.draw(mixed))
+        else:
+            steps = st.sampled_from([Fraction(-1, 3), ZERO, Fraction(1, 2)])
+            x = theta + data.draw(vectors(m, steps))
+        assert harmless._beneficial_pair(prepared, x) == sorted_pass(theta, x, indices)
+
+
+def allocations_over(m):
+    """A point mass, or a lottery over mixed denominators (some zeros)."""
+    weights = st.lists(st.sampled_from([0, 1, 2, 3, 5]), min_size=m, max_size=m)
+    lottery = weights.filter(any).map(
+        lambda w: Allocation(Vector(tuple(Fraction(v, sum(w)) for v in w)))
+    )
+    return st.one_of(st.integers(0, m - 1).map(lambda k: point_mass(k, m)), lottery)
+
+
+@given(st.data())
+def test_integer_rows_value_and_score_as_the_vectors_do(data):
+    # value_to reads the allocation's integer row, and a rule scores x on
+    # its merged terms: both equal the dense dot products, and the normal
+    # built on read is a_i - a_j.
+    m = data.draw(st.integers(min_value=2, max_value=8))
+    a_i = data.draw(allocations_over(m))
+    a_j = data.draw(allocations_over(m).filter(lambda a: a != a_i))
+    theta, x = data.draw(vectors(m, mixed)), data.draw(vectors(m, mixed))
+    for allocation in (a_i, a_j):
+        assert allocation.value_to(theta) == allocation.probs.dot(theta)
+        scale, terms = allocation.row
+        numerators = dict(terms)
+        assert all(numerators.values())
+        assert Vector([Fraction(numerators.get(k, 0), scale) for k in range(m)]) == allocation.probs
+    rule = SeparatingRule(a_i, a_j, data.draw(mixed))
+    assert rule.normal == a_i.probs - a_j.probs
+    score, price = rule.normal.dot(x), rule.relative_price
+    to_i = score > price or score == price and rule.tie_assignment is TieSide.TO_I
+    assert allocate_separating(rule, x) is (rule.a_i if to_i else rule.a_j)
+
+
+@given(st.integers(min_value=1, max_value=400), st.integers(min_value=1, max_value=60))
+def test_offset_token_prints_the_reduced_fraction(gap, scale):
+    # Integer offsets (scale dividing gap) included.
+    assert _offset_token(gap, scale) == str(Fraction(-gap, scale))
+    assert _offset_token(scale * gap, scale) == str(-gap)
+
+
+def test_forward_point_mass_run_hashes_no_rational(monkeypatch):
+    # theta is the region's one extra point, printed from the region's
+    # field: no frozenset is built, so no Fraction is hashed.
+    scenario = parse_scenario((SCENARIO_DIR / "two_items.scn").read_text())
+    text = "scenario h\nclass deterministic\ntheta 0 1/2 3/2 2\nquery 0 1 1 2\nquery 0 1/4 1 2\n"
+    scenarios = [scenario, parse_scenario(text)]
+    hashed = []
+    fraction_hash = Fraction.__hash__
+
+    def counted(self):
+        hashed.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    printed = [serialize_result(run_scenario(s)) for s in scenarios]
+    monkeypatch.undo()
+    assert hashed == []
+    assert all("extras=1\n" in text for text in printed)
+    assert "region_extra 0,1/2,3/2,2\n" in printed[1]
+
+
+def test_point_mass_true_type_is_prepared_once(monkeypatch):
+    # Forward: the region and the anchor's certificates each read theta's
+    # levels once, whatever the number of queries; reverse: once per
+    # candidate true type.
+    calls = []
+    order = harmless._level_order
+
+    def counted(theta, indices):
+        calls.append(theta)
+        return order(theta, indices)
+
+    monkeypatch.setattr(harmless, "_level_order", counted)
+    queries = "".join(f"query 0 {k} 2 3\n" for k in range(6))
+    run_scenario(parse_scenario("scenario f\nclass deterministic\ntheta 0 1 2 3\n" + queries))
+    assert len(calls) == 2
+    calls.clear()
+    run_scenario(parse_scenario("scenario r\nclass deterministic\nreported 0 1 2 3\n" + queries))
+    assert len(calls) == 6

@@ -296,6 +296,7 @@ VERIFY_TOKENS = ["none", "no_overbid", "no_overbid_on_received"]
 @given(point_mass_grids(), st.sampled_from(VERIFY_TOKENS + ["caught"]), st.data())
 def test_truthfulness_check_matches_the_naive_oracle(rule_and_grid, token, data):
     rule, grid = rule_and_grid
+    choose = None  # the pass reads the rule itself
     if token == "caught":
         # An arbitrary predicate: a drawn set of (true, report) positions.
         positions = st.integers(min_value=0, max_value=len(grid) - 1)
@@ -306,7 +307,9 @@ def test_truthfulness_check_matches_the_naive_oracle(rule_and_grid, token, data)
 
         fast = naive = caught_pair
     else:
-        fast, naive = cli._verification(token, rule), naive_verification(token, rule)
+        # As run_verify does: the pass chooses each entry with the chooser
+        # that the predicate reads back.
+        (fast, choose), naive = cli._verification(token, rule), naive_verification(token, rule)
     asked = {"fast": [], "naive": []}
 
     def logged(side, predicate):
@@ -317,7 +320,8 @@ def test_truthfulness_check_matches_the_naive_oracle(rule_and_grid, token, data)
         return verification
 
     expected = naive_truthfulness_check(rule, logged("naive", naive), grid)
-    assert is_truthful_with_verification(rule, logged("fast", fast), grid) == expected
+    fast_check = is_truthful_with_verification(rule, logged("fast", fast), grid, choose=choose)
+    assert fast_check == expected
     # The same beneficial pairs are put to the verification, in the same order.
     assert asked["fast"] == asked["naive"]
 
@@ -327,7 +331,7 @@ def test_received_overstatement_must_be_strict():
     # (-1, 1) buys e_1, which it values exactly as theta does.
     menu = TaxationRule(tuple(zip(point_masses(2), (0, 1))))
     theta, report = vec(0, 1), vec(-1, 1)
-    overstates = cli._verification("no_overbid_on_received", menu)
+    overstates, _ = cli._verification("no_overbid_on_received", menu)
     assert not overstates(theta, report)
     assert overstates(theta, vec(-1, 2))
     verdict = (False, (theta, report))

@@ -191,8 +191,8 @@ def test_fields_take_part_in_equality():
 
 
 def test_separating_rule_normal_is_derived_not_a_field():
-    # The normal is built once with the rule; equality, hashing, repr and
-    # copies run over the five declared fields alone.
+    # The normal is built on read from the rule's integer terms; equality,
+    # hashing, repr and copies run over the five declared fields alone.
     built = rule(overrides={vec(0, 0): a0()})
     assert built.normal == vec(-1, 1)
     assert "normal" not in repr(built)
@@ -201,6 +201,21 @@ def test_separating_rule_normal_is_derived_not_a_field():
     assert copy.copy(built) == built and hash(copy.copy(built)) == hash(built)
     with pytest.raises(AttributeError):
         built.normal = vec(1, -1)
+
+
+def test_allocation_row_is_derived_not_a_field():
+    # The integer row is kept from the range-and-sum check; equality,
+    # hashing, repr and copies run over probs alone.
+    built = Allocation(vec("1/3", 0, "2/3"))
+    assert built.row == (3, ((0, 1), (2, 2)))
+    assert point_mass(1, 3).row == (1, ((1, 1),))
+    assert "row" not in repr(built)
+    assert repr(built) == f"Allocation(probs={built.probs!r})"
+    assert pickle.loads(pickle.dumps(built)).row == built.row
+    assert copy.copy(built) == built and hash(copy.copy(built)) == hash(built)
+    assert built == Allocation(vec("2/6", 0, "4/6")) and hash(built) == hash((built.probs,))
+    with pytest.raises(AttributeError):
+        built.row = (1, ())
 
 
 def test_vector_still_coerces_and_rejects_empty():
