@@ -91,7 +91,6 @@ from .geometry import (
 from .harmless import (
     PointMassRegion,
     SimplexFamily,
-    _point_mass_rules,
     check_null_coordinate,
     check_one_line,
     decisive_pair,
@@ -119,7 +118,8 @@ from .multiagent import (
     find_beneficial_price,
     vcg_single_agent_rule,
 )
-from .oracle import construct_tie_witness, rule_benefit, search_beneficial_misreport
+from .oracle import construct_tie_witness, rule_benefit
+from .oracle import search_beneficial_misreport  # unused here; perfbench/tracing.py wraps it
 from .reverse import harmful_union_contains  # unused here; perfbench/tracing.py wraps it
 from .scenarios import (
     FacilityLine,
@@ -543,23 +543,23 @@ def _point_mass(
     indices: tuple[int, ...] | None = None,
 ) -> Setup:
     """Every point-mass class: the point masses are checked once per
-    scenario (``indices``, or here), and ``point_mass_rule``'s pass on their
-    indices, theta's side prepared once, decides and certifies each (theta,
-    x) in closed form.  Forward mode builds the region from the same indices."""
-    anchor = scenario.anchor
-    indices = indices or point_mass_indices(allocations, anchor.dim)
+    scenario (``indices``, or here), and one ``PointMassRegion`` per true
+    type decides and certifies each (theta, x) in closed form.  Forward mode
+    prepares the anchor alone: its queries are certified from the region it
+    prints; reverse mode builds one region per candidate."""
+    indices = indices or point_mass_indices(allocations, scenario.anchor.dim)
     region = None
     if scenario.mode == "forward":
-        region = deterministic_harmless(anchor, allocations, indices).region
+        region = deterministic_harmless(scenario.anchor, allocations, indices).region
     else:
         operation = "harmful_union_contains"
 
-    def certify(theta: Vector, rule_for: Callable, x: Vector) -> Certificate | None:
-        rule = rule_for(x)
-        return None if rule is None else ("separating", _separating(rule, theta, x))
+    def certify(prepared: PointMassRegion, x: Vector) -> Certificate | None:
+        rule = prepared.rule(x)
+        return None if rule is None else ("separating", _separating(rule, prepared.theta, x))
 
     def prepare(theta: Vector) -> Certify:
-        return partial(certify, theta, _point_mass_rules(theta, allocations, indices))
+        return partial(certify, region or PointMassRegion(theta, indices))
 
     return operation, prepare, region, summary
 
@@ -583,12 +583,12 @@ def _setup_tie(scenario: Scenario, options: dict, pair_of: Callable | None = Non
                 return lambda x: None  # theta values every allocation alike
             d = pair[0].probs - pair[1].probs
             level = d.dot(theta)
+            # The oracle's rule on the pair: a harmful x is off the boundary, so
+            # theta alone is pinned, to the worse allocation.
+            rule = SeparatingRule(*pair, level, TieSide.TO_I, ((theta, pair[1]),))
 
             def certify(x: Vector) -> Certificate | None:
-                if d.dot(x) <= level:
-                    return None
-                rule = search_beneficial_misreport(theta, x, pair)
-                return "separating", _separating(rule, theta, x)
+                return None if d.dot(x) <= level else ("separating", _separating(rule, theta, x))
 
             return certify
 
@@ -713,20 +713,19 @@ def _facility_line(options: dict) -> FacilityLine:
 def _setup_facility(scenario: Scenario, options: dict) -> Setup:
     line = _facility_line(options)
     kinds = [kind for listed in options.get("verification", ()) for kind in listed]
-    allocations = point_masses(2)
 
     def prepare(theta: Vector, preferred=...) -> Certify:
         # theta's harmless test (on its preferred facility, found here unless
-        # given), type and levels, once.
+        # given), type and region, once.
         harmless = facility_harmless_test(theta[0], line, _preferred=preferred)
         agent_type = facility_type(theta[0], line)
-        rule_for = _point_mass_rules(agent_type, allocations, (0, 1))
+        region = PointMassRegion(agent_type, (0, 1))
 
         def certify(x: Vector) -> Certificate | None:
             if harmless(x[0]):
                 return None
             report_type = facility_type(x[0], line)
-            rule = rule_for(report_type)
+            rule = region.rule(report_type)
             fields = (("agent_type", "v", agent_type), ("report_type", "v", report_type))
             return "separating", fields + _separating(rule, agent_type, report_type)
 
@@ -1048,14 +1047,14 @@ def _pair_lines(region: PointMassRegion) -> list[str]:
     """The generic lines of ``region.halfspaces`` from the pairs alone: one
     zero row, 1 spliced in once per coordinate and -1 once per pair (normal
     coordinate k at character 2k), and each offset formatted once per gap."""
-    dim = region.theta.dim
+    dim, pairs = region.theta.dim, region.pairs
     zeros = ",".join(["0"] * dim)
     rows = [f"{zeros[:2 * k]}1{zeros[2 * k + 1:]}" for k in range(dim)]
-    gaps = {g for *_, g in region.pairs}
+    gaps = {g for *_, g in pairs}
     tails = {g: f" offset={_offset_token(g, region.scale)} sense=strict" for g in gaps}
     return [
         f"region_halfspace normal={rows[o][:2 * p]}-1{rows[o][2 * p + 1:]}{tails[g]}"
-        for o, p, g in region.pairs
+        for o, p, g in pairs
     ]
 
 

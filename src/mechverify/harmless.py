@@ -11,13 +11,13 @@ Three rule classes are characterised in closed form:
 * all deterministic (equivalently, universally truthful) rules over a finite
   set of point-mass allocations -- an intersection of one strict half-space
   x_o - x_p > theta_o - theta_p per pair with theta_p > theta_o, each
-  carrying the true type as a boundary member.  ``PointMassRegion`` holds
-  them (up to m(m-1)/2) as ranked pairs with integer level gaps over theta's
-  common denominator, and builds ``Halfspace`` values only when read.  With
-  theta's levels ordered once (``_level_order``), one O(m) pass over
-  d = x - theta answers both questions for each x: is it harmless, and if
-  not, which rule shows it (``point_mass_rule``: the oracle's pair), with
-  no region built.  ``point_mass_indices`` checks the allocations once;
+  carrying the true type as a boundary member.  ``PointMassRegion`` is
+  theta prepared once: its levels over their common denominator, ordered.
+  One O(m) pass over d = x - theta then answers both questions for each x:
+  is it harmless (``contains``), and if not, which rule shows it (``rule``:
+  the oracle's pair), with no pair built.  Its up to m(m-1)/2 ranked pairs
+  and their ``Halfspace`` values are built only when read.
+  ``point_mass_indices`` checks the allocations once;
 * all truthful-in-expectation rules over a simplex of randomized allocations,
   where x is harmless iff its projection onto the difference span is a
   scaling of theta's by a factor at most one.  Over the two simplex
@@ -65,6 +65,7 @@ from .mechanisms import (
     TieSide,
     apply_rule,  # unused here; perfbench/tracing.py wraps it under this module
     point_mass_index,
+    point_masses,
 )
 
 
@@ -110,15 +111,37 @@ class HarmlessResult(Frozen):
 
 
 class PointMassRegion(Frozen):
-    """A deterministic harmless region: x_other - x_preferred > -gap / scale
-    for each ranked pair (other, preferred, gap), gap an integer level gap of
-    theta, plus theta as the one extra point.  ``halfspaces`` and
-    ``extra_points`` build on read."""
+    """theta's deterministic harmless region over the point masses e_k, k in
+    ``indices``: x_other - x_preferred > -gap / scale for each ranked pair
+    (other, preferred, gap), gap an integer level gap of theta, plus theta
+    as the one extra point.  The constructor orders theta's levels once;
+    ``rule(x)`` and ``contains(x)`` then run one O(m) pass over d = x - theta
+    with no sort and no pair built.  ``pairs``, ``halfspaces`` and
+    ``extra_points`` build on read.  The value is (theta, indices); the
+    derived slots stay out of equality, hashing and repr."""
 
-    __slots__ = ("theta", "scale", "pairs")
+    __slots__ = ("theta", "indices", "scale", "levels", "_pick", "_order", "_starts")
 
-    def __init__(self, theta: Vector, scale: int, pairs: tuple) -> None:
-        self._init(theta, scale, pairs)
+    def __init__(self, theta: Vector, indices: Sequence[int]) -> None:
+        # levels are theta's at indices over their lcm scale, and
+        # _order[:_starts[p]] are the positions theta values below p.
+        pick = itemgetter(*indices)
+        scale, (levels,) = _common_numerators(pick(theta.coords))
+        order = sorted(range(len(levels)), key=levels.__getitem__)
+        ranked = sorted(levels)
+        starts = [bisect_left(ranked, level) for level in levels]
+        self._init(theta, tuple(indices), scale, levels, pick, order, starts)
+
+    def _fields(self) -> tuple:
+        return self.theta, self.indices
+
+    @property
+    def pairs(self) -> tuple:
+        """The ranked pairs (other, preferred, gap) in pair order."""
+        return tuple(
+            (j, i, a - b) if a > b else (i, j, b - a)
+            for (i, a), (j, b) in combinations(zip(self.indices, self.levels), 2) if a != b
+        )
 
     @property
     def extra_points(self) -> frozenset:
@@ -127,13 +150,50 @@ class PointMassRegion(Frozen):
     @property
     def halfspaces(self) -> tuple[Halfspace, ...]:
         # Each offset once per gap; each normal of the shared unit constants.
-        offsets = {gap: Fraction(-gap, self.scale) for gap in {gap for *_, gap in self.pairs}}
+        pairs = self.pairs
+        offsets = {gap: Fraction(-gap, self.scale) for gap in {gap for *_, gap in pairs}}
         zeros, halves = [ZERO] * self.theta.dim, []
-        for other, preferred, gap in self.pairs:
+        for other, preferred, gap in pairs:
             normal = zeros.copy()
             normal[other], normal[preferred] = ONE, MINUS_ONE
             halves.append(_halfspace(_vector(tuple(normal)), offsets[gap], Sense.STRICT_GREATER))
         return tuple(halves)
+
+    def _split(self, x: Vector) -> tuple | None:
+        """The oracle's pair as positions (p, o) in ``indices`` with whether
+        d_p == d_o, or None when x is harmless.  d is taken over integers;
+        the running minimum of d in level order, read where p's level
+        begins, is the smallest d below p, and p is the first reaching it."""
+        if x.dim != self.theta.dim:
+            raise DimensionMismatch(f"type dims {self.theta.dim} vs {x.dim}")
+        if x == self.theta:
+            return None
+        levels = self.levels
+        x_scale, (reports,) = _common_numerators(self._pick(x.coords))
+        shifts = [r * self.scale - t * x_scale for r, t in zip(reports, levels)]
+        floors = [inf, *accumulate([shifts[p] for p in self._order], min)]
+        for p, (d, start) in enumerate(zip(shifts, self._starts)):
+            if d >= floors[start]:
+                o = next(o for o, lo in enumerate(levels) if lo < levels[p] and shifts[o] <= d)
+                return p, o, d == shifts[o]
+        return None
+
+    def contains(self, x: Vector) -> bool:
+        return self._split(x) is None
+
+    def rule(self, x: Vector) -> SeparatingRule | None:
+        """``point_mass_rule``'s certificate for x, or None when x is harmless."""
+        split = self._split(x)
+        if split is None:
+            return None
+        p, o, on_boundary = split
+        masses = point_masses(self.theta.dim)
+        preferred, other = masses[self.indices[p]], masses[self.indices[o]]
+        overrides = ((self.theta, other),)
+        if on_boundary:
+            overrides += ((x, preferred),)
+        price = Fraction(self.levels[p] - self.levels[o], self.scale)
+        return SeparatingRule(preferred, other, price, TieSide.TO_I, overrides)
 
 
 def pairwise_harmless(theta: Vector, a_i: Allocation, a_j: Allocation) -> HarmlessResult:
@@ -169,29 +229,14 @@ def deterministic_harmless(
 ) -> HarmlessResult:
     """Harmless set against every deterministic rule over point-mass allocations.
 
-    Equals the intersection of the pairwise harmless sets: one strict
-    half-space per pair theta is not indifferent between, in pair order,
-    with theta itself as the single extra point, held as a
-    ``PointMassRegion`` of ranked pairs.  Membership is
-    ``point_mass_rule``'s pass: x is harmless iff x == theta or no pair of
-    allocations is split in x's favour.  The allocations are validated here
-    unless ``indices`` gives what ``point_mass_indices`` returned for them.
+    Equals the intersection of the pairwise harmless sets, held as theta's
+    ``PointMassRegion``, whose O(m) pass is the membership: x is harmless
+    iff x == theta or no pair of allocations is split in x's favour.  The
+    allocations are validated here unless ``indices`` gives what
+    ``point_mass_indices`` returned for them.
     """
-    if indices is None:
-        indices = point_mass_indices(allocations, theta.dim)
-    _, scale, levels, *_ = prepared = _level_order(theta, indices)
-    pairs = tuple(
-        (j, i, a - b) if a > b else (i, j, b - a)
-        for (i, a), (j, b) in combinations(zip(indices, levels), 2) if a != b
-    )
-    region = PointMassRegion(theta, scale, pairs)
-
-    def contains(x: Vector) -> bool:
-        if x.dim != theta.dim:
-            raise DimensionMismatch(f"type dims {theta.dim} vs {x.dim}")
-        return x == theta or _beneficial_pair(prepared, x) is None
-
-    return HarmlessResult(contains, region)
+    region = PointMassRegion(theta, indices or point_mass_indices(allocations, theta.dim))
+    return HarmlessResult(region.contains, region)
 
 
 def point_mass_indices(allocations: Sequence[Allocation], dim: int) -> tuple[int, ...]:
@@ -215,36 +260,6 @@ def point_mass_indices(allocations: Sequence[Allocation], dim: int) -> tuple[int
     return tuple(indices)
 
 
-def _level_order(theta: Vector, indices: Sequence[int]) -> tuple:
-    """theta's side of ``_beneficial_pair``, once per true type: (pick,
-    scale, levels, order, starts).  pick reads the coordinates at
-    ``indices``, levels are theta's there over their lcm scale, and
-    order[:starts[p]] are the positions theta values below p."""
-    pick = itemgetter(*indices)
-    scale, (levels,) = _common_numerators(pick(theta.coords))
-    order = sorted(range(len(levels)), key=levels.__getitem__)
-    ranked = [levels[p] for p in order]
-    return pick, scale, levels, order, [bisect_left(ranked, level) for level in levels]
-
-
-def _beneficial_pair(prepared: tuple, x: Vector) -> tuple | None:
-    """``point_mass_rule``'s pair as positions (p, o) in the indices, with
-    whether d_p == d_o, or None, for theta's ``_level_order``.  One O(m)
-    pass, no sort: d = x - theta as integers over both denominators; the
-    running minimum of d in level order, read where p's level begins, is
-    the smallest d below p, and p is the first position reaching it."""
-    pick, scale, levels, order, starts = prepared
-    x_scale, (reports,) = _common_numerators(pick(x.coords))
-    shifts = [r * scale - t * x_scale for r, t in zip(reports, levels)]
-    floors = [inf, *accumulate([shifts[p] for p in order], min)]
-    for p, (d, start) in enumerate(zip(shifts, starts)):
-        if d >= floors[start]:
-            level = levels[p]
-            o = next(o for o, (lo, do) in enumerate(zip(levels, shifts)) if lo < level and do <= d)
-            return p, o, d == shifts[o]
-    return None
-
-
 def point_mass_rule(
     theta: Vector, x: Vector, allocations: Sequence[Allocation]
 ) -> SeparatingRule | None:
@@ -253,43 +268,14 @@ def point_mass_rule(
     Over point masses e_p and e_o the critical hyperplane through theta is
     x_p - x_o = theta_p - theta_o, so with d = x - theta a report beats the
     truth exactly when some pair has theta_p > theta_o and d_p >= d_o.  The
-    first such (preferred, other) pair in the given order, found by one
-    O(m) pass over d grouped by theta's value levels, is split at
-    theta_p - theta_o, boundary to the preferred side, with theta pinned to
-    the worse allocation and, when d_p == d_o, x to the better: the rule
-    ``oracle.search_beneficial_misreport`` returns.
+    first such (preferred, other) pair in the given order, found by
+    ``PointMassRegion``'s O(m) pass over d grouped by theta's value levels,
+    is split at theta_p - theta_o, boundary to the preferred side, with
+    theta pinned to the worse allocation and, when d_p == d_o, x to the
+    better: the rule ``oracle.search_beneficial_misreport`` returns (its
+    allocations are ``point_masses``', equal to the listed ones).
     """
-    return _point_mass_rule(theta, x, allocations, point_mass_indices(allocations, theta.dim))
-
-
-def _point_mass_rule(
-    theta: Vector, x: Vector, allocations: Sequence[Allocation], indices: Sequence[int]
-) -> SeparatingRule | None:
-    """``point_mass_rule`` on indices ``point_mass_indices`` has returned."""
-    return _point_mass_rules(theta, allocations, indices)(x)
-
-
-def _point_mass_rules(
-    theta: Vector, allocations: Sequence[Allocation], indices: Sequence[int]
-) -> Callable[[Vector], SeparatingRule | None]:
-    """``_point_mass_rule`` for one theta and any x: theta's levels and their
-    order (``_level_order``) are found here, once."""
-    _, scale, levels, *_ = prepared = _level_order(theta, indices)
-
-    def rule(x: Vector) -> SeparatingRule | None:
-        if x.dim != theta.dim:
-            raise DimensionMismatch(f"type dims {theta.dim} vs {x.dim}")
-        pair = None if x == theta else _beneficial_pair(prepared, x)
-        if pair is None:
-            return None
-        p, o, on_boundary = pair
-        overrides = ((theta, allocations[o]),)
-        if on_boundary:
-            overrides += ((x, allocations[p]),)
-        price = Fraction(levels[p] - levels[o], scale)
-        return SeparatingRule(allocations[p], allocations[o], price, TieSide.TO_I, overrides)
-
-    return rule
+    return PointMassRegion(theta, point_mass_indices(allocations, theta.dim)).rule(x)
 
 
 def check_null_coordinate(*types: Vector) -> None:

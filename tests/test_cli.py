@@ -45,6 +45,7 @@ from mechverify.mechanisms import (
     point_masses,
 )
 from mechverify.multiagent import vcg_harmless_contains
+from mechverify.oracle import search_beneficial_misreport
 from mechverify.scenarios import kminded_harmless_contains
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -578,15 +579,18 @@ def test_vcg_and_kminded_build_one_harmless_set(name, library_contains, monkeypa
     assert len(document.witnesses) == [qr.member for qr in document.queries].count(False)
 
 
+def _refuse_search(*args):
+    raise AssertionError("the CLI ran the generic search")
+
+
+def oracle_fields(theta, x, allocations):
+    """The fields the CLI prints for the oracle's rule."""
+    return cli._separating(search_beneficial_misreport(theta, x, allocations), theta, x)
+
+
 def test_explicit_allocation_expectation_scenarios_use_the_oracle(monkeypatch):
-    calls = []
-    search = cli.search_beneficial_misreport
-
-    def counted(*args):
-        calls.append(args)
-        return search(*args)
-
-    monkeypatch.setattr(cli, "search_beneficial_misreport", counted)
+    # The closed-form certificate is the oracle's rule, found without it.
+    monkeypatch.setattr(cli, "search_beneficial_misreport", _refuse_search)
     text = """\
 scenario s
 class truthful_in_expectation
@@ -596,26 +600,30 @@ allocation 0 1 0
 query 1/2 1 0
 query 0 5 0
 """
-    document = run_scenario(parse_scenario(text))
+    scenario = parse_scenario(text)
+    document = run_scenario(scenario)
     assert [qr.member for qr in document.queries] == [True, False]
     assert [w.kind for w in document.witnesses] == ["separating"]
-    assert len(calls) == 1
+    harmful = scenario.queries[1]
+    assert document.witnesses[0].fields == oracle_fields(
+        scenario.anchor, harmful, scenario.allocations
+    )
 
 
 def test_explicit_allocation_queries_see_only_the_decisive_pair(monkeypatch):
     # The set is checked before any query, and its decisive pair is found
     # once for the true type, by the check itself, not per query and not
-    # again in the setup; every harmful query then asks the oracle about the
-    # pair alone, and no query asks the set's membership.
+    # again in the setup; every harmful query then ships the oracle's rule
+    # on the pair alone, and no query asks the set's membership.
     seen = []
-    for name in ("decisive_pair", "search_beneficial_misreport"):
-        original = getattr(cli, name)
+    original = cli.decisive_pair
 
-        def recorded(*args, original=original, name=name):
-            seen.append((name, args[-1]))
-            return original(*args)
+    def recorded(*args):
+        seen.append(("decisive_pair", args[-1]))
+        return original(*args)
 
-        monkeypatch.setattr(cli, name, recorded)
+    monkeypatch.setattr(cli, "decisive_pair", recorded)
+    monkeypatch.setattr(cli, "search_beneficial_misreport", _refuse_search)
 
     def refuse(*args):
         raise AssertionError("a query asked the set's membership")
@@ -630,10 +638,9 @@ def test_explicit_allocation_queries_see_only_the_decisive_pair(monkeypatch):
     document = run_scenario(scenario)
     assert [qr.member for qr in document.queries] == [True, False, True]
     pair = (scenario.allocations[1], scenario.allocations[0])
-    assert seen == [
-        ("decisive_pair", scenario.allocations),
-        ("search_beneficial_misreport", pair),
-    ]
+    assert seen == [("decisive_pair", scenario.allocations)]
+    theta, harmful = scenario.anchor, scenario.queries[1]
+    assert [w.fields for w in document.witnesses] == [oracle_fields(theta, harmful, pair)]
 
 
 # Per class: an anchor, which serves as theta or as reported, and the
@@ -1281,7 +1288,7 @@ def test_harmless_complement_runs_no_grid_search(monkeypatch, tmp_path, capsys):
         raise AssertionError("verify searched the grid")
 
     monkeypatch.setattr(cli, "is_truthful_with_verification", refuse)
-    monkeypatch.setattr(cli, "_point_mass_rules", refuse)
+    monkeypatch.setattr(cli, "PointMassRegion", refuse)
     text = (SCENARIO_DIR / "menu_check.scn").read_text()
     guarded = parse_scenario(text + "option verification_kind harmless_complement\n")
     document = run_verify(guarded)

@@ -13,13 +13,14 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from mechverify import harmless, mechanisms
 from mechverify.cli import (
     ResultDocument,
     _offset_token,
+    _separating,
     _vector_token,
     parse_scenario,
     render_regions,
@@ -68,7 +69,10 @@ from mechverify.mechanisms import (
     point_mass_choice,
     point_masses,
 )
+from mechverify.multiagent import vcg_harmless_contains
 from mechverify.oracle import search_beneficial_misreport
+from mechverify.reverse import harmful_union_contains
+from mechverify.scenarios import kminded_harmless_contains
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 FAMILIES = (SimplexFamily.FULL_SIMPLEX, SimplexFamily.SUBSIMPLEX_WITH_NULL)
@@ -510,6 +514,47 @@ def test_the_line_scan_finds_the_decisive_pair(case):
     assert positions(check_one_line(allocations)(theta)) == positions(decisive_pair(theta, allocations))
 
 
+@st.composite
+def explicit_certificate_cases(draw):
+    """(theta, x, allocations): a + t (b - a) with b != a over mixed
+    denominators and steps t often repeated; theta free or, one time in
+    four, orthogonal to b - a (every level ties then); x free or
+    theta + c (b - a)."""
+    m = draw(st.integers(min_value=2, max_value=5))
+    weights = st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any)
+    wa, wb = draw(weights), draw(weights)
+    wb[wb.index(min(wb))] += 1  # two identical draws differ after this; assume drops the rest
+    a, b = (Vector(tuple(Fraction(w, sum(ws)) for w in ws)) for ws in (wa, wb))
+    assume(a != b)
+    steps = st.sampled_from([Fraction(k, 12) for k in (0, 3, 4, 6, 8, 9, 12)])
+    ts = draw(st.lists(steps, min_size=3, max_size=6))
+    allocations = tuple(Allocation(a.scale(1 - t) + b.scale(t)) for t in ts)
+    u, theta = b - a, draw(vectors(m, mixed))
+    if draw(st.integers(0, 3)) == 0:
+        theta = theta - u.scale(theta.dot(u) / u.dot(u))
+    x = draw(st.one_of(vectors(m, mixed), mixed.map(lambda c: theta + u.scale(c))))
+    return theta, x, allocations
+
+
+@given(explicit_certificate_cases())
+def test_explicit_certificate_is_the_oracles_rule(case):
+    # Whenever d.x > d.theta on theta's decisive pair, both modes ship the
+    # closed-form rule, and it is the oracle's, field by field, over the
+    # pair and over the whole set; otherwise they ship none.
+    theta, x, allocations = case
+    pair = decisive_pair(theta, allocations)
+    harmful = pair is not None and (d := pair[0].probs - pair[1].probs).dot(x) > d.dot(theta)
+    lines = [f"allocation {_tokens(a.probs)}" for a in allocations]
+    for anchor, query in ((f"theta {_tokens(theta)}", x), (f"reported {_tokens(x)}", theta)):
+        text = "\n".join(["scenario e", "class truthful_in_expectation", anchor, *lines])
+        document = run_scenario(parse_scenario(f"{text}\nquery {_tokens(query)}\n"))
+        assert len(document.witnesses) == harmful
+        if harmful:
+            for oracle_set in (pair, allocations):
+                rule = search_beneficial_misreport(theta, x, oracle_set)
+                assert document.witnesses[0].fields == _separating(rule, theta, x)
+
+
 # -- metamorphic properties ---------------------------------------------------
 
 
@@ -787,7 +832,7 @@ def test_prepared_pair_matches_the_sorted_pass(data):
     theta = data.draw(vectors(m, st.one_of(tied, mixed)))
     order = data.draw(st.permutations(range(m)))
     indices = tuple(order[: data.draw(st.integers(min_value=2, max_value=m))])
-    prepared = harmless._level_order(theta, indices)
+    region = PointMassRegion(theta, indices)
     for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
         shape = data.draw(st.sampled_from(["free", "shift", "near"]))
         if shape == "free":
@@ -797,7 +842,9 @@ def test_prepared_pair_matches_the_sorted_pass(data):
         else:
             steps = st.sampled_from([Fraction(-1, 3), ZERO, Fraction(1, 2)])
             x = theta + data.draw(vectors(m, steps))
-        assert harmless._beneficial_pair(prepared, x) == sorted_pass(theta, x, indices)
+        expected = None if x == theta else sorted_pass(theta, x, indices)
+        assert region._split(x) == expected
+        assert region.contains(x) == (expected is None)
 
 
 def allocations_over(m):
@@ -860,20 +907,32 @@ def test_forward_point_mass_run_hashes_no_rational(monkeypatch):
 
 
 def test_point_mass_true_type_is_prepared_once(monkeypatch):
-    # Forward: the region and the anchor's certificates each read theta's
-    # levels once, whatever the number of queries; reverse: once per
-    # candidate true type.
+    # Forward: one region for the anchor, printed and certifying every
+    # query; reverse: one region per candidate true type.
     calls = []
-    order = harmless._level_order
+    build = PointMassRegion.__init__
 
-    def counted(theta, indices):
+    def counted(self, theta, indices):
         calls.append(theta)
-        return order(theta, indices)
+        build(self, theta, indices)
 
-    monkeypatch.setattr(harmless, "_level_order", counted)
+    monkeypatch.setattr(PointMassRegion, "__init__", counted)
     queries = "".join(f"query 0 {k} 2 3\n" for k in range(6))
     run_scenario(parse_scenario("scenario f\nclass deterministic\ntheta 0 1 2 3\n" + queries))
-    assert len(calls) == 2
+    assert len(calls) == 1
     calls.clear()
     run_scenario(parse_scenario("scenario r\nclass deterministic\nreported 0 1 2 3\n" + queries))
     assert len(calls) == 6
+
+
+def test_library_membership_builds_no_pairs(monkeypatch):
+    # Every library membership over point masses is the region's O(m)
+    # pass: none builds the m(m-1)/2 ranked pairs.
+    monkeypatch.setattr(PointMassRegion, "pairs", property(_refuse))
+    theta, harmful, harmless_report = vec(0, 1, 2), vec(0, 2, 1), vec(0, "1/2", 1)
+    member = deterministic_harmless(theta, point_masses(3)).contains
+    assert (member(harmful), member(harmless_report)) == (False, True)
+    assert not vcg_harmless_contains(theta, harmful)
+    assert kminded_harmless_contains(2, theta, harmless_report)
+    assert harmful_union_contains(harmful, point_masses(3), theta)
+    assert not harmful_union_contains(harmless_report, point_masses(3), theta)

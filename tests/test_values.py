@@ -42,6 +42,7 @@ from mechverify import (
     point_masses,
     vec,
 )
+from mechverify.harmless import PointMassRegion
 
 
 def always(x):
@@ -138,6 +139,11 @@ CASES = [
     ),
     (QueryResult, dict(query=vec(1), member=True), dict(query=vec(1), member=True)),
     (
+        PointMassRegion,
+        dict(theta=vec(0, "1/2", 1), indices=[2, 0]),
+        dict(theta=vec(0, "1/2", 1), indices=(2, 0)),
+    ),
+    (
         ResultDocument,
         dict(scenario_name="s", mechanism_class="vcg", mode="forward", operation="o", anchor=vec(1)),
         dict(
@@ -216,6 +222,23 @@ def test_allocation_row_is_derived_not_a_field():
     assert built == Allocation(vec("2/6", 0, "4/6")) and hash(built) == hash((built.probs,))
     with pytest.raises(AttributeError):
         built.row = (1, ())
+
+
+def test_point_mass_region_prepares_outside_its_fields():
+    # theta's levels are ordered once into slots outside the fields;
+    # equality, hashing, repr and copies run over (theta, indices) alone,
+    # and a copy is prepared again by the constructor.
+    built = PointMassRegion(vec(0, "1/2", "3/2"), (0, 1, 2))
+    assert (built.scale, list(built.levels)) == (2, [0, 1, 3])
+    assert built.pairs == ((0, 1, 1), (0, 2, 3), (1, 2, 2))
+    assert repr(built) == f"PointMassRegion(theta={built.theta!r}, indices=(0, 1, 2))"
+    assert hash(built) == hash((built.theta, built.indices))
+    assert built != PointMassRegion(built.theta, (1, 0, 2))
+    for copied in (copy.copy(built), pickle.loads(pickle.dumps(built))):
+        assert copied == built and copied.levels == built.levels
+        assert copied.rule(vec(0, 1, 1)) == built.rule(vec(0, 1, 1))
+    with pytest.raises(AttributeError):
+        built.levels = (0, 1, 3)
 
 
 def test_vector_still_coerces_and_rejects_empty():
