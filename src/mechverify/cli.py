@@ -109,7 +109,6 @@ from .mechanisms import (
     TieSide,
     apply_rule,
     is_truthful_with_verification,
-    point_mass_choice,
     point_masses,
 )
 from .multiagent import (
@@ -905,31 +904,13 @@ def _verify_rule(dim: int, options: dict) -> Rule:
     return SeparatingRule(allocations[i], allocations[j], options["rule_price"], tie)
 
 
-def _verification(token: str, rule: Rule) -> tuple[Callable[[Vector, Vector], bool], Callable]:
-    """(predicate, choose) for a verification_kind other than
-    ``harmless_complement`` (which ``run_verify`` answers by the theorem):
-    is (true type, report) caught, and ``point_mass_choice(rule)``, the one
-    read of the rule, for the grid pass.  ``no_overbid_on_received`` reads
-    back the entry the pass chose for the report."""
-    choose = point_mass_choice(rule)
-    if token == "none":
-        return (lambda true, reported: False), choose
-    if token == "no_overbid":
-        return (lambda true, reported: any(r > t for t, r in zip(true, reported))), choose
-    chosen: dict[int, tuple[Vector, int]] = {}  # id(x) -> (x, k): x held, so its id stays x's
-
-    def record(x: Vector, scale: int, row: Sequence[int]) -> int:
-        chosen[id(x)] = x, choose(x, scale, row)
-        return chosen[id(x)][1]
-
-    def overstates_received(true: Vector, reported: Vector) -> bool:  # no_overbid_on_received
-        if id(reported) not in chosen:  # a report the pass has not chosen for
-            scale, (row,) = _common_numerators(reported.coords)
-            record(reported, scale, row)
-        k = chosen[id(reported)][1]  # e_k, worth x_k to type x
-        return reported[k] > true[k]
-
-    return overstates_received, record
+# verification_kind -> is (true type, report) caught, where e_k is the
+# report's point mass; harmless_complement is answered by the theorem.
+_GRID_VERIFICATIONS: dict[str, Callable[[Vector, Vector, int], bool]] = {
+    "none": lambda true, reported, k: False,
+    "no_overbid": lambda true, reported, k: any(r > t for t, r in zip(true, reported)),
+    "no_overbid_on_received": lambda true, reported, k: reported[k] > true[k],
+}
 
 
 def run_verify(source: Scenario | str | os.PathLike[str]) -> ResultDocument:
@@ -962,9 +943,9 @@ def run_verify(source: Scenario | str | os.PathLike[str]) -> ResultDocument:
             raise MechanismError("need at least two allocations")
         truthful, violation = True, None
     else:
-        verification, choose = _verification(token, rule)
         table = scale, list(first)  # the grid's rows
-        truthful, violation = is_truthful_with_verification(rule, verification, grid, table, choose)
+        verification = _GRID_VERIFICATIONS[token]
+        truthful, violation = is_truthful_with_verification(rule, verification, grid, table)
     operation = "is_truthful_with_verification"
     witnesses: tuple[WitnessRecord, ...] = ()
     summary = [

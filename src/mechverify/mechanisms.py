@@ -36,7 +36,6 @@ from .geometry import (
     _check_dim,
     _common_numerators,
     _row_dot,
-    _vector,
     frac,
     unit_vector,
 )
@@ -128,8 +127,7 @@ class SeparatingRule(Frozen):
     distinct boundary points to either allocation as (point, target) pairs,
     hashing none (a mapping gives its items); others get ``tie_assignment``.
     a_i - a_j is kept as (scale, terms), the two allocations' integer rows
-    merged, in a slot outside the fields, and x is scored on those terms;
-    ``normal`` builds the Vector on read.
+    merged, in a slot outside the fields, and x is scored on those terms.
     """
 
     __slots__ = ("a_i", "a_j", "relative_price", "tie_assignment", "overrides", "difference")
@@ -166,13 +164,6 @@ class SeparatingRule(Frozen):
 
     def _fields(self) -> tuple:
         return self.a_i, self.a_j, self.relative_price, self.tie_assignment, self.overrides
-
-    @property
-    def normal(self) -> Vector:
-        """a_i - a_j, built from the integer terms."""
-        scale, terms = self.difference
-        numerators = dict(terms)
-        return _vector(tuple([Fraction(numerators.get(k, 0), scale) for k in range(self.a_i.dim)]))
 
 
 def allocate_separating(rule: SeparatingRule, x: Vector) -> Allocation:
@@ -271,15 +262,15 @@ def point_mass_choice(rule: Rule) -> Callable[[Vector, int, Sequence[int]], int]
 
 def is_truthful_with_verification(
     rule: Rule,
-    verification: Callable[[Vector, Vector], bool],
+    verification: Callable[[Vector, Vector, int], bool],
     grid: Sequence[Vector],
     table: tuple[int, Sequence[Sequence[int]]] | None = None,
-    choose: Callable[[Vector, int, Sequence[int]], int] | None = None,
 ) -> tuple[bool, tuple[Vector, Vector] | None]:
     """Check truthfulness on a finite grid of types, minus verified misreports.
 
-    ``verification(true_type, report)`` says whether the designer detects and
-    rejects that misreport.  Returns (True, None), or (False, (true_type,
+    ``verification(true_type, report, k)`` says whether the designer detects
+    and rejects that misreport, where e_k is the point mass the report
+    receives.  Returns (True, None), or (False, (true_type,
     beneficial_report)) for the first violating pair in grid order: a pair
     where the report's allocation is strictly better for the true type and
     verification does not catch it.  ``verification`` is asked about
@@ -289,12 +280,12 @@ def is_truthful_with_verification(
     otherwise; entries or sides that no grid type receives may be
     lotteries), so the value of e_k to theta is theta_k, read by index from
     the grid's ``_common_numerators`` table (``table``, or built here).
-    Each type's k is chosen once, by ``choose`` (or ``point_mass_choice``).
+    Each type's k is chosen once, by ``point_mass_choice(rule)``.
     A type's better indices, those k with row_k above its own, are found
     once per distinct received index: each pair is one set lookup.
     """
     scale, rows = table or _common_numerators(*[x.coords for x in grid])
-    choose = choose or point_mass_choice(rule)
+    choose = point_mass_choice(rule)
     indices = [choose(x, scale, row) for x, row in zip(grid, rows)]
     received = set(indices)
     for theta, row, own in zip(grid, rows, indices):
@@ -303,6 +294,6 @@ def is_truthful_with_verification(
         if not better:
             continue
         for reported, k in zip(grid, indices):
-            if k in better and not verification(theta, reported):
+            if k in better and not verification(theta, reported, k):
                 return False, (theta, reported)
     return True, None

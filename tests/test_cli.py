@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mechverify import cli, multiagent, scenarios
+from mechverify import cli, mechanisms, multiagent, scenarios
 from mechverify.cli import (
     MECHANISM_CLASSES,
     Scenario,
@@ -1259,7 +1259,7 @@ def test_harmless_complement_matches_the_harmless_set(menu):
     text, rule, types = menu
     allocations = point_masses(types[0].dim)
 
-    def outside_harmless(true, reported):
+    def outside_harmless(true, reported, k):
         return not deterministic_harmless(true, allocations).contains(reported)
 
     grid = list(dict.fromkeys(types))
@@ -1906,10 +1906,10 @@ def test_facility_scenarios_find_each_preferred_facility_once(monkeypatch):
 
 
 def test_received_overbid_check_reads_the_menu_once(monkeypatch):
-    # The grid pass chooses each type's entry once, and the predicate reads
-    # the report's entry back instead of choosing it again.
+    # The grid pass chooses each type's entry once and hands it to the
+    # predicate, which does not choose it again.
     reads, choices = [], []
-    choice = cli.point_mass_choice
+    choice = mechanisms.point_mass_choice
 
     def counted(rule):
         reads.append(rule)
@@ -1921,8 +1921,7 @@ def test_received_overbid_check_reads_the_menu_once(monkeypatch):
 
         return counted_choose
 
-    monkeypatch.setattr(cli, "point_mass_choice", counted)
-    monkeypatch.setattr("mechverify.mechanisms.point_mass_choice", counted)
+    monkeypatch.setattr(mechanisms, "point_mass_choice", counted)
     text = (
         "scenario v\nclass deterministic\ntheta 0 1/4 1\noption rule_prices 0 1/4 1\n"
         "option verification_kind no_overbid_on_received\n"

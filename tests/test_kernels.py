@@ -482,13 +482,19 @@ def test_decisive_pair_answers_for_the_whole_set(case):
 
 @st.composite
 def collinear_sets(draw):
-    """1-6 allocations a + t (b - a) over m <= 5 coordinates, t in quarters
-    and often repeated (tied levels), and theta: any type, a constant one,
-    or one orthogonal to b - a (u.theta = 0 then, and every level ties)."""
+    """2-6 allocations a + t (b - a) with b != a over m <= 5 coordinates, t
+    in quarters with at least two distinct and often repeated (tied
+    levels), and theta: any type, a constant one, or one orthogonal to
+    b - a (u.theta = 0 then, and every level ties)."""
     m = draw(st.integers(min_value=2, max_value=5))
     weights = st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any)
-    a, b = (Vector(tuple(Fraction(w, sum(ws)) for w in ws)) for ws in draw(st.tuples(weights, weights)))
-    ts = draw(st.lists(st.sampled_from([Fraction(k, 4) for k in range(5)]), min_size=1, max_size=6))
+    wa, wb = draw(weights), draw(weights)
+    wb[wb.index(min(wb))] += 1  # two identical draws differ after this; assume drops the rest
+    a, b = (Vector(tuple(Fraction(w, sum(ws)) for w in ws)) for ws in (wa, wb))
+    assume(a != b)
+    quarters = st.sampled_from([Fraction(k, 4) for k in range(5)])
+    distinct = draw(st.lists(quarters, min_size=2, max_size=2, unique=True))
+    ts = draw(st.permutations(distinct + draw(st.lists(quarters, max_size=4))))
     allocations = tuple(Allocation(a.scale(1 - t) + b.scale(t)) for t in ts)
     theta = draw(vectors(m, small))
     shape = draw(st.sampled_from(["any", "constant", "orthogonal"]))
@@ -859,8 +865,8 @@ def allocations_over(m):
 @given(st.data())
 def test_integer_rows_value_and_score_as_the_vectors_do(data):
     # value_to reads the allocation's integer row, and a rule scores x on
-    # its merged terms: both equal the dense dot products, and the normal
-    # built on read is a_i - a_j.
+    # its merged terms: both equal the dense dot products, and those terms
+    # are exactly a_i - a_j.
     m = data.draw(st.integers(min_value=2, max_value=8))
     a_i = data.draw(allocations_over(m))
     a_j = data.draw(allocations_over(m).filter(lambda a: a != a_i))
@@ -872,8 +878,10 @@ def test_integer_rows_value_and_score_as_the_vectors_do(data):
         assert all(numerators.values())
         assert Vector([Fraction(numerators.get(k, 0), scale) for k in range(m)]) == allocation.probs
     rule = SeparatingRule(a_i, a_j, data.draw(mixed))
-    assert rule.normal == a_i.probs - a_j.probs
-    score, price = rule.normal.dot(x), rule.relative_price
+    scale, terms = rule.difference
+    numerators = dict(terms)
+    assert Vector([Fraction(numerators.get(k, 0), scale) for k in range(m)]) == a_i.probs - a_j.probs
+    score, price = (a_i.probs - a_j.probs).dot(x), rule.relative_price
     to_i = score > price or score == price and rule.tie_assignment is TieSide.TO_I
     assert allocate_separating(rule, x) is (rule.a_i if to_i else rule.a_j)
 

@@ -20,6 +20,7 @@ from mechverify.mechanisms import (
     best_entry,
     is_truthful_with_verification,
     point_mass,
+    point_mass_index,
     point_masses,
 )
 
@@ -193,12 +194,12 @@ def test_truthfulness_check_finds_first_violation():
     menu = TaxationRule(tuple(zip(point_masses(3), (Fraction(0), Fraction(1, 4), Fraction(1)))))
     low = vec(0, "1/4", 1)  # indifferent: picks the free null entry
     high = vec(0, "1/2", "3/2")  # picks the last entry
-    nothing = lambda true, reported: False  # noqa: E731
+    nothing = lambda true, reported, k: False  # noqa: E731
     truthful, violation = is_truthful_with_verification(menu, nothing, [low, high])
     assert not truthful
     assert violation == (low, high)
     # The same grid passes once overbids are verified away.
-    no_overbid = lambda true, reported: any(r > t for t, r in zip(true, reported))  # noqa: E731
+    no_overbid = lambda true, reported, k: any(r > t for t, r in zip(true, reported))  # noqa: E731
     truthful, violation = is_truthful_with_verification(menu, no_overbid, [low, high])
     assert truthful
     assert violation is None
@@ -214,7 +215,7 @@ def test_truthfulness_check_applies_the_rule_once_per_grid_point(coords):
         calls.append(x)
         return apply_rule(menu, x)
 
-    verification = lambda true, reported: reported[2] > true[2]  # noqa: E731
+    verification = lambda true, reported, k: reported[2] > true[2]  # noqa: E731
     result = is_truthful_with_verification(counted, verification, grid)
     assert calls == grid
     # The first violation in grid order, by the definition pair by pair.
@@ -224,7 +225,7 @@ def test_truthfulness_check_applies_the_rule_once_per_grid_point(coords):
         for reported in grid
         if reported != theta
         and apply_rule(menu, reported).value_to(theta) > apply_rule(menu, theta).value_to(theta)
-        and not verification(theta, reported)
+        and not verification(theta, reported, point_mass_index(apply_rule(menu, reported)))
     ]
     assert result == ((False, violations[0]) if violations else (True, None))
 
@@ -296,32 +297,34 @@ VERIFY_TOKENS = ["none", "no_overbid", "no_overbid_on_received"]
 @given(point_mass_grids(), st.sampled_from(VERIFY_TOKENS + ["caught"]), st.data())
 def test_truthfulness_check_matches_the_naive_oracle(rule_and_grid, token, data):
     rule, grid = rule_and_grid
-    choose = None  # the pass reads the rule itself
     if token == "caught":
         # An arbitrary predicate: a drawn set of (true, report) positions.
         positions = st.integers(min_value=0, max_value=len(grid) - 1)
         caught = data.draw(st.sets(st.tuples(positions, positions)))
 
-        def caught_pair(true, reported):
+        def naive(true, reported):
             return (grid.index(true), grid.index(reported)) in caught
 
-        fast = naive = caught_pair
+        def fast(true, reported, k):
+            return naive(true, reported)
+
     else:
-        # As run_verify does: the pass chooses each entry with the chooser
-        # that the predicate reads back.
-        (fast, choose), naive = cli._verification(token, rule), naive_verification(token, rule)
+        # As run_verify does: the verify verb's predicate for the token.
+        fast, naive = cli._GRID_VERIFICATIONS[token], naive_verification(token, rule)
     asked = {"fast": [], "naive": []}
 
-    def logged(side, predicate):
-        def verification(true, reported):
-            asked[side].append((true, reported))
-            return predicate(true, reported)
+    def logged_naive(true, reported):
+        asked["naive"].append((true, reported))
+        return naive(true, reported)
 
-        return verification
+    def logged_fast(true, reported, k):
+        asked["fast"].append((true, reported))
+        # The pass names the point mass the report receives.
+        assert k == point_mass_index(apply_rule(rule, reported))
+        return fast(true, reported, k)
 
-    expected = naive_truthfulness_check(rule, logged("naive", naive), grid)
-    fast_check = is_truthful_with_verification(rule, logged("fast", fast), grid, choose=choose)
-    assert fast_check == expected
+    expected = naive_truthfulness_check(rule, logged_naive, grid)
+    assert is_truthful_with_verification(rule, logged_fast, grid) == expected
     # The same beneficial pairs are put to the verification, in the same order.
     assert asked["fast"] == asked["naive"]
 
@@ -331,9 +334,9 @@ def test_received_overstatement_must_be_strict():
     # (-1, 1) buys e_1, which it values exactly as theta does.
     menu = TaxationRule(tuple(zip(point_masses(2), (0, 1))))
     theta, report = vec(0, 1), vec(-1, 1)
-    overstates, _ = cli._verification("no_overbid_on_received", menu)
-    assert not overstates(theta, report)
-    assert overstates(theta, vec(-1, 2))
+    overstates = cli._GRID_VERIFICATIONS["no_overbid_on_received"]
+    assert not overstates(theta, report, 1)
+    assert overstates(theta, vec(-1, 2), 1)
     verdict = (False, (theta, report))
     assert is_truthful_with_verification(menu, overstates, [theta, report]) == verdict
 
@@ -342,7 +345,7 @@ def test_truthfulness_check_refuses_lotteries_and_other_dimensions():
     half = Allocation(vec("1/2", "1/2"))
     a1, a2 = point_masses(2)
     grid = [vec(1, 2), vec(2, 1)]
-    nothing = lambda true, reported: False  # noqa: E731
+    nothing = lambda true, reported, k: False  # noqa: E731
     lotteries = [
         lambda x: half,
         TaxationRule(((a1, 0), (half, 0))),

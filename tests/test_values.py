@@ -197,16 +197,17 @@ def test_fields_take_part_in_equality():
 
 
 def test_separating_rule_normal_is_derived_not_a_field():
-    # The normal is built on read from the rule's integer terms; equality,
-    # hashing, repr and copies run over the five declared fields alone.
+    # The normal a_i - a_j is held as the rule's merged integer terms
+    # (scale, ((k, n), ...)) outside the fields; equality, hashing, repr
+    # and copies run over the five declared fields alone.
     built = rule(overrides={vec(0, 0): a0()})
-    assert built.normal == vec(-1, 1)
-    assert "normal" not in repr(built)
+    assert built.difference == (1, ((1, 1), (0, -1)))  # (-1, 1)
+    assert "difference" not in repr(built)
     assert repr(built).endswith(f"overrides={built.overrides!r})")
-    assert pickle.loads(pickle.dumps(built)).normal == built.normal
+    assert pickle.loads(pickle.dumps(built)).difference == built.difference
     assert copy.copy(built) == built and hash(copy.copy(built)) == hash(built)
     with pytest.raises(AttributeError):
-        built.normal = vec(1, -1)
+        built.difference = (1, ((0, 1), (1, -1)))
 
 
 def test_allocation_row_is_derived_not_a_field():
