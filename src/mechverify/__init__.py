@@ -33,7 +33,6 @@ from .mechanisms import (
     Allocation,
     AssignmentSet,
     MechanismError,
-    Rule,
     SeparatingRule,
     TaxationRule,
     TieSide,

@@ -1,7 +1,8 @@
 """Scenario files in, exact result documents and SVG region plots out.
 
 Scenario format: one directive per line; ``#`` starts a comment; blank lines
-are ignored.  Rationals are integers or "p/q" strings, optionally signed.
+are ignored.  Rationals are integers or "p/q" strings, optionally signed,
+with at most ``MAX_DIGITS`` digits in p and in q.
 
     scenario NAME            required; single token
     class KIND               deterministic | universally_truthful |
@@ -35,6 +36,10 @@ Class-specific options (V and P nonnegative):
                    option verification_kind none|no_overbid|
                    no_overbid_on_received|harmless_complement
 
+``verify`` reads every declared rule as a menu of point masses: a
+``rule_pair`` with I != J is the two-entry menu e_I at C, e_J at 0, its
+tie side first.  It reads no ``allocation`` lines, and refuses them.
+
 Every class accepts the verify-verb options.  An unknown key, a repeated
 single line, a bad value and values that contradict each other are errors
 that name their line.  Every verb checks the class's type rule (dimension,
@@ -42,11 +47,12 @@ a null coordinate 0 worth 0, nonnegative values, allocation lines only for
 the classes that read them, point masses, expectation allocations on one
 line) before it answers any query.
 
-Three budgets bound the work a file can ask for: at most ``MAX_DIMENSION``
+Four budgets bound the work a file can ask for: at most ``MAX_DIMENSION``
 coordinates (or assignment labels) on a line, at most ``MAX_QUERIES``
-query lines, and at most ``MAX_REPEATS`` ``allocation`` lines and as many
-``option`` lines of each key.  Each is checked as the line is read, before
-its values are parsed and before any set is built.
+query lines, at most ``MAX_REPEATS`` ``allocation`` lines and as many
+``option`` lines of each key, and at most ``MAX_DIGITS`` digits in each
+integer of a rational.  Each is checked as the line or token is read,
+before its values are parsed and before any set is built.
 
 Verbs and their own flags: every verb takes ``--scenario FILE`` and
 ``--out FILE``; ``plot`` takes ``--axes I,J`` and
@@ -103,7 +109,6 @@ from .mechanisms import (
     Allocation,
     AssignmentSet,
     MechanismError,
-    Rule,
     SeparatingRule,
     TaxationRule,
     TieSide,
@@ -139,26 +144,23 @@ class ScenarioError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 # An assignment or axis index: ASCII digits only (str.isdigit and int()
 # also take other scripts' digits and superscripts).
 _INDEX = re.compile(r"[0-9]+")
 
 
 def _parse_rational(token: str, line: int | None = None) -> Fraction:
-    """An integer or p/q with an optional sign; nothing else (no decimals,
-    exponents or digit separators).  The integers are the pattern's own
-    groups, so no second, general parse runs."""
+    """An integer or p/q with an optional sign and at most ``MAX_DIGITS``
+    digits in p and in q; nothing else (no decimals, exponents or digit
+    separators).  The integers are the pattern's own groups, so no second,
+    general parse runs."""
     match = _RATIONAL.fullmatch(token)
     if match is not None:
         numerator, denominator = match.groups()
-        try:
-            # int() refuses more digits than sys.get_int_max_str_digits().
-            if denominator is None:
-                return Fraction(int(numerator))
+        if denominator is None:
+            return Fraction(int(numerator))
+        if int(denominator):
             return Fraction(int(numerator), int(denominator))
-        except (ValueError, ZeroDivisionError):
-            pass
     raise ScenarioError(f"bad rational {token!r}", line)
 
 
@@ -253,10 +255,17 @@ def _option_value(tokens: Sequence[str], spec: tuple) -> object:
 # allocation set is checked per scenario, not per query, and the vcg
 # price sums over the other agents' matchings, so work and output grow
 # polynomially in every size; the largest scenario they admit takes
-# seconds, not minutes.
+# seconds, not minutes.  The digits of a rational bound the integers that
+# exact arithmetic builds from it: at the other budgets, with 8-digit
+# numerators and denominators, the slowest class takes about 6 s and prints
+# integers of about 2100 digits, under int()'s default limit of 4300.
 MAX_DIMENSION = 64
 MAX_QUERIES = 128
 MAX_REPEATS = 64
+MAX_DIGITS = 8
+# A rational token, p and q of at most MAX_DIGITS digits each: a longer one
+# is refused before int() reads it.
+_RATIONAL = re.compile(rf"([+-]?[0-9]{{1,{MAX_DIGITS}}})(?:/([0-9]{{1,{MAX_DIGITS}}}))?")
 # The directives whose arguments are one coordinate or label per dimension.
 _DIMENSION_DIRECTIVES = (
     "theta", "reported", "space_low", "space_high", "query", "allocation", "assignments"
@@ -885,23 +894,30 @@ def run_scenario(source: Scenario | str | os.PathLike[str]) -> ResultDocument:
 # Truthfulness checks with explicit verification (the verify verb)
 
 
-def _verify_rule(dim: int, options: dict) -> Rule:
+def _verify_rule(dim: int, options: dict) -> TaxationRule:
+    """The declared rule as a menu of point masses: ``rule_prices`` lists
+    one price per e_k; ``rule_pair i j`` is e_i at ``rule_price`` against
+    e_j free, so x takes e_i when x_i - x_j exceeds the price, and the tie
+    side goes first, as the earliest entry wins a tie."""
     prices = options.get("rule_prices")
     pair = options.get("rule_pair")
     if (prices is None) == (pair is None):
         raise ScenarioError("verify needs exactly one of rule_prices or rule_pair")
+    allocations = point_masses(dim)
     if prices is not None:
         if len(prices) != dim:
             raise ScenarioError(f"rule_prices takes {dim} values")
-        return TaxationRule(tuple(zip(point_masses(dim), prices)))
+        return TaxationRule(tuple(zip(allocations, prices)))
     i, j = pair
     if not (i < dim and j < dim):
         raise ScenarioError("rule_pair indices out of range")
+    if i == j:
+        raise ScenarioError("rule_pair takes two distinct indices")
     if "rule_price" not in options:
         raise ScenarioError("rule_pair needs option rule_price")
+    entries = ((allocations[i], options["rule_price"]), (allocations[j], 0))
     tie = options.get("rule_tie", TieSide.TO_I)
-    allocations = point_masses(dim)
-    return SeparatingRule(allocations[i], allocations[j], options["rule_price"], tie)
+    return TaxationRule(entries if tie is TieSide.TO_I else entries[::-1])
 
 
 # verification_kind -> is (true type, report) caught, where e_k is the
@@ -925,6 +941,8 @@ def run_verify(source: Scenario | str | os.PathLike[str]) -> ResultDocument:
     if scenario.mode != "forward":
         raise ScenarioError("verify needs a forward-mode scenario")
     _, options, tags = _checked(scenario)
+    if scenario.allocations:
+        raise ScenarioError("verify reads no allocation lines")
     cls = scenario.mechanism_class
     if "positions" in tags:
         raise ScenarioError(f"verify reads value vectors, not {cls} positions")

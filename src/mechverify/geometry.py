@@ -103,42 +103,20 @@ class Vector(Frozen):
     def dim(self) -> int:
         return len(self.coords)
 
-    # The arithmetic below skips terms with a zero operand.  Coordinates are
-    # always Fractions, so the results are the same exact values the dense
-    # sums give, without a Fraction operation per zero coordinate.
-
     def dot(self, other: "Vector") -> Fraction:
-        """The exact sum of coordinate products, as one Fraction: the nonzero
-        products' integer numerators are summed over the lcm of their
-        denominators, with no Fraction addition per term.  A zero in self
-        costs one identity test (the shared ZERO) or one numerator read, so
-        a point mass is cheap on the left."""
         _check_dim(self, other)
-        numerators, denominators = [], []
-        for a, b in zip(self.coords, other.coords):
-            n = a is not ZERO and a.numerator
-            if n:
-                n *= b.numerator
-                if n:
-                    numerators.append(n)
-                    denominators.append(a.denominator * b.denominator)
-        if not numerators:
-            return Fraction(0)
-        scale = lcm(*denominators)
-        return Fraction(
-            sum([n * (scale // d) for n, d in zip(numerators, denominators)]), scale
-        )
+        return sum([a * b for a, b in zip(self.coords, other.coords)], ZERO)
 
     def is_zero(self) -> bool:
         return not any(self.coords)
 
     def __add__(self, other: "Vector") -> "Vector":
         _check_dim(self, other)
-        return _vector(tuple([a + b if b else a for a, b in zip(self.coords, other.coords)]))
+        return _vector(tuple([a + b for a, b in zip(self.coords, other.coords)]))
 
     def __sub__(self, other: "Vector") -> "Vector":
         _check_dim(self, other)
-        return _vector(tuple([a - b if b else a for a, b in zip(self.coords, other.coords)]))
+        return _vector(tuple([a - b for a, b in zip(self.coords, other.coords)]))
 
     def __neg__(self) -> "Vector":
         return _vector(tuple([-a for a in self.coords]))

@@ -12,8 +12,8 @@ Two rule shapes cover everything implementable with payments here:
 Utilities are raw allocation values: with verification substituting for
 payments, the benefit comparison between a misreport and the truth never
 involves money.  The grid check ``is_truthful_with_verification`` takes
-rules that give every type a point mass e_k, whose value to a type x is
-x_k: it reads that value by index, in integers, not by valuing e_k.
+menus of point masses: a type x that picks e_k values it at x_k, read by
+index, in integers, not by valuing e_k.
 
 Every :class:`Allocation` passes one check: its probabilities, as integers
 over their common denominator (``geometry._common_numerators``), lie in
@@ -206,15 +206,10 @@ def best_entry(rule: TaxationRule, x: Vector) -> tuple[Allocation, Fraction]:
     return rule.entries[utilities.index(max(utilities))]
 
 
-Rule = SeparatingRule | TaxationRule | Callable[[Vector], Allocation]
-
-
-def apply_rule(rule: Rule, x: Vector) -> Allocation:
+def apply_rule(rule: SeparatingRule | TaxationRule, x: Vector) -> Allocation:
     if isinstance(rule, SeparatingRule):
         return allocate_separating(rule, x)
-    if isinstance(rule, TaxationRule):
-        return best_entry(rule, x)[0]
-    return rule(x)
+    return best_entry(rule, x)[0]
 
 
 def point_mass_index(allocation: Allocation) -> int | None:
@@ -224,44 +219,35 @@ def point_mass_index(allocation: Allocation) -> int | None:
     return terms[0][0] if len(terms) == 1 else None
 
 
-def point_mass_choice(rule: Rule) -> Callable[[Vector, int, Sequence[int]], int]:
+def point_mass_choice(rule: TaxationRule) -> Callable[[Vector, int, Sequence[int]], int]:
     """(x, scale, row) -> the k with apply_rule(rule, x) = e_k, where row is
-    x's coordinates as integers over scale; MechanismError for an x that
-    the rule gives a lottery.
+    x's coordinates as integers over scale, for a menu of point masses;
+    MechanismError for any other rule, or a menu with a lottery entry.
 
-    A menu whose entries are all point masses is read once, here, its prices
-    as integers q over one denominator P: each call is then the first argmax
-    of row_k P - q scale, a positive multiple of x_k - p_k (ties to the
-    earliest entry, as ``best_entry`` breaks them), with no Fraction built.
-    Any other rule is applied to x and its result checked.
+    The menu is read once, here, its prices as integers q over one
+    denominator P: each call is then the first argmax of row_k P - q scale,
+    a positive multiple of x_k - p_k (ties to the earliest entry, as
+    ``best_entry`` breaks them), with no Fraction built.
     """
-    if isinstance(rule, TaxationRule):
-        indices = [point_mass_index(a) for a, _ in rule.entries]
-        if None not in indices:
-            probs = rule.entries[0][0].probs
-            price_scale, (prices,) = _common_numerators([p for _, p in rule.entries])
-            entries = list(zip(indices, prices))
+    if not isinstance(rule, TaxationRule):
+        raise MechanismError(f"the grid check reads a menu, not a {type(rule).__name__}")
+    indices = [point_mass_index(a) for a, _ in rule.entries]
+    if None in indices:
+        raise MechanismError("the grid check reads menus of point masses, not lotteries")
+    probs = rule.entries[0][0].probs
+    price_scale, (prices,) = _common_numerators([p for _, p in rule.entries])
+    entries = list(zip(indices, prices))
 
-            def choose_entry(x: Vector, scale: int, row: Sequence[int]) -> int:
-                _check_dim(probs, x)
-                utilities = [row[k] * price_scale - q * scale for k, q in entries]
-                return indices[utilities.index(max(utilities))]
+    def choose(x: Vector, scale: int, row: Sequence[int]) -> int:
+        _check_dim(probs, x)
+        utilities = [row[k] * price_scale - q * scale for k, q in entries]
+        return indices[utilities.index(max(utilities))]
 
-            return choose_entry
-
-    def choose_applied(x: Vector, scale: int, row: Sequence[int]) -> int:
-        received = apply_rule(rule, x)
-        _check_dim(received.probs, x)
-        k = point_mass_index(received)
-        if k is None:
-            raise MechanismError(f"expected a point-mass allocation; got {received.probs}")
-        return k
-
-    return choose_applied
+    return choose
 
 
 def is_truthful_with_verification(
-    rule: Rule,
+    rule: TaxationRule,
     verification: Callable[[Vector, Vector, int], bool],
     grid: Sequence[Vector],
     table: tuple[int, Sequence[Sequence[int]]] | None = None,
@@ -276,10 +262,9 @@ def is_truthful_with_verification(
     verification does not catch it.  ``verification`` is asked about
     beneficial pairs only, in grid order.
 
-    The rule must give every grid type a point mass (MechanismError
-    otherwise; entries or sides that no grid type receives may be
-    lotteries), so the value of e_k to theta is theta_k, read by index from
-    the grid's ``_common_numerators`` table (``table``, or built here).
+    The rule must be a menu of point masses (MechanismError otherwise), so
+    the value of e_k to theta is theta_k, read by index from the grid's
+    ``_common_numerators`` table (``table``, or built here).
     Each type's k is chosen once, by ``point_mass_choice(rule)``.
     A type's better indices, those k with row_k above its own, are found
     once per distinct received index: each pair is one set lookup.

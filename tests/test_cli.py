@@ -37,7 +37,6 @@ from mechverify.geometry import (
 from mechverify.harmless import deterministic_harmless
 from mechverify.mechanisms import (
     MechanismError,
-    SeparatingRule,
     TaxationRule,
     TieSide,
     is_truthful_with_verification,
@@ -1239,7 +1238,9 @@ def point_mass_menus(draw):
         i, j = draw(st.permutations(range(m)))[:2]
         price = draw(menu_values)
         tie = draw(st.sampled_from([TieSide.TO_I, TieSide.TO_J]))
-        rule = SeparatingRule(point_mass(i, m), point_mass(j, m), price, tie)
+        # The pair's menu: e_i at the price, e_j free, the tie side first.
+        entries = ((point_mass(i, m), price), (point_mass(j, m), 0))
+        rule = TaxationRule(entries if tie is TieSide.TO_I else entries[::-1])
         options = [
             f"option rule_pair {i} {j}",
             f"option rule_price {price}",
@@ -1441,7 +1442,13 @@ def test_serialized_lines_are_well_formed(rule):
 OVERLONG = "1" * 4301
 
 
-@pytest.mark.parametrize("token", ["1e400", "1_000", "1.5", OVERLONG, f"1/{OVERLONG}"])
+# One digit more than the digit budget, in the numerator and in the denominator.
+OVER_BUDGET = "9" * (cli.MAX_DIGITS + 1)
+
+
+@pytest.mark.parametrize(
+    "token", ["1e400", "1_000", "1.5", OVERLONG, f"1/{OVERLONG}", OVER_BUDGET, f"-1/{OVER_BUDGET}"]
+)
 def test_rationals_are_integers_or_p_over_q(token, tmp_path, cli_env):
     text = f"scenario s\nclass deterministic\ntheta {token} 1\nquery 0 1\n"
     with pytest.raises(ScenarioError) as info:
@@ -1453,9 +1460,9 @@ def test_rationals_are_integers_or_p_over_q(token, tmp_path, cli_env):
     assert "bad rational" in result.stderr
 
 
-# Tokens of the rational grammar: an optional sign, digits with leading
-# zeros allowed, and an optional /q with q >= 1.
-digit_strings = st.text("0123456789", min_size=1, max_size=12)
+# Tokens of the rational grammar: an optional sign, up to the digit budget
+# of digits with leading zeros allowed, and an optional /q with q >= 1.
+digit_strings = st.text("0123456789", min_size=1, max_size=cli.MAX_DIGITS)
 rational_tokens = st.builds(
     lambda sign, p, q: sign + p + ("" if q is None else "/" + q),
     st.sampled_from(["", "+", "-"]),
@@ -1467,6 +1474,17 @@ rational_tokens = st.builds(
 @given(rational_tokens)
 def test_parse_rational_matches_fraction(token):
     assert cli._parse_rational(token) == Fraction(token)
+
+
+def test_digit_budget_refuses_an_offset_too_long_to_print(tmp_path, capsys):
+    # 1/p - 1/q, the region's offset, has a 6000-digit denominator: more than
+    # str() prints by default.  Each 3000-digit token is refused as it is read.
+    p, q = 10**2999 + 1, 10**2999 + 3  # odd and 2 apart: coprime
+    scenario = tmp_path / "s.scn"
+    scenario.write_text(f"scenario s\nclass deterministic\ntheta 1/{p} 1/{q}\n")
+    assert main(["harmless", "--scenario", str(scenario)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: line 3: bad rational '1/{p}'\n")
 
 
 @given(st.lists(rational_tokens, min_size=1, max_size=6))
@@ -1810,6 +1828,43 @@ def test_cli_error_paths(tmp_path, cli_env):
             "scenario s\nclass deterministic\ntheta 0 1\noption rule_pair 0 1\n",
             "error: rule_pair needs option rule_price\n",
         ),
+        (
+            "verify",
+            "scenario s\nclass deterministic\ntheta 0 1\noption rule_pair 1 1\n"
+            "option rule_price 1\n",
+            "error: rule_pair takes two distinct indices\n",
+        ),
+        (
+            "verify",
+            "scenario s\nclass deterministic\nallocation 1 0 0\nallocation 0 0 1\ntheta 0 1 2\n"
+            "option rule_prices 0 1 2\nquery 0 2 1\n",
+            "error: verify reads no allocation lines\n",
+        ),
+        (
+            "verify",
+            SECOND_PRICE_EXAMPLE + "option rule_prices 0\n",
+            "error: verify needs a forward-mode scenario\n",
+        ),
+        (
+            "plot --axes 0,3",
+            "scenario s\nclass deterministic\ntheta 0 1 2\n",
+            "error: axes (0, 3) invalid for dimension 3\n",
+        ),
+        (
+            "harmless",
+            "scenario a b\nclass deterministic\ntheta 0 1\n",
+            "error: line 1: scenario takes exactly one name token\n",
+        ),
+        (
+            "harmless",
+            "scenario s\nclass deterministic\ntheta 0 1 2\nallocation 1/2 1/3 0\n",
+            "error: line 4: allocation probabilities sum to 5/6, not 1\n",
+        ),
+        (
+            "harmless",
+            "scenario s\nclass deterministic\nassignments a b a\ntheta 0 1 2\n",
+            "error: assignment labels must be distinct\n",
+        ),
     ],
     ids=[
         "harmless-on-reverse",
@@ -1828,12 +1883,20 @@ def test_cli_error_paths(tmp_path, cli_env):
         "rule-prices-count",
         "rule-pair-range",
         "rule-pair-without-price",
+        "rule-pair-same-index",
+        "verify-allocation-lines",
+        "verify-on-reverse",
+        "plot-axes-out-of-range",
+        "scenario-two-names",
+        "allocation-sum",
+        "repeated-labels",
     ],
 )
 def test_cli_rejects_with_exact_messages(verb, text, message, tmp_path, capsys):
     scenario = tmp_path / "s.scn"
     scenario.write_text(text)
-    assert main([verb, "--scenario", str(scenario)]) == 1
+    # A verb may carry its own flags after it.
+    assert main([*verb.split(), "--scenario", str(scenario)]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", message)
 

@@ -27,10 +27,16 @@ from mechverify.cli import (
 )
 from mechverify.mechanisms import MechanismError
 
-VALID_NUMBERS = st.sampled_from(["0", "1", "-1", "2", "3", "1/2", "-3/4", "+5", "7/3", "0/4"])
+# Tokens at the digit budget, in p and in q, and one digit past it.
+AT_BUDGET = f"-{'9' * cli.MAX_DIGITS}/{'7' * cli.MAX_DIGITS}"
+PAST_BUDGET = ["9" * (cli.MAX_DIGITS + 1), f"1/{'7' * (cli.MAX_DIGITS + 1)}"]
+VALID_NUMBERS = st.sampled_from(
+    ["0", "1", "-1", "2", "3", "1/2", "-3/4", "+5", "7/3", "0/4", AT_BUDGET]
+)
 NONNEGATIVE = st.sampled_from(["0", "1", "2", "1/2", "7/3"])
 MALFORMED_NUMBERS = st.sampled_from(
-    ["1e400", "1_000", "1.5", "x", "1/0", "inf", "-", "/2", "--1", "٣", "1/-2", "7" * 4301]
+    ["1e400", "1_000", "1.5", "x", "1/0", "inf", "-", "/2", "--1", "٣", "1/-2", "7" * 4301,
+     *PAST_BUDGET]
 )
 NUMBERS = st.one_of(VALID_NUMBERS, MALFORMED_NUMBERS)
 WORDS = st.sampled_from(

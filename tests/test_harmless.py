@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from mechverify.geometry import Sense, vec
+from mechverify.geometry import DimensionMismatch, Sense, vec
 from mechverify.harmless import (
     SimplexFamily,
     SubspaceHypothesisError,
@@ -178,6 +178,9 @@ def test_tie_full_simplex_closed_form():
     assert tie_harmless_contains(theta, theta.scale(Fraction(-1)), SimplexFamily.FULL_SIMPLEX)
     assert not tie_harmless_contains(theta, theta.scale(Fraction(3, 2)), SimplexFamily.FULL_SIMPLEX)
     assert not tie_harmless_contains(theta, vec(1, 2, 5), SimplexFamily.FULL_SIMPLEX)
+    with pytest.raises(DimensionMismatch) as info:
+        tie_harmless_contains(theta, vec(1, 2), SimplexFamily.FULL_SIMPLEX)
+    assert str(info.value) == "type dims 3 vs 2"
 
 
 def test_tie_constant_type_is_never_harmed():

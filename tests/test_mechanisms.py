@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mechverify import cli
-from mechverify.geometry import DimensionMismatch, Vector, vec
+from mechverify import cli, mechanisms
+from mechverify.geometry import DimensionMismatch, Vector, _common_numerators, vec
 from mechverify.mechanisms import (
     Allocation,
     AssignmentSet,
@@ -20,6 +20,7 @@ from mechverify.mechanisms import (
     best_entry,
     is_truthful_with_verification,
     point_mass,
+    point_mass_choice,
     point_mass_index,
     point_masses,
 )
@@ -180,13 +181,9 @@ def test_taxation_rule_validation():
         TaxationRule(())
     with pytest.raises(MechanismError):
         TaxationRule(((point_mass(0, 2), Fraction(0)), (point_mass(0, 2), Fraction(1))))
-
-
-def test_apply_rule_accepts_callables():
-    a1, a2 = point_masses(2)
-    rule = lambda x: a1 if x[0] >= x[1] else a2  # noqa: E731
-    assert apply_rule(rule, vec(2, 1)) == a1
-    assert apply_rule(rule, vec(1, 2)) == a2
+    with pytest.raises(DimensionMismatch) as info:
+        TaxationRule(((point_mass(0, 3), 0), (point_mass(0, 2), 0)))
+    assert str(info.value) == "mixed allocation dimensions: [2, 3]"
 
 
 def test_truthfulness_check_finds_first_violation():
@@ -209,14 +206,24 @@ def test_truthfulness_check_finds_first_violation():
 def test_truthfulness_check_applies_the_rule_once_per_grid_point(coords):
     menu = TaxationRule(tuple(zip(point_masses(3), (Fraction(0), Fraction(1, 4), Fraction(1)))))
     grid = list(dict.fromkeys(vec(*c) for c in coords))
-    calls = []
+    reads, calls = [], []
+    choice = mechanisms.point_mass_choice
 
-    def counted(x):
-        calls.append(x)
-        return apply_rule(menu, x)
+    def counted(rule):
+        reads.append(rule)
+        choose = choice(rule)
+
+        def counted_choose(x, scale, row):
+            calls.append(x)
+            return choose(x, scale, row)
+
+        return counted_choose
 
     verification = lambda true, reported, k: reported[2] > true[2]  # noqa: E731
-    result = is_truthful_with_verification(counted, verification, grid)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mechanisms, "point_mass_choice", counted)
+        result = is_truthful_with_verification(menu, verification, grid)
+    assert reads == [menu]
     assert calls == grid
     # The first violation in grid order, by the definition pair by pair.
     violations = [
@@ -264,30 +271,40 @@ grid_values = st.sampled_from([Fraction(v, 2) for v in range(-2, 5)])
 
 @st.composite
 def point_mass_grids(draw):
-    """(rule, grid): a deduplicated grid of up to 8 types at m <= 4 and a
-    rule giving each a point mass: a menu over some of the point masses in
-    any order, a two-allocation rule with either tie side and some boundary
-    types pinned, or a callable applying such a menu."""
+    """(menu, reference, grid): a deduplicated grid of up to 8 types at
+    m <= 4, a menu of point masses, and the rule the naive side applies.
+    The menu lists some of the point masses in any order and is its own
+    reference, or is the one ``cli._verify_rule`` builds for a declared
+    pair with either tie side, whose reference is the two-allocation rule."""
     m = draw(st.integers(min_value=2, max_value=4))
     coords = st.lists(grid_values, min_size=m, max_size=m)
     grid = list(dict.fromkeys(Vector(c) for c in draw(st.lists(coords, min_size=1, max_size=8))))
     allocations = point_masses(m)
     order = draw(st.permutations(range(m)))
-    kind = draw(st.sampled_from(["menu", "pair", "callable"]))
-    if kind == "pair":
-        a_i, a_j = allocations[order[0]], allocations[order[1]]
+    if draw(st.booleans()):
+        i, j = order[:2]
         price = draw(grid_values)
-        normal = a_i.probs - a_j.probs
-        boundary = [x for x in grid if normal.dot(x) == price]
-        pinned = draw(st.lists(st.sampled_from(boundary), unique=True)) if boundary else []
-        overrides = {x: draw(st.sampled_from([a_i, a_j])) for x in pinned}
         tie = draw(st.sampled_from([TieSide.TO_I, TieSide.TO_J]))
-        return SeparatingRule(a_i, a_j, price, tie, overrides), grid
+        menu = cli._verify_rule(m, {"rule_pair": (i, j), "rule_price": price, "rule_tie": tie})
+        return menu, SeparatingRule(allocations[i], allocations[j], price, tie), grid
     n = draw(st.integers(min_value=1, max_value=m))
     menu = TaxationRule(tuple((allocations[k], draw(grid_values)) for k in order[:n]))
-    if kind == "menu":
-        return menu, grid
-    return (lambda x: apply_rule(menu, x)), grid
+    return menu, menu, grid
+
+
+@given(st.integers(min_value=2, max_value=5), st.data())
+def test_declared_pair_is_its_two_entry_menu(m, data):
+    # Few values, so x_i - x_j = c, the boundary, is a common draw.
+    i, j = data.draw(st.permutations(range(m)))[:2]
+    tie = data.draw(st.sampled_from([TieSide.TO_I, TieSide.TO_J]))
+    price = data.draw(grid_values)
+    x = Vector(data.draw(st.lists(grid_values, min_size=m, max_size=m)))
+    menu = cli._verify_rule(m, {"rule_pair": (i, j), "rule_price": price, "rule_tie": tie})
+    allocations = point_masses(m)
+    received = apply_rule(SeparatingRule(allocations[i], allocations[j], price, tie), x)
+    assert apply_rule(menu, x) == received
+    scale, (row,) = _common_numerators(x.coords)
+    assert point_mass_choice(menu)(x, scale, row) == point_mass_index(received)
 
 
 VERIFY_TOKENS = ["none", "no_overbid", "no_overbid_on_received"]
@@ -295,8 +312,8 @@ VERIFY_TOKENS = ["none", "no_overbid", "no_overbid_on_received"]
 
 @settings(max_examples=300)
 @given(point_mass_grids(), st.sampled_from(VERIFY_TOKENS + ["caught"]), st.data())
-def test_truthfulness_check_matches_the_naive_oracle(rule_and_grid, token, data):
-    rule, grid = rule_and_grid
+def test_truthfulness_check_matches_the_naive_oracle(drawn, token, data):
+    menu, reference, grid = drawn
     if token == "caught":
         # An arbitrary predicate: a drawn set of (true, report) positions.
         positions = st.integers(min_value=0, max_value=len(grid) - 1)
@@ -310,7 +327,7 @@ def test_truthfulness_check_matches_the_naive_oracle(rule_and_grid, token, data)
 
     else:
         # As run_verify does: the verify verb's predicate for the token.
-        fast, naive = cli._GRID_VERIFICATIONS[token], naive_verification(token, rule)
+        fast, naive = cli._GRID_VERIFICATIONS[token], naive_verification(token, reference)
     asked = {"fast": [], "naive": []}
 
     def logged_naive(true, reported):
@@ -320,11 +337,11 @@ def test_truthfulness_check_matches_the_naive_oracle(rule_and_grid, token, data)
     def logged_fast(true, reported, k):
         asked["fast"].append((true, reported))
         # The pass names the point mass the report receives.
-        assert k == point_mass_index(apply_rule(rule, reported))
+        assert k == point_mass_index(apply_rule(reference, reported))
         return fast(true, reported, k)
 
-    expected = naive_truthfulness_check(rule, logged_naive, grid)
-    assert is_truthful_with_verification(rule, logged_fast, grid) == expected
+    expected = naive_truthfulness_check(reference, logged_naive, grid)
+    assert is_truthful_with_verification(menu, logged_fast, grid) == expected
     # The same beneficial pairs are put to the verification, in the same order.
     assert asked["fast"] == asked["naive"]
 
@@ -346,27 +363,19 @@ def test_truthfulness_check_refuses_lotteries_and_other_dimensions():
     a1, a2 = point_masses(2)
     grid = [vec(1, 2), vec(2, 1)]
     nothing = lambda true, reported, k: False  # noqa: E731
-    lotteries = [
-        lambda x: half,
-        TaxationRule(((a1, 0), (half, 0))),
-        SeparatingRule(a1, half, 0),
-    ]
-    for rule in lotteries:
-        with pytest.raises(MechanismError):
+    # Only a menu is read: a two-allocation rule or a callable is refused.
+    for rule in (SeparatingRule(a1, a2, 0), SeparatingRule(a1, half, 0), lambda x: a1):
+        with pytest.raises(MechanismError, match="the grid check reads a menu, not a"):
             is_truthful_with_verification(rule, nothing, grid)
-    # A lottery that no grid type receives is no obstacle: the check runs.
-    unreceived = [
-        lambda x: a1 if x in grid else half,
-        TaxationRule(((a1, 0), (a2, 0), (half, 1))),
-        SeparatingRule(a2, half, -10),
-    ]
-    for rule in unreceived:
-        expected = naive_truthfulness_check(rule, nothing, grid)
-        assert is_truthful_with_verification(rule, nothing, grid) == expected
-    assert is_truthful_with_verification(unreceived[1], nothing, grid) == (True, None)
-    for rule in (TaxationRule(((a1, 0), (a2, 0))), SeparatingRule(a1, a2, 0), lambda x: a1):
-        with pytest.raises(DimensionMismatch):
-            is_truthful_with_verification(rule, nothing, grid + [vec(1, 2, 3)])
+    # A menu with a lottery entry is refused, whether or not a grid type
+    # receives it: (1, 2) takes the first menu's lottery, and neither type
+    # takes the second's.
+    for menu in (TaxationRule(((a1, 0), (half, 0))), TaxationRule(((a1, 0), (a2, 0), (half, 1)))):
+        with pytest.raises(MechanismError, match="menus of point masses, not lotteries"):
+            is_truthful_with_verification(menu, nothing, grid)
+    menu = TaxationRule(((a1, 0), (a2, 0)))
+    with pytest.raises(DimensionMismatch):
+        is_truthful_with_verification(menu, nothing, grid + [vec(1, 2, 3)])
 
 
 @given(st.lists(rationals, min_size=2, max_size=2), st.lists(rationals, min_size=2, max_size=2))
