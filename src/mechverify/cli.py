@@ -44,8 +44,9 @@ Every class accepts the verify-verb options.  An unknown key, a repeated
 single line, a bad value and values that contradict each other are errors
 that name their line.  Every verb checks the class's type rule (dimension,
 a null coordinate 0 worth 0, nonnegative values, allocation lines only for
-the classes that read them, point masses, expectation allocations on one
-line) before it answers any query.
+the classes that read them) before it answers any query; the class's setup
+checks the allocation lines it reads (point masses, expectation
+allocations on one line), also before any query.
 
 Four budgets bound the work a file can ask for: at most ``MAX_DIMENSION``
 coordinates (or assignment labels) on a line, at most ``MAX_QUERIES``
@@ -548,19 +549,19 @@ def _point_mass(
     operation: str,
     allocations: Sequence[Allocation],
     summary: tuple[tuple[str, str], ...],
-    indices: tuple[int, ...] | None = None,
 ) -> Setup:
     """Every point-mass class: the point masses are checked once per
-    scenario (``indices``, or here), and one ``PointMassRegion`` per true
-    type decides and certifies each (theta, x) in closed form.  Forward mode
-    prepares the anchor alone: its queries are certified from the region it
-    prints; reverse mode builds one region per candidate."""
-    indices = indices or point_mass_indices(allocations, scenario.anchor.dim)
-    region = None
+    scenario, before any query (forward by ``deterministic_harmless``), and
+    one ``PointMassRegion`` per true type decides and certifies each (theta,
+    x) in closed form.  Forward mode prepares the anchor alone: its queries
+    are certified from the region it prints; reverse mode builds one region
+    per candidate."""
+    region = indices = None
     if scenario.mode == "forward":
-        region = deterministic_harmless(scenario.anchor, allocations, indices).region
+        region = deterministic_harmless(scenario.anchor, allocations).region
     else:
         operation = "harmful_union_contains"
+        indices = point_mass_indices(allocations, scenario.anchor.dim)
 
     def certify(prepared: PointMassRegion, x: Vector) -> Certificate | None:
         rule = prepared.rule(x)
@@ -572,19 +573,26 @@ def _point_mass(
     return operation, prepare, region, summary
 
 
-def _setup_point_mass(scenario: Scenario, options: dict, indices: tuple | None = None) -> Setup:
+def _setup_point_mass(scenario: Scenario, options: dict) -> Setup:
     """deterministic and universally_truthful classes."""
     allocations = scenario.allocations or point_masses(scenario.anchor.dim)
     summary = (("allocations", str(len(allocations))),)
     operation = f"{scenario.mechanism_class}_harmless"
-    return _point_mass(scenario, operation, allocations, summary, indices)
+    return _point_mass(scenario, operation, allocations, summary)
 
 
-def _setup_tie(scenario: Scenario, options: dict, pair_of: Callable | None = None) -> Setup:
+def _setup_tie(scenario: Scenario, options: dict) -> Setup:
+    """truthful_in_expectation.  An explicit set is checked here, before any
+    query: it must lie on one line once a true type (the anchor forward, a
+    query in reverse) values it apart, and pair_of(theta), read off that
+    line, is theta's decisive pair, which answers every report as the set
+    does."""
     allocations = scenario.allocations
     if allocations:
-        # _checked gives pair_of(theta), theta's decisive pair, which answers
-        # every report as the set does.
+        true_types = (scenario.anchor,) if scenario.mode == "forward" else scenario.queries
+        valued_apart = any(decisive_pair(t, allocations) for t in true_types)
+        pair_of = check_one_line(allocations) if valued_apart else lambda theta: None
+
         def prepare(theta: Vector) -> Certify:
             pair = pair_of(theta)
             if pair is None:
@@ -810,10 +818,10 @@ MECHANISM_CLASSES = tuple(_CLASSES)
 
 def _checked(scenario: Scenario) -> tuple[Callable[[Scenario, dict], Setup], dict, tuple]:
     """The class's setup, the scenario's options as a dict and the type
-    rule's tags, once the class's required options are given and its type
-    rule holds for the anchor, every query and the explicit allocations.
-    The setup is bound to what the rule found: point-mass indices or
-    decisive pairs.  Every verb calls this before it answers a query."""
+    rule's tags, once the class's required options are given, its type rule
+    holds for the anchor and every query, and allocation lines come only to
+    a class that reads them; its setup checks those lines before any query.
+    Every verb calls this before it answers a query."""
     cls = scenario.mechanism_class
     if cls not in _CLASSES:
         raise ScenarioError(f"unsupported mechanism class {cls!r}")
@@ -839,17 +847,6 @@ def _checked(scenario: Scenario) -> tuple[Callable[[Scenario, dict], Setup], dic
         raise ScenarioError(f"{cls} scenarios use nonnegative values")
     if scenario.allocations and not {"allocations", "point_masses"} & set(tags):
         raise ScenarioError(f"{cls} scenarios read no allocation lines")
-    allocations = scenario.allocations
-    if "point_masses" in tags and allocations:
-        setup = partial(setup, indices=point_mass_indices(allocations, anchor.dim))
-    if "allocations" in tags and allocations:
-        # The set must lie on one line once a true type values it apart: the
-        # anchor in forward mode, a query in reverse mode; the setup reads
-        # each true type's decisive pair off that line.
-        true_types = (anchor,) if scenario.mode == "forward" else scenario.queries
-        valued_apart = any(decisive_pair(t, allocations) for t in true_types)
-        pair_of = check_one_line(allocations) if valued_apart else lambda theta: None
-        setup = partial(setup, pair_of=pair_of)
     return setup, options, tags
 
 
@@ -940,8 +937,9 @@ def run_verify(source: Scenario | str | os.PathLike[str]) -> ResultDocument:
     scenario = source if isinstance(source, Scenario) else load_scenario(source)
     if scenario.mode != "forward":
         raise ScenarioError("verify needs a forward-mode scenario")
-    _, options, tags = _checked(scenario)
+    setup, options, tags = _checked(scenario)
     if scenario.allocations:
+        setup(scenario, options)  # a class's own complaint about a line comes first
         raise ScenarioError("verify reads no allocation lines")
     cls = scenario.mechanism_class
     if "positions" in tags:

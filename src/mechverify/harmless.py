@@ -224,18 +224,15 @@ def pairwise_harmless(theta: Vector, a_i: Allocation, a_j: Allocation) -> Harmle
     return HarmlessResult(lambda x: region_contains(region, x), region)
 
 
-def deterministic_harmless(
-    theta: Vector, allocations: Sequence[Allocation], indices: Sequence[int] | None = None
-) -> HarmlessResult:
+def deterministic_harmless(theta: Vector, allocations: Sequence[Allocation]) -> HarmlessResult:
     """Harmless set against every deterministic rule over point-mass allocations.
 
     Equals the intersection of the pairwise harmless sets, held as theta's
     ``PointMassRegion``, whose O(m) pass is the membership: x is harmless
     iff x == theta or no pair of allocations is split in x's favour.  The
-    allocations are validated here unless ``indices`` gives what
-    ``point_mass_indices`` returned for them.
+    allocations are checked here, by one ``point_mass_indices`` call.
     """
-    region = PointMassRegion(theta, indices or point_mass_indices(allocations, theta.dim))
+    region = PointMassRegion(theta, point_mass_indices(allocations, theta.dim))
     return HarmlessResult(region.contains, region)
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mechverify
 from mechverify import cli, mechanisms, multiagent, scenarios
 from mechverify.cli import (
     MECHANISM_CLASSES,
@@ -1133,6 +1134,67 @@ query 1 0
         run_verify(parse_scenario(both))
 
 
+TIE_SIDE_PAIR = """\
+scenario tie
+class deterministic
+theta 0 1
+query 0 2
+query 0 0
+option rule_pair 1 0
+option rule_price 1
+option verification_kind none
+"""
+TIE_SIDE_DOCUMENT = """\
+result tie
+mode forward
+class deterministic
+operation is_truthful_with_verification
+anchor 0,1
+{middle}summary verification none
+summary grid_size 3
+provenance package mechverify
+provenance version {version}
+provenance class deterministic
+provenance operation is_truthful_with_verification
+"""
+
+
+@pytest.mark.parametrize(
+    "tie, middle",
+    [
+        ("to_i", "summary truthful true\n"),
+        (
+            "to_j",
+            "witness query=0 kind=grid_violation true_type=v:0,1 beneficial_report=v:0,2 "
+            "gained=r:1 truthful=r:0\nsummary truthful false\n",
+        ),
+    ],
+    ids=["to_i", "to_j"],
+)
+def test_a_declared_pair_keeps_its_tie_side(tie, middle):
+    # theta = (0, 1) sits on the pair's boundary, theta_1 - theta_0 = 1 = the
+    # price: to_i gives it e_1, worth 1, as the report (0, 2) gets; to_j gives
+    # it e_0, worth 0, so the report gains.
+    text = TIE_SIDE_PAIR + f"option rule_tie {tie}\n"
+    document = serialize_result(run_verify(parse_scenario(text)))
+    assert document == TIE_SIDE_DOCUMENT.format(middle=middle, version=mechverify.__version__)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "scenario s\nclass deterministic\ntheta 0 1 2\nallocation 0 0 1\nallocation 1 0 0\n",
+        "scenario s\nclass truthful_in_expectation\ntheta 1 2 4\n"
+        "allocation 1 0 0\nallocation 1/2 1/2 0\nallocation 0 1 0\n",
+    ],
+    ids=["point-masses", "expectation-set"],
+)
+def test_checked_hands_over_the_class_setup_unbound(text):
+    # The class's setup reads its own allocation lines: _checked binds nothing.
+    scenario = parse_scenario(text)
+    assert cli._checked(scenario)[0] is cli._CLASSES[scenario.mechanism_class][0]
+
+
 # vcg, kminded and subsimplex expectation scenarios whose types harmless
 # refuses; verify must refuse them with the same message, with or without
 # queries, harmless or not.
@@ -1842,6 +1904,12 @@ def test_cli_error_paths(tmp_path, cli_env):
         ),
         (
             "verify",
+            "scenario s\nclass truthful_in_expectation\ntheta 1 1 1\nallocation 1 0 0\n"
+            "allocation 0 1 0\nallocation 0 0 1\noption rule_prices 0 0 0\n",
+            "error: verify reads no allocation lines\n",
+        ),
+        (
+            "verify",
             SECOND_PRICE_EXAMPLE + "option rule_prices 0\n",
             "error: verify needs a forward-mode scenario\n",
         ),
@@ -1885,6 +1953,7 @@ def test_cli_error_paths(tmp_path, cli_env):
         "rule-pair-without-price",
         "rule-pair-same-index",
         "verify-allocation-lines",
+        "verify-expectation-set-valued-alike",
         "verify-on-reverse",
         "plot-axes-out-of-range",
         "scenario-two-names",

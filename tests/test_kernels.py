@@ -730,8 +730,8 @@ def test_reverse_point_masses_are_checked_once_per_scenario(monkeypatch):
 
 @pytest.mark.parametrize("anchor", ["theta", "reported"])
 def test_allocation_lines_are_checked_once(anchor, monkeypatch):
-    # _checked's point-mass check of the listed allocations serves the
-    # setup too, in either mode.
+    # The setup's one point-mass check of the listed allocations serves the
+    # region and every query, in either mode.
     calls = []
     check = harmless.point_mass_indices
 
