@@ -50,7 +50,6 @@ from .harmless import (
     decisive_pair,
     deterministic_harmless,
     pairwise_harmless,
-    point_mass_rule,
     tie_harmless_contains,
     universally_truthful_harmless,
 )

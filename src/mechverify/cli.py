@@ -46,7 +46,8 @@ that name their line.  Every verb checks the class's type rule (dimension,
 a null coordinate 0 worth 0, nonnegative values, allocation lines only for
 the classes that read them) before it answers any query; the class's setup
 checks the allocation lines it reads (point masses, expectation
-allocations on one line), also before any query.
+allocations on one line if a true type values them apart), also before
+any query.  ``plot`` draws the setup's region and certifies no query.
 
 Four budgets bound the work a file can ask for: at most ``MAX_DIMENSION``
 coordinates (or assignment labels) on a line, at most ``MAX_QUERIES``
@@ -100,7 +101,6 @@ from .harmless import (
     SimplexFamily,
     check_null_coordinate,
     check_one_line,
-    decisive_pair,
     deterministic_harmless,
     point_mass_indices,
     tie_harmless_contains,  # unused here; perfbench/tracing.py wraps it under this module
@@ -582,16 +582,15 @@ def _setup_point_mass(scenario: Scenario, options: dict) -> Setup:
 
 
 def _setup_tie(scenario: Scenario, options: dict) -> Setup:
-    """truthful_in_expectation.  An explicit set is checked here, before any
-    query: it must lie on one line once a true type (the anchor forward, a
-    query in reverse) values it apart, and pair_of(theta), read off that
-    line, is theta's decisive pair, which answers every report as the set
-    does."""
+    """truthful_in_expectation.  An explicit set is read here, before any
+    query, by ``check_one_line`` for the true types (the anchor forward, the
+    queries in reverse), as ``tie_harmless_contains`` reads it: off one line
+    it is refused once one of them values it apart, and pair_of(theta) is
+    theta's decisive pair, which answers every report as the set does."""
     allocations = scenario.allocations
     if allocations:
         true_types = (scenario.anchor,) if scenario.mode == "forward" else scenario.queries
-        valued_apart = any(decisive_pair(t, allocations) for t in true_types)
-        pair_of = check_one_line(allocations) if valued_apart else lambda theta: None
+        pair_of = check_one_line(allocations, true_types)
 
         def prepare(theta: Vector) -> Certify:
             pair = pair_of(theta)
@@ -850,15 +849,21 @@ def _checked(scenario: Scenario) -> tuple[Callable[[Scenario, dict], Setup], dic
     return setup, options, tags
 
 
-def run_scenario(source: Scenario | str | os.PathLike[str]) -> ResultDocument:
-    """Evaluate a scenario (or scenario file) and return its result document."""
-    scenario = source if isinstance(source, Scenario) else load_scenario(source)
+def _set_up(scenario: Scenario) -> Setup:
+    """The checked scenario's class setup, its region cut to the type-space box."""
     setup, options, _ = _checked(scenario)
     operation, prepare, region, summary = setup(scenario, options)
     boxed = scenario.space_low is not None or scenario.space_high is not None
     if region is not None and boxed:
         box = box_region(scenario.space_low, scenario.space_high)
         region = ConvexRegion(region.halfspaces + box.halfspaces, region.extra_points)
+    return operation, prepare, region, summary
+
+
+def run_scenario(source: Scenario | str | os.PathLike[str]) -> ResultDocument:
+    """Evaluate a scenario (or scenario file) and return its result document."""
+    scenario = source if isinstance(source, Scenario) else load_scenario(source)
+    operation, prepare, region, summary = _set_up(scenario)
     mode = scenario.mode
     forward = mode == "forward"
     anchor = scenario.anchor
@@ -1401,7 +1406,10 @@ def _dispatch(verb: str, flags: dict[str, str]) -> int:
     elif verb == "verify":
         text = serialize_result(run_verify(scenario))
     else:
-        document = run_scenario(scenario)
+        # The region alone is drawn, so no query is certified.
+        operation, _, region, _ = _set_up(scenario)
+        cls, anchor = scenario.mechanism_class, scenario.anchor
+        document = ResultDocument(scenario.name, cls, scenario.mode, operation, anchor, region)
         axes = _parse_axes(flags.get("--axes", "0,1"))
         bounds = _parse_bounds(flags["--bounds"]) if "--bounds" in flags else None
         text = render_regions(document, axes, bounds)

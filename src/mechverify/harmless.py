@@ -24,10 +24,11 @@ Three rule classes are characterised in closed form:
   families one O(m) integer pass decides it (``_simplex_projection``,
   shared with ``oracle.construct_tie_witness``): is the residual of x's
   projection against theta's zero, and the factor at most one?  An explicit
-  allocation set must span one line (``check_one_line``, once per set),
-  and then one pair of it (``decisive_pair``, O(n m) per theta, or O(n + m)
-  on the line ``check_one_line`` returns) answers for the whole set: with
-  d = p - o, x is harmless iff d.x <= d.theta, one O(m) test per report.
+  allocation set is read once by ``check_one_line``, for the library and
+  the CLI alike: it must span one line if a true type values it apart,
+  and then one pair of it (``decisive_pair``, found in O(n + m) per theta
+  on the line) answers for the whole set: with d = p - o, x is harmless
+  iff d.x <= d.theta, one O(m) test per report.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .geometry import (
     Hyperplane,
     Sense,
     Vector,
+    _check_dim,
     _common_numerators,
     _halfspace,
     _vector,
@@ -182,7 +184,8 @@ class PointMassRegion(Frozen):
         return self._split(x) is None
 
     def rule(self, x: Vector) -> SeparatingRule | None:
-        """``point_mass_rule``'s certificate for x, or None when x is harmless."""
+        """The oracle's rule for x, or None when x is harmless: the first pair
+        with theta_p > theta_o and d_p >= d_o, split at theta_p - theta_o to p."""
         split = self._split(x)
         if split is None:
             return None
@@ -257,24 +260,6 @@ def point_mass_indices(allocations: Sequence[Allocation], dim: int) -> tuple[int
     return tuple(indices)
 
 
-def point_mass_rule(
-    theta: Vector, x: Vector, allocations: Sequence[Allocation]
-) -> SeparatingRule | None:
-    """The closed-form certificate over point masses, or None when x is harmless.
-
-    Over point masses e_p and e_o the critical hyperplane through theta is
-    x_p - x_o = theta_p - theta_o, so with d = x - theta a report beats the
-    truth exactly when some pair has theta_p > theta_o and d_p >= d_o.  The
-    first such (preferred, other) pair in the given order, found by
-    ``PointMassRegion``'s O(m) pass over d grouped by theta's value levels,
-    is split at theta_p - theta_o, boundary to the preferred side, with
-    theta pinned to the worse allocation and, when d_p == d_o, x to the
-    better: the rule ``oracle.search_beneficial_misreport`` returns (its
-    allocations are ``point_masses``', equal to the listed ones).
-    """
-    return PointMassRegion(theta, point_mass_indices(allocations, theta.dim)).rule(x)
-
-
 def check_null_coordinate(*types: Vector) -> None:
     """Coordinate 0 is the null assignment, and every type values it at 0."""
     if any(t[0] != 0 for t in types):
@@ -315,17 +300,20 @@ def _ranked_pair(levels: Sequence, allocations: Sequence[Allocation]) -> tuple |
     return allocations[p], allocations[o]
 
 
-def check_one_line(allocations: Sequence[Allocation]) -> Callable[[Vector], tuple | None]:
-    """Raise :class:`SubspaceHypothesisError` unless the differences
-    a_k - a_0 all lie on one line, the only case in which the scaled
-    differences a type values apart form a subspace (two allocations on one
-    level are collinear with any third).  Each is compared with the first
-    nonzero one u by the exact Cauchy-Schwarz equality (a.u)^2 = (a.a)(u.u).
-    O(n m), and independent of the type.
+def check_one_line(
+    allocations: Sequence[Allocation], true_types: Sequence[Vector]
+) -> Callable[[Vector], tuple | None]:
+    """``decisive_pair`` on an explicit set, for any of ``true_types``.
+    Raise :class:`SubspaceHypothesisError` if a true type values the set
+    apart and the differences a_k - a_0 do not all lie on one line, the only
+    case in which the scaled differences a type values apart form a subspace
+    (two allocations on one level are collinear with any third).  Each is
+    compared with the first nonzero one u by the exact Cauchy-Schwarz
+    equality (a.u)^2 = (a.a)(u.u), O(n m); only an off-line set is valued.
 
-    Returns ``decisive_pair`` on the line: a_k = a_0 + t_k u, so theta's
-    levels order as t_k sign(u.theta); t_k |u|^2 = (a_k - a_0).u is taken
-    once, as integers, and a theta costs one dot product and an O(n) scan."""
+    On the line a_k = a_0 + t_k u, so theta's levels order as t_k
+    sign(u.theta); t_k |u|^2 = (a_k - a_0).u is taken once, as integers, and
+    a theta costs one dot product and an O(n) scan."""
     differences = [a.probs - allocations[0].probs for a in allocations[1:]]
     line = next((u for u in differences if not u.is_zero()), None)
     if line is None:
@@ -333,10 +321,12 @@ def check_one_line(allocations: Sequence[Allocation]) -> Callable[[Vector], tupl
     line_sq = line.dot(line)
     along = [u.dot(line) for u in differences]
     if any(s * s != u.dot(u) * line_sq for s, u in zip(along, differences)):
-        raise SubspaceHypothesisError(
-            "scaled differences span more than one direction; "
-            "the closed-form characterisation does not apply"
-        )
+        if any(decisive_pair(t, allocations) for t in true_types):
+            raise SubspaceHypothesisError(
+                "scaled differences span more than one direction; "
+                "the closed-form characterisation does not apply"
+            )
+        return lambda theta: None
     _, (steps,) = _common_numerators([ZERO, *along])
 
     def pair(theta: Vector) -> tuple[Allocation, Allocation] | None:
@@ -390,17 +380,18 @@ def tie_harmless_contains(theta: Vector, x: Vector, space: AllocationSpace) -> b
     residual R is zero and the factor BA / N is at most one (a zero span
     makes every report harmless).  An explicit set's span is the line of its
     decisive pair's difference d, oriented so that d.theta > 0; the factor
-    is d.x / d.theta, so x is harmless iff d.x <= d.theta.  With no pair
-    every report is harmless; otherwise the set must pass
-    ``check_one_line``.
+    is d.x / d.theta, so x is harmless iff d.x <= d.theta.  The pair comes
+    from ``check_one_line``, as in the CLI; with no pair every report is
+    harmless.
     """
     if theta.dim != x.dim:
         raise DimensionMismatch(f"type dims {theta.dim} vs {x.dim}")
     if not isinstance(space, SimplexFamily):
-        pair = decisive_pair(theta, space)
+        for a in space:
+            _check_dim(a.probs, theta)
+        pair = check_one_line(space, (theta,))(theta)
         if pair is None:
             return True
-        check_one_line(space)
         d = pair[0].probs - pair[1].probs
         return d.dot(x) <= d.dot(theta)
     _, norm_sq, cross, residual = _simplex_projection(theta, x, space)

@@ -1,5 +1,7 @@
 """Scenario files, result documents, rendering, and the executable module."""
 
+import hashlib
+import json
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mechverify
-from mechverify import cli, mechanisms, multiagent, scenarios
+from mechverify import cli, harmless, mechanisms, multiagent, scenarios
 from mechverify.cli import (
     MECHANISM_CLASSES,
     Scenario,
@@ -611,18 +613,19 @@ query 0 5 0
 
 
 def test_explicit_allocation_queries_see_only_the_decisive_pair(monkeypatch):
-    # The set is checked before any query, and its decisive pair is found
-    # once for the true type, by the check itself, not per query and not
-    # again in the setup; every harmful query then ships the oracle's rule
-    # on the pair alone, and no query asks the set's membership.
+    # The set is read once, before any query, by check_one_line: on its
+    # line the true type's pair is read off the line, so no allocation is
+    # valued, not per query and not in a pre-pass; every harmful query then
+    # ships the oracle's rule on the pair alone, and no query asks the set's
+    # membership.
     seen = []
-    original = cli.decisive_pair
+    original = harmless.decisive_pair
 
     def recorded(*args):
         seen.append(("decisive_pair", args[-1]))
         return original(*args)
 
-    monkeypatch.setattr(cli, "decisive_pair", recorded)
+    monkeypatch.setattr(harmless, "decisive_pair", recorded)
     monkeypatch.setattr(cli, "search_beneficial_misreport", _refuse_search)
 
     def refuse(*args):
@@ -638,7 +641,7 @@ def test_explicit_allocation_queries_see_only_the_decisive_pair(monkeypatch):
     document = run_scenario(scenario)
     assert [qr.member for qr in document.queries] == [True, False, True]
     pair = (scenario.allocations[1], scenario.allocations[0])
-    assert seen == [("decisive_pair", scenario.allocations)]
+    assert seen == []
     theta, harmful = scenario.anchor, scenario.queries[1]
     assert [w.fields for w in document.witnesses] == [oracle_fields(theta, harmful, pair)]
 
@@ -1990,6 +1993,28 @@ def test_plot_refuses_a_bounds_box_without_area(tmp_path, capsys):
         "",
         "error: bounds box must have positive width and height\n",
     )
+
+
+def test_plot_certifies_no_query(monkeypatch, tmp_path, capsys):
+    # plot draws the class setup's region alone, so no query is certified:
+    # a class with no region is refused before any witness is built, and a
+    # region is drawn with the bytes perfbench/digests.json stores for it.
+    def refuse(*args):
+        raise AssertionError("plot certified a query")
+
+    monkeypatch.setattr(cli, "construct_tie_witness", refuse)
+    monkeypatch.setattr(harmless.PointMassRegion, "rule", refuse)
+    scenario = tmp_path / "w.scn"
+    scenario.write_text(
+        "scenario w\nclass truthful_in_expectation\ntheta 1 2 4\nquery 0 5 0\nquery 1/2 1 2\n"
+    )
+    assert main(["plot", "--scenario", str(scenario)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: result for 'w' carries no region to plot\n")
+    stored = json.loads((SCENARIO_DIR.parent / "perfbench" / "digests.json").read_text())
+    assert main(["plot", "--scenario", str(SCENARIO_DIR / "bundle_pair.scn")]) == 0
+    svg = capsys.readouterr().out.encode()
+    assert hashlib.sha256(svg).hexdigest() == stored["plot bundle_pair"]
 
 
 def test_cli_repeat_runs_are_byte_identical(tmp_path, cli_env):

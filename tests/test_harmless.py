@@ -162,12 +162,31 @@ def test_decisive_pair_of_an_explicit_set():
     # Indifferent pairs contribute nothing.
     assert decisive_pair(vec(2, 2), (a1, a2)) is None
     # Two difference directions violate the hypothesis behind the closed
-    # form; the test is the set's, whatever the type.
+    # form once a true type values the set apart; when every true type
+    # values it alike, each reads no pair.
     assert decisive_pair(vec(0, 1, 2), point_masses(3)) == point_masses(3)[1::-1]
     with pytest.raises(SubspaceHypothesisError):
-        check_one_line(point_masses(3))
-    check_one_line((a1, a2))
-    check_one_line((a1, a1))
+        check_one_line(point_masses(3), (vec(1, 1, 1), vec(0, 1, 2)))
+    assert check_one_line(point_masses(3), (vec(1, 1, 1),))(vec(1, 1, 1)) is None
+    assert check_one_line((a1, a2), (vec(1, 3),))(vec(1, 3)) == (a2, a1)
+    assert check_one_line((a1, a1), (vec(1, 3),))(vec(1, 3)) is None
+
+
+@pytest.mark.parametrize(
+    "theta, allocations, message",
+    [
+        (vec(1, 2, 3), [vec(1, 0), vec(0, 1, 0)], "dimension 2 vs 3"),
+        (vec(1, 2, 3), [vec(0, 1, 0), vec(1, 0)], "dimension 2 vs 3"),
+        (vec(1, 2), [vec(1, 0, 0), vec(1, 0, 0)], "dimension 3 vs 2"),
+        (vec(1, 2), [vec(1, 0, 0), vec(0, 1, 0), vec("1/2", "1/2", 0)], "dimension 3 vs 2"),
+    ],
+)
+def test_explicit_set_of_another_dimension_is_refused(theta, allocations, message):
+    # The first allocation not of theta's dimension is named first, whether
+    # the set has no line (equal allocations) or lies on one.
+    with pytest.raises(DimensionMismatch) as info:
+        tie_harmless_contains(theta, theta, tuple(map(Allocation, allocations)))
+    assert str(info.value) == message
 
 
 def test_tie_full_simplex_closed_form():

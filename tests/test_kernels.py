@@ -54,7 +54,6 @@ from mechverify.harmless import (
     decisive_pair,
     deterministic_harmless,
     pairwise_harmless,
-    point_mass_rule,
     tie_harmless_contains,
 )
 from mechverify.mechanisms import (
@@ -308,7 +307,7 @@ def test_point_mass_rule_matches_the_oracle(case, data):
     theta, x = case
     allocations = data.draw(point_mass_subsets(theta.dim))
     expected = search_beneficial_misreport(theta, x, allocations)
-    rule = point_mass_rule(theta, x, allocations)
+    rule = deterministic_harmless(theta, allocations).region.rule(x)
     assert (rule is None) == (expected is None)
     assert (rule is None) == deterministic_harmless(theta, allocations).contains(x)
     if rule is not None:
@@ -322,7 +321,8 @@ def test_point_mass_rule_picks_the_oracles_pair_on_the_boundary():
     theta = vec(0, 2, 1)
     x = vec(1, 3, 2)
     allocations = (point_mass(2, 3), point_mass(1, 3), point_mass(0, 3))
-    rule = point_mass_rule(theta, x, allocations)
+    region = deterministic_harmless(theta, allocations).region
+    rule = region.rule(x)
     assert rule_fields(rule) == (
         point_mass(2, 3),
         point_mass(0, 3),
@@ -331,19 +331,19 @@ def test_point_mass_rule_picks_the_oracles_pair_on_the_boundary():
         ((theta, point_mass(0, 3)), (x, point_mass(2, 3))),
     )
     assert rule_fields(rule) == rule_fields(search_beneficial_misreport(theta, x, allocations))
-    assert point_mass_rule(theta, theta, allocations) is None
-    assert point_mass_rule(theta, theta.scale(Fraction(1, 2)), allocations) is None
+    assert region.rule(theta) is None
+    assert region.rule(theta.scale(Fraction(1, 2))) is None
 
 
 def test_point_mass_pair_rejects_other_allocations():
     theta, x = vec(1, 0), vec(0, 1)
     half = Allocation(vec(Fraction(1, 2), Fraction(1, 2)))
     with pytest.raises(MechanismError):
-        point_mass_rule(theta, x, (point_mass(0, 2), half))
+        deterministic_harmless(theta, (point_mass(0, 2), half)).region.rule(x)
     with pytest.raises(DimensionMismatch):
-        point_mass_rule(theta, x, point_masses(3))
+        deterministic_harmless(theta, point_masses(3)).region.rule(x)
     with pytest.raises(DimensionMismatch):
-        point_mass_rule(theta, vec(0, 1, 0), point_masses(2))
+        deterministic_harmless(theta, point_masses(2)).region.rule(vec(0, 1, 0))
 
 
 # -- expectation projection ---------------------------------------------------
@@ -464,8 +464,7 @@ def test_decisive_pair_answers_for_the_whole_set(case):
     theta, x, allocations = case
     try:
         pair = decisive_pair(theta, allocations)
-        if pair is not None:
-            check_one_line(allocations)
+        check_one_line(allocations, (theta,))
     except SubspaceHypothesisError:
         assert all_pairs_refuse(theta, allocations)
         return
@@ -517,7 +516,33 @@ def test_the_line_scan_finds_the_decisive_pair(case):
             return None
         return tuple(next(k for k, a in enumerate(allocations) if a is chosen) for chosen in pair)
 
-    assert positions(check_one_line(allocations)(theta)) == positions(decisive_pair(theta, allocations))
+    pair = check_one_line(allocations, (theta,))(theta)
+    assert positions(pair) == positions(decisive_pair(theta, allocations))
+
+
+def _outcome(answer, *args):
+    try:
+        return answer(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _cli_member(theta, x, allocations):
+    lines = [f"allocation {_tokens(a.probs)}" for a in allocations]
+    text = "\n".join(["scenario e", "class truthful_in_expectation", f"theta {_tokens(theta)}", *lines])
+    return run_scenario(parse_scenario(f"{text}\nquery {_tokens(x)}\n")).queries[0].member
+
+
+@given(st.one_of(collinear_sets(), explicit_cases().map(lambda case: case[::2])), st.data())
+def test_library_and_cli_read_an_explicit_set_alike(case, data):
+    # Both take theta's pair from check_one_line, on sets on one line and
+    # on sets drawn freely: the library's membership is the CLI's forward
+    # answer, or both refuse with one message.
+    theta, allocations = case
+    u = allocations[-1].probs - allocations[0].probs
+    x = data.draw(st.one_of(vectors(theta.dim, small), small.map(lambda c: theta + u.scale(c))))
+    library = _outcome(tie_harmless_contains, theta, x, allocations)
+    assert library == _outcome(_cli_member, theta, x, allocations)
 
 
 @st.composite

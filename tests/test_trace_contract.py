@@ -8,6 +8,7 @@ is written.
 
 A name a package module imports but never uses is there only for the
 tracer to wrap; any other such name is a leftover, and is reported here.
+Each such import says so on its line, and no used import does.
 """
 
 import ast
@@ -84,3 +85,25 @@ def test_unused_imports_are_traced_names():
         for name in unused_imports(path)
     }
     assert not unused - traced, f"imported but never used: {sorted(unused - traced)}"
+
+
+MARKER = "perfbench/tracing.py wraps it"
+
+
+def marked_imports(path):
+    """The names the module at ``path`` imports on a line carrying ``MARKER``."""
+    text = path.read_text()
+    lines = text.splitlines()
+    return {
+        (alias.asname or alias.name).partition(".")[0]
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if MARKER in lines[alias.lineno - 1]
+    }
+
+
+def test_tracer_markers_name_exactly_the_unused_imports():
+    for path in sorted(Path(mechverify.__file__).parent.glob("*.py")):
+        if path.name != "__init__.py":
+            assert marked_imports(path) == unused_imports(path), path.name

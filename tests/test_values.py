@@ -38,7 +38,6 @@ from mechverify import (
     WitnessRecord,
     deterministic_harmless,
     point_mass,
-    point_mass_rule,
     point_masses,
     vec,
 )
@@ -259,7 +258,8 @@ def error_messages():
     calls = [
         lambda: rule(overrides={vec(1, "1/2"): a0()}),
         lambda: deterministic_harmless(vec(0, 1), [Allocation(vec("1/2", "1/2")), a0()]),
-        lambda: point_mass_rule(vec(0, 1), vec(1, 0), [Allocation(vec("1/2", "1/2"))]),
+        lambda: deterministic_harmless(vec(0, 1), [Allocation(vec("1/2", "1/2"))])
+        .region.rule(vec(1, 0)),
     ]
     for call in calls:
         with pytest.raises(MechanismError) as info:
